@@ -24,7 +24,7 @@ from .kernels import (
     sup_norm_H1,
 )
 from .chebinterp import InterpError, NodeSystem, build_nodes, interp_eval, scaled_interp_eval, sup_error
-from .entire import G_alpha, H_alpha_integral, H_alpha_series, SeriesConfig, beta_point
+from .entire import G_alpha, H_alpha_integral, H_alpha_series, beta_point
 from .remez import BestApprox, ReferenceSet, RemezError, bernstein_extrapolate, best_poly, scaling_check
 from .asymptotics import (
     EnvelopeBounds,

@@ -53,11 +53,13 @@ def bisect_root(f, a: float, b: float, xtol: float):
     return 0.5 * (a + b)
 
 
-def refine_grid_maxima(f, xs, values, xtol: float = 1e-6, include_ends: bool = True):
+def refine_grid_maxima(f, xs, values, xtol: float = 1e-6):
     """Polish every local maximum of sampled |values| with golden sections.
 
     xs must be increasing.  Returns a list of (x, f(x)) pairs, one per grid
-    local maximum (endpoints included when include_ends is set).
+    local maximum, endpoints included.  Golden section never evaluates the
+    ends of its bracket, so a maximum at either end of the grid keeps the
+    sampled endpoint when that beats the polished interior point.
     """
     out = []
     n = len(xs)
@@ -66,15 +68,8 @@ def refine_grid_maxima(f, xs, values, xtol: float = 1e-6, include_ends: bool = T
         right = values[i + 1] if i < n - 1 else -math.inf
         if values[i] < left or values[i] < right:
             continue
-        if i == 0 or i == n - 1:
-            if not include_ends:
-                continue
-            lo = xs[max(i - 1, 0)]
-            hi = xs[min(i + 1, n - 1)]
-        else:
-            lo, hi = xs[i - 1], xs[i + 1]
-        if hi > lo:
-            out.append(golden_max(f, lo, hi, xtol))
-        else:
-            out.append((xs[i], f(xs[i])))
+        x, v = golden_max(f, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], xtol)
+        if (i == 0 or i == n - 1) and values[i] > v:
+            x, v = xs[i], values[i]
+        out.append((x, v))
     return out

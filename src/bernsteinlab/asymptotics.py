@@ -31,7 +31,6 @@ from .kernels import (
     sup_norm_H1,
 )
 from ._search import bisect_root
-from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
     "WatsonCoeffs",
@@ -49,6 +48,8 @@ _SQRT2 = math.sqrt(2.0)
 # even-power coefficients of the combined two-branch expansions
 _AA_COEFFS = (0.5, -5.0 / 24.0, 61.0 / 576.0)  # G(alpha, alpha)
 _A1A_COEFFS = (0.5, -5.0 / 24.0, 205.0 / 576.0)  # G(alpha+1, alpha)
+
+_MONOTONE_POINTS = 200  # grid size of monotonicity_check
 
 
 @dataclass(frozen=True)
@@ -129,33 +130,29 @@ class EnvelopeBounds:
             )
 
 
-def envelope_bounds(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> EnvelopeBounds:
+def envelope_bounds(alpha: float) -> EnvelopeBounds:
     """Envelope bound chain at alpha >= 2, with both ends C(alpha)/(1+2alpha)
     times (1 -/+ 1/sqrt(alpha), 2/sqrt(alpha))."""
     if not alpha >= 2.0:
         raise ValueError(f"envelope_bounds requires alpha >= 2, got {alpha}")
-    base = C_const(alpha, cfg) / (1.0 + 2.0 * alpha)
+    base = C_const(alpha) / (1.0 + 2.0 * alpha)
     return EnvelopeBounds(
         alpha,
         base * (1.0 - 1.0 / math.sqrt(alpha)),
-        kernel_eval(KernelKind.H1, alpha, alpha, cfg),
-        sup_norm_H1(alpha, cfg).norm,
+        kernel_eval(KernelKind.H1, alpha, alpha),
+        sup_norm_H1(alpha).norm,
         base * (1.0 + 2.0 / math.sqrt(alpha)),
     )
 
 
-def find_alpha0(tol: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def find_alpha0(tol: float) -> float:
     """Smallest sign change of alpha -> R(alpha, alpha), bracketed in [2.4, 3]."""
     if not tol >= 1e-7:
         raise ValueError(f"tol must be >= 1e-7, got {tol}")
-    return bisect_root(
-        lambda a: kernel_eval(KernelKind.R, a, a, cfg), 2.4, 3.0, xtol=tol
-    )
+    return bisect_root(lambda a: kernel_eval(KernelKind.R, a, a), 2.4, 3.0, xtol=tol)
 
 
-def monotonicity_check(
-    alpha: float, x_hi: float, points: int = 200, cfg: QuadConfig = DEFAULT_CONFIG
-) -> bool:
+def monotonicity_check(alpha: float, x_hi: float) -> bool:
     """True iff H1(alpha, .) strictly decreases on a grid of [alpha, x_hi].
 
     Guaranteed by theory for alpha above the R sign change (~2.543); the
@@ -163,13 +160,13 @@ def monotonicity_check(
     """
     if not x_hi > alpha:
         raise ValueError("x_hi must exceed alpha")
-    xs = np.linspace(alpha, x_hi, points)
-    vals = kernel_values(KernelKind.H1, alpha, xs, cfg)
+    xs = np.linspace(alpha, x_hi, _MONOTONE_POINTS)
+    vals = kernel_values(KernelKind.H1, alpha, xs)
     return bool((np.diff(vals) < 0.0).all())
 
 
-def norm_ratio_limit(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def norm_ratio_limit(alpha: float) -> float:
     """||H(alpha, .)|| * (1 + 2 alpha) / C(alpha); tends to 1 as alpha grows."""
     if not alpha >= 2.0:
         raise ValueError(f"norm_ratio_limit requires alpha >= 2, got {alpha}")
-    return sup_norm_H(alpha, cfg).norm * (1.0 + 2.0 * alpha) / C_const(alpha, cfg)
+    return sup_norm_H(alpha).norm * (1.0 + 2.0 * alpha) / C_const(alpha)

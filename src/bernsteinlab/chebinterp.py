@@ -22,6 +22,8 @@ from ._search import refine_grid_maxima
 
 __all__ = ["NodeSystem", "InterpError", "build_nodes", "interp_eval", "scaled_interp_eval", "sup_error"]
 
+_GRID_PER_N = 40  # theta-uniform sup_error grid points per unit of n
+
 
 @dataclass(frozen=True)
 class NodeSystem:
@@ -113,18 +115,19 @@ def scaled_interp_eval(system: NodeSystem, alpha: float, x_big: float) -> float:
     return two_n**alpha * interp_eval(system, alpha, x_big / two_n)
 
 
-def sup_error(system: NodeSystem, alpha: float, grid_per_n: int = 40) -> InterpError:
+def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     """(2n)^alpha * sup over [0, 1] of | |x|^alpha - P(x) |.
 
     The sup is taken over [0, 1] only (the error is even).  A theta-uniform
-    grid x = cos(theta) with >= 40 n points resolves every oscillation of
-    the error, and each grid maximum is polished by golden section.
+    grid x = cos(theta) with 40 n points resolves every oscillation of the
+    error, and each grid maximum is polished by golden section; the end
+    x = 1, where the P1 error peaks, is kept when it is the larger.
     """
     n = system.n
     if 2 * n <= alpha:
         raise ValueError("need 2n > alpha for a meaningful scaled error")
     fvals = _values(system, alpha)
-    m = grid_per_n * n + 1
+    m = _GRID_PER_N * n + 1
     theta = np.linspace(0.0, 0.5 * math.pi, m)
     xs = np.cos(theta)[::-1]  # increasing, in [0, 1]
     xs[0] = 0.0

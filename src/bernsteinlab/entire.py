@@ -14,22 +14,21 @@ Two families arise as scaled limits of the Chebyshev interpolation schemes:
 The series' polynomial part uses the closed form
 C(a) = 2 (1 - 2^-(a+1)) Gamma(a+1) zeta(a+1), so the series path shares no
 quadrature with the integral path and the two serve as independent oracles
-for each other.
+for each other.  The series' alternating tail is summed by an iterated
+Euler transform to a fixed 1e-8, and a shortfall raises.
 
-Both functions are even; negative arguments are reflected.
+Both functions are even; negative arguments are reflected.  beta_point, the
+lobe abscissa, lives in kernels and is re-exported here.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .kernels import KernelKind, kernel_eval
-from .quadrature import DEFAULT_CONFIG, QuadConfig
+from .kernels import KernelKind, beta_point, kernel_eval
 
 __all__ = [
-    "SeriesConfig",
     "H_alpha_integral",
     "H_alpha_series",
     "G_alpha",
@@ -37,34 +36,7 @@ __all__ = [
 ]
 
 _POLE_WINDOW = 1e-4  # |x - k pi| below this evaluates the pole term jointly
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Controls for the interpolating-series tail summation.
-
-    accel='euler' sums the alternating tail with an iterated Euler
-    (averaging) transform: ~60 terms reach machine precision for every
-    admissible alpha.  accel='pairing' adds adjacent terms pairwise with an
-    integral tail estimate; it is kept for cross-checks but converges too
-    slowly near the upper end of each alpha branch (exponent close to 2),
-    where it raises instead of silently stalling.
-    """
-
-    max_terms: int = 200_000
-    accel: str = "euler"
-    target_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_terms < 100:
-            raise ValueError("max_terms must be >= 100")
-        if self.accel not in ("pairing", "euler"):
-            raise ValueError(f"unknown accel {self.accel!r}")
-        if not self.target_tol > 0.0:
-            raise ValueError("target_tol must be positive")
-
-
-DEFAULT_SERIES = SeriesConfig()
+_EULER_TOL = 1e-8  # accuracy demanded of the accelerated series tail
 
 
 def _C_closed(a: float) -> float:
@@ -72,17 +44,17 @@ def _C_closed(a: float) -> float:
     return 2.0 * (1.0 - 2.0 ** -(a + 1.0)) * specfun.gamma(a + 1.0) * specfun.zeta(a + 1.0)
 
 
-def H_alpha_integral(alpha: float, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def H_alpha_integral(alpha: float, x: float) -> float:
     """H_alpha(x) through the error-kernel quadrature."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x = abs(x)
     return x**alpha - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * kernel_eval(
-        KernelKind.H, alpha, x, cfg
+        KernelKind.H, alpha, x
     )
 
 
-def _euler_tail(h, k0: int, tol: float) -> float:
+def _euler_tail(h, k0: int) -> float:
     """sum_{k>k0} (-1)^k h(k) by iterated averaging of partial sums."""
     m = 60
     ks = np.arange(k0 + 1, k0 + 1 + m)
@@ -92,42 +64,20 @@ def _euler_tail(h, k0: int, tol: float) -> float:
     while len(row) > 1:
         row = 0.5 * (row[:-1] + row[1:])
         prev, est = row[-1], prev
-    if abs(row[0] - est) > tol:
+    if abs(row[0] - est) > _EULER_TOL:
         raise RuntimeError(
-            f"series tail acceleration reached {abs(row[0] - est):.3e}, short of {tol:.3e}"
+            f"series tail acceleration reached {abs(row[0] - est):.3e}, "
+            f"short of {_EULER_TOL:.3e}"
         )
     return float(row[0])
 
 
-def _pairing_tail(h, k0: int, sigma: float, cfg: SeriesConfig) -> float:
-    """sum_{k>k0} (-1)^k h(k) by adjacent-pair summation.
-
-    Pairs decay like k^(sigma-3); the loop stops once the integral estimate
-    of the remaining tail drops below target_tol, and raises (naming the
-    tolerance actually achieved) when max_terms cannot get there.
-    """
-    total = 0.0
-    k = k0 + 1
-    sign = -1.0 if k % 2 else 1.0
-    while k + 1 <= k0 + cfg.max_terms:
-        pair = sign * (h(float(k)) - h(float(k + 1)))
-        total += pair
-        tail_est = abs(pair) * k / max(2.0 - sigma, 1e-3)
-        if tail_est < cfg.target_tol:
-            return total
-        k += 2
-    raise RuntimeError(
-        f"pairing summation exhausted {cfg.max_terms} terms at tolerance "
-        f"~{abs(pair) * k:.3e}, short of {cfg.target_tol:.3e}"
-    )
-
-
-def H_alpha_series(alpha: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+def H_alpha_series(alpha: float, x: float) -> float:
     """H_alpha(x) through the interpolation series (no quadrature).
 
     alpha must not be an even integer.  Near x = k pi the k-th term's pole
     is evaluated jointly with sin x, so the removable singularity never
-    produces 0/0; elsewhere the alternating tail is accelerated per cfg.
+    produces 0/0; the alternating tail is summed by _euler_tail.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -160,10 +110,7 @@ def H_alpha_series(alpha: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -
             continue
         direct += (-1.0) ** k * h(float(k))
 
-    if cfg.accel == "euler":
-        tail = _euler_tail(h, k0, cfg.target_tol)
-    else:
-        tail = _pairing_tail(h, k0, sigma, cfg)
+    tail = _euler_tail(h, k0)
 
     value = math.sin(x) * (poly + 2.0 * x ** (2 * big_n + 1) * (direct + tail))
     if joint_pole:
@@ -175,7 +122,7 @@ def H_alpha_series(alpha: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -
     return value
 
 
-def G_alpha(alpha: float, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def G_alpha(alpha: float, x: float) -> float:
     """G_alpha(x) = |x|^alpha - (2/pi) sin(pi alpha/2) cos(x) A0(alpha, x)."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -184,15 +131,4 @@ def G_alpha(alpha: float, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     x = abs(x)
     return x**alpha - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * math.cos(
         x
-    ) * kernel_eval(KernelKind.A0, alpha, x, cfg)
-
-
-def beta_point(alpha: float) -> float:
-    """beta(alpha) = pi * floor(alpha/pi) + 3 pi/2.
-
-    The abscissa of the first or second lobe of |H(alpha, .)| to the right
-    of alpha where |sin| = 1; satisfies alpha + pi/2 < beta <= alpha + 3 pi/2.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return math.pi * math.floor(alpha / math.pi) + 1.5 * math.pi
+    ) * kernel_eval(KernelKind.A0, alpha, x)

@@ -1,5 +1,6 @@
 """Half-line integral kernels for |x|^alpha approximation, closed-form
-L1/L2 best-approximation constants, and sup-norm searches on [0, inf).
+L1/L2 best-approximation constants, sup-norm searches on [0, inf), and the
+lobe abscissa beta(alpha) where the search for sup |H| starts.
 
 All members of the family are integrals over t in (0, inf):
 
@@ -35,13 +36,10 @@ from . import specfun
 from ._search import golden_max
 from .quadrature import (
     DEFAULT_CONFIG,
-    QuadConfig,
     QuadratureError,
-    combine,
-    integrate_finite,
     integrate_finite_batch,
-    integrate_semi_infinite,
     integrate_semi_infinite_batch,
+    integrate_zero_to_inf,
 )
 
 __all__ = [
@@ -53,6 +51,7 @@ __all__ = [
     "kernel_values",
     "sup_norm_H",
     "sup_norm_H1",
+    "beta_point",
     "delta_1_closed",
     "delta_2_closed",
 ]
@@ -109,27 +108,16 @@ def _require_alpha(alpha: float, low: float, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def C_const(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def C_const(alpha: float) -> float:
     """C(alpha) = int_0^inf t^alpha / sinh(t) dt, alpha > 0."""
     _require_alpha(alpha, 0.0, "C_const")
-    return _halfline(_pow_over_sinh(alpha), cfg)
+    return integrate_zero_to_inf(_pow_over_sinh(alpha)).value
 
 
-def D_const(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def D_const(alpha: float) -> float:
     """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, alpha > 0."""
     _require_alpha(alpha, 0.0, "D_const")
-    return _halfline(_pow_over_cosh(alpha - 1.0), cfg)
-
-
-def _halfline(g, cfg: QuadConfig) -> float:
-    r = combine(
-        integrate_finite(g, 0.0, cfg.split_point, cfg),
-        integrate_semi_infinite(g, cfg.split_point, cfg),
-        cfg,
-    )
-    if not r.converged:
-        raise QuadratureError(f"half-line kernel integral did not converge: {r}")
-    return r.value
+    return integrate_zero_to_inf(_pow_over_cosh(alpha - 1.0)).value
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +125,8 @@ def _halfline(g, cfg: QuadConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _batched_family(g, xkernel, xs: np.ndarray, cfg: QuadConfig) -> np.ndarray:
+def _batched_family(g, xkernel, xs: np.ndarray) -> np.ndarray:
+    split = DEFAULT_CONFIG.split_point
     out = np.empty(len(xs))
     for lo in range(0, len(xs), _BATCH_CHUNK):
         chunk = xs[lo : lo + _BATCH_CHUNK, None]
@@ -145,27 +134,25 @@ def _batched_family(g, xkernel, xs: np.ndarray, cfg: QuadConfig) -> np.ndarray:
         def fmat(t):
             return g(t)[None, :] * xkernel(chunk, t[None, :])
 
-        v1, ok1 = integrate_finite_batch(fmat, 0.0, cfg.split_point, cfg)
-        v2, ok2 = integrate_semi_infinite_batch(fmat, cfg.split_point, cfg)
+        v1, ok1 = integrate_finite_batch(fmat, 0.0, split)
+        v2, ok2 = integrate_semi_infinite_batch(fmat, split)
         if not (ok1 and ok2):
             raise QuadratureError("batched kernel integral did not converge")
         out[lo : lo + _BATCH_CHUNK] = v1 + v2
     return out
 
 
-def _J_values(alpha: float, xs: np.ndarray, cfg: QuadConfig) -> np.ndarray:
+def _J_values(alpha: float, xs: np.ndarray) -> np.ndarray:
+    return _batched_family(_pow_over_sinh(alpha), lambda x, t: x / (x * x + t * t), xs)
+
+
+def _A0_values(alpha: float, xs: np.ndarray) -> np.ndarray:
     return _batched_family(
-        _pow_over_sinh(alpha), lambda x, t: x / (x * x + t * t), xs, cfg
+        _pow_over_cosh(alpha - 1.0), lambda x, t: x * x / (x * x + t * t), xs
     )
 
 
-def _A0_values(alpha: float, xs: np.ndarray, cfg: QuadConfig) -> np.ndarray:
-    return _batched_family(
-        _pow_over_cosh(alpha - 1.0), lambda x, t: x * x / (x * x + t * t), xs, cfg
-    )
-
-
-def kernel_values(kind, alpha: float, xs, cfg: QuadConfig = DEFAULT_CONFIG) -> np.ndarray:
+def kernel_values(kind, alpha: float, xs) -> np.ndarray:
     """Vectorized kernel_eval over an array of positive x, for the kinds whose
     t-integrand does not depend on x (H, H1, H2, A0)."""
     kind = _as_kind(kind)
@@ -174,9 +161,9 @@ def kernel_values(kind, alpha: float, xs, cfg: QuadConfig = DEFAULT_CONFIG) -> n
         raise ValueError("kernel_values requires x > 0; use kernel_eval for limits at 0")
     _require_alpha(alpha, 0.0, kind.value)
     if kind is KernelKind.A0:
-        return _A0_values(alpha, xs, cfg)
+        return _A0_values(alpha, xs)
     if kind in (KernelKind.H, KernelKind.H1, KernelKind.H2):
-        j = _J_values(alpha, xs, cfg)
+        j = _J_values(alpha, xs)
         if kind is KernelKind.H:
             return np.sin(xs) * j
         if kind is KernelKind.H2:
@@ -190,19 +177,19 @@ def kernel_values(kind, alpha: float, xs, cfg: QuadConfig = DEFAULT_CONFIG) -> n
 # ---------------------------------------------------------------------------
 
 
-def _F_kernel(alpha: float, x: float, cfg: QuadConfig) -> float:
+def _F_kernel(alpha: float, x: float) -> float:
     def g(t):
         xt = x * t
         return np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
 
-    return _halfline(g, cfg)
+    return integrate_zero_to_inf(g).value
 
 
-def _G_kernel(alpha: float, x: float, cfg: QuadConfig) -> float:
+def _G_kernel(alpha: float, x: float) -> float:
     def g(t):
         return np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t)
 
-    return _halfline(g, cfg)
+    return integrate_zero_to_inf(g).value
 
 
 def _eval_at_zero(kind: KernelKind, alpha: float) -> float:
@@ -217,7 +204,7 @@ def _eval_at_zero(kind: KernelKind, alpha: float) -> float:
     raise ValueError(f"kernel {kind.value} requires x > 0")
 
 
-def kernel_eval(kind, alpha: float, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def kernel_eval(kind, alpha: float, x: float) -> float:
     """Evaluate one member of the kernel family at (alpha, x).
 
     x = 0 is allowed for H, H1, H2 and A0, returning the limiting values
@@ -232,30 +219,30 @@ def kernel_eval(kind, alpha: float, x: float, cfg: QuadConfig = DEFAULT_CONFIG) 
         return _eval_at_zero(kind, alpha)
 
     if kind in (KernelKind.H, KernelKind.H1, KernelKind.H2):
-        j = _J_values(alpha, np.array([x]), cfg)[0]
+        j = _J_values(alpha, np.array([x]))[0]
         if kind is KernelKind.H:
             return math.sin(x) * j
         if kind is KernelKind.H2:
             return x * j
         return j
     if kind is KernelKind.A0:
-        return _A0_values(alpha, np.array([x]), cfg)[0]
+        return _A0_values(alpha, np.array([x]))[0]
     if kind is KernelKind.F:
-        return _F_kernel(alpha, x, cfg)
+        return _F_kernel(alpha, x)
     if kind is KernelKind.G:
-        return _G_kernel(alpha, x, cfg)
+        return _G_kernel(alpha, x)
     if kind is KernelKind.R:
-        return (x / alpha) * _F_kernel(alpha + 1.0, x, cfg) - _F_kernel(alpha, x, cfg)
+        return (x / alpha) * _F_kernel(alpha + 1.0, x) - _F_kernel(alpha, x)
     if kind is KernelKind.S:
-        r = (x / alpha) * _F_kernel(alpha + 1.0, x, cfg) - _F_kernel(alpha, x, cfg)
+        r = (x / alpha) * _F_kernel(alpha + 1.0, x) - _F_kernel(alpha, x)
         return 0.5 * alpha * x ** (alpha - 1.0) * (x * x + alpha * alpha) * r
     if kind is KernelKind.F1:
-        return (2.0 - 2.0**-alpha) * specfun.zeta(alpha + 1.0) * _G_kernel(alpha, x, cfg)
+        return (2.0 - 2.0**-alpha) * specfun.zeta(alpha + 1.0) * _G_kernel(alpha, x)
     if kind is KernelKind.F2:
         return (
             (2.0 - 2.0 ** -(alpha - 2.0))
             * specfun.zeta(alpha - 1.0)
-            * _G_kernel(alpha, x, cfg)
+            * _G_kernel(alpha, x)
         )
     raise ValueError(f"unknown kernel kind {kind!r}")
 
@@ -324,12 +311,18 @@ class SupNormReport:
 _PERIOD_GRID = 8  # coarse points per half-period before golden refinement
 
 
-def _beta_lobe(alpha: float) -> float:
-    # pi*floor(alpha/pi) + 3pi/2: abscissa right of alpha where |sin| = 1
+def beta_point(alpha: float) -> float:
+    """beta(alpha) = pi * floor(alpha/pi) + 3 pi/2.
+
+    The abscissa of the first or second lobe of |H(alpha, .)| to the right
+    of alpha where |sin| = 1; satisfies alpha + pi/2 < beta <= alpha + 3 pi/2.
+    """
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     return math.pi * math.floor(alpha / math.pi) + 1.5 * math.pi
 
 
-def sup_norm_H(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> SupNormReport:
+def sup_norm_H(alpha: float) -> SupNormReport:
     """sup over [0, inf) of |H(alpha, .)| = |sin(x)| * H1(alpha, x).
 
     |H| vanishes at every multiple of pi, so each period [k pi, (k+1) pi]
@@ -338,12 +331,12 @@ def sup_norm_H(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> SupNormReport:
     the tail bound C(alpha)/X certifies that no larger lobe lies beyond.
     """
     _require_alpha(alpha, 0.0, "sup_norm_H")
-    c = C_const(alpha, cfg)
+    c = C_const(alpha)
 
     def absH(x):
-        return abs(math.sin(x)) * kernel_eval(KernelKind.H1, alpha, x, cfg)
+        return abs(math.sin(x)) * kernel_eval(KernelKind.H1, alpha, x)
 
-    n_periods = math.ceil((max(alpha, _beta_lobe(alpha)) + 10.0 * math.pi) / math.pi)
+    n_periods = math.ceil((max(alpha, beta_point(alpha)) + 10.0 * math.pi) / math.pi)
     maxima: list = []
     scanned = 0
     for _ in range(40):
@@ -351,7 +344,7 @@ def sup_norm_H(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> SupNormReport:
             ks = np.arange(scanned, n_periods)
             offs = np.arange(1, _PERIOD_GRID + 1) / (_PERIOD_GRID + 1.0)
             grid = (ks[:, None] + offs[None, :]) * math.pi
-            vals = np.abs(np.sin(grid.ravel())) * _J_values(alpha, grid.ravel(), cfg)
+            vals = np.abs(np.sin(grid.ravel())) * _J_values(alpha, grid.ravel())
             vals = vals.reshape(grid.shape)
             for row, k in enumerate(ks):
                 i = int(np.argmax(vals[row]))
@@ -371,7 +364,7 @@ def sup_norm_H(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> SupNormReport:
     return SupNormReport(norm, argmax, x_cut, c / x_cut, maxima)
 
 
-def sup_norm_H1(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> SupNormReport:
+def sup_norm_H1(alpha: float) -> SupNormReport:
     """sup over [0, inf) of the envelope H1(alpha, .), for alpha > 1.
 
     For alpha <= 1 the envelope is unbounded (or attains its sup at 0) and
@@ -381,14 +374,14 @@ def sup_norm_H1(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> SupNormReport
     """
     if not alpha > 1.0:
         raise ValueError(f"sup_norm_H1 requires alpha > 1, got {alpha}")
-    c = C_const(alpha, cfg)
+    c = C_const(alpha)
 
     def h1(x):
-        return kernel_eval(KernelKind.H1, alpha, x, cfg)
+        return kernel_eval(KernelKind.H1, alpha, x)
 
     x_cut = alpha + 20.0 * math.pi
     xs = np.linspace(0.0, x_cut, 601)[1:]
-    vals = _J_values(alpha, xs, cfg)
+    vals = _J_values(alpha, xs)
     maxima: list = []
     for _ in range(40):
         i = int(np.argmax(vals))
@@ -399,7 +392,7 @@ def sup_norm_H1(alpha: float, cfg: QuadConfig = DEFAULT_CONFIG) -> SupNormReport
         if c / x_cut < 0.5 * norm:
             break
         ext = np.linspace(x_cut, 2.0 * x_cut, 301)[1:]
-        vals = np.concatenate([vals, _J_values(alpha, ext, cfg)])
+        vals = np.concatenate([vals, _J_values(alpha, ext)])
         xs = np.concatenate([xs, ext])
         x_cut *= 2.0
     else:

@@ -15,7 +15,10 @@ and its scaled limit error (what the large-n error looks like at scale 2n) is
 The constants (c1, c2) are fitted by minimizing sup |E| over (0, X]:
 the three terms are linear in (c1, c2), so kernel values on a fixed grid
 are precomputed once (GridCache) and each objective evaluation is a few
-vector operations plus golden-section polish of the top lobes.
+vector operations plus golden-section polish of the top lobes.  The scan
+grid (step pi/100 up to 40 pi) and the number of polished lobes are fixed;
+off-grid kernel values come from kernel_eval at the package's one quadrature
+configuration.
 
 The correction term exists because both interpolation schemes reproduce
 |x|^alpha at x = 0 while the best approximation alternates there; c2
@@ -31,7 +34,6 @@ from scipy.optimize import minimize
 from . import chebinterp, specfun
 from ._search import bisect_root, golden_max
 from .kernels import KernelKind, kernel_eval, kernel_values
-from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
     "GridCache",
@@ -48,6 +50,7 @@ __all__ = [
 _X_MAX = 40.0 * math.pi
 _STEP = math.pi / 100.0  # also the root-scan step
 _MAX_GRID_STEP = math.pi / 40.0
+_MAX_LOBES = 8  # top grid lobes polished per objective evaluation
 
 
 class OptimizeError(RuntimeError):
@@ -104,19 +107,14 @@ class NearBestSolution:
             )
 
 
-def build_cache(
-    alpha: float,
-    x_max: float = _X_MAX,
-    step: float = _STEP,
-    cfg: QuadConfig = DEFAULT_CONFIG,
-) -> GridCache:
-    """Precompute A0 and H1 on the scan grid (step, 2*step, ..., x_max]."""
-    xs = np.arange(step, x_max + 0.5 * step, step)
+def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
+    """Precompute A0 and H1 on the scan grid (step, 2*step, ..., x_max], step pi/100."""
+    xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP)
     return GridCache(
         alpha,
         xs,
-        kernel_values(KernelKind.A0, alpha, xs, cfg),
-        kernel_values(KernelKind.H1, alpha, xs, cfg),
+        kernel_values(KernelKind.A0, alpha, xs),
+        kernel_values(KernelKind.H1, alpha, xs),
     )
 
 
@@ -130,7 +128,6 @@ def limit_error(
     c2: float,
     x: float,
     cache: GridCache | None = None,
-    cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> float:
     """Scaled limit error E(x) of the tuned combination; x = 0 gives the limit.
 
@@ -151,8 +148,8 @@ def limit_error(
             return pref * (
                 c1 * math.cos(x) * a0 + (1.0 - c1) * math.sin(x) * h1 - c2 * math.sin(x) / x
             )
-    a0 = kernel_eval(KernelKind.A0, alpha, x, cfg)
-    h1 = kernel_eval(KernelKind.H1, alpha, x, cfg)
+    a0 = kernel_eval(KernelKind.A0, alpha, x)
+    h1 = kernel_eval(KernelKind.H1, alpha, x)
     return pref * (
         c1 * math.cos(x) * a0 + (1.0 - c1) * math.sin(x) * h1 - c2 * math.sin(x) / x
     )
@@ -168,9 +165,7 @@ def _error_on_grid(cache: GridCache, c1: float, c2: float) -> np.ndarray:
     )
 
 
-def _polished_sup(
-    cache: GridCache, c1: float, c2: float, cfg: QuadConfig, max_lobes: int = 8
-) -> float:
+def _polished_sup(cache: GridCache, c1: float, c2: float) -> float:
     """sup |E| over (0, X]: grid scan plus golden polish of the top lobes."""
     a = np.abs(_error_on_grid(cache, c1, c2))
     interior = (a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:])
@@ -181,23 +176,19 @@ def _polished_sup(
     top = a[order[0]]
     best = max(top, abs(_prefactor(cache.alpha) * c2))
     alpha = cache.alpha
-    for i in order[:max_lobes]:
+    for i in order[:_MAX_LOBES]:
         if a[i] < 0.95 * top:
             break
         lo = cache.xs[max(i - 1, 0)]
         hi = cache.xs[min(i + 1, len(cache.xs) - 1)]
         _, v = golden_max(
-            lambda x: abs(limit_error(alpha, c1, c2, x, cfg=cfg)), lo, hi, xtol=1e-6
+            lambda x: abs(limit_error(alpha, c1, c2, x)), lo, hi, xtol=1e-6
         )
         best = max(best, v)
     return best
 
 
-def optimize_c(
-    alpha: float,
-    reference_delta: float | None = None,
-    cfg: QuadConfig = DEFAULT_CONFIG,
-) -> NearBestSolution:
+def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSolution:
     """Fit (c1, c2) minimizing the sup of |E| and assemble the full solution.
 
     Valid for 0 < alpha < 2.  A 41x41 grid over [0, 0.6] x [0, 5] seeds a
@@ -207,7 +198,7 @@ def optimize_c(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"optimize_c requires 0 < alpha < 2, got {alpha}")
-    cache = build_cache(alpha, cfg=cfg)
+    cache = build_cache(alpha)
     pref = _prefactor(alpha)
 
     def j_grid(c1, c2):
@@ -224,7 +215,7 @@ def optimize_c(
         c1, c2 = c
         if not (-0.2 <= c1 <= 0.9 and -0.5 <= c2 <= 6.5):
             return best[0] + 10.0
-        return _polished_sup(cache, c1, c2, cfg)
+        return _polished_sup(cache, c1, c2)
 
     res = minimize(
         objective,
@@ -240,8 +231,8 @@ def optimize_c(
     c1, c2 = float(res.x[0]), float(res.x[1])
     minimax = float(res.fun)
 
-    roots = interp_points(alpha, c1, c2, 11, cache=cache, cfg=cfg)
-    alts = alternation_points(alpha, c1, c2, 10, cache=cache, cfg=cfg)
+    roots = interp_points(alpha, c1, c2, 11, cache=cache)
+    alts = alternation_points(alpha, c1, c2, 10, cache=cache)
     mags = [abs(e) for _, e in alts]
     return NearBestSolution(
         alpha,
@@ -261,16 +252,15 @@ def interp_points(
     c2: float,
     j_max: int,
     cache: GridCache | None = None,
-    cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """First j_max positive roots of E, bisected to 1e-8 from a pi/100 scan."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if cache is None or cache.alpha != alpha:
-        cache = build_cache(alpha, x_max=(j_max + 2.0) * math.pi, cfg=cfg)
+        cache = build_cache(alpha, x_max=(j_max + 2.0) * math.pi)
 
     def err(x):
-        return limit_error(alpha, c1, c2, x, cache=cache, cfg=cfg)
+        return limit_error(alpha, c1, c2, x, cache=cache)
 
     vals = np.concatenate([[-_prefactor(alpha) * c2], _error_on_grid(cache, c1, c2)])
     xs = np.concatenate([[0.0], cache.xs])
@@ -291,16 +281,15 @@ def alternation_points(
     c2: float,
     j_max: int,
     cache: GridCache | None = None,
-    cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> list:
     """(y_j, signed error) for j = 0..j_max: y_0 = 0 plus the extremum of E
     between each pair of consecutive interpolation points."""
     if cache is None or cache.alpha != alpha:
-        cache = build_cache(alpha, x_max=(j_max + 3.0) * math.pi, cfg=cfg)
-    roots = interp_points(alpha, c1, c2, j_max + 1, cache=cache, cfg=cfg)
+        cache = build_cache(alpha, x_max=(j_max + 3.0) * math.pi)
+    roots = interp_points(alpha, c1, c2, j_max + 1, cache=cache)
 
     def err(x):
-        return limit_error(alpha, c1, c2, x, cache=cache, cfg=cfg)
+        return limit_error(alpha, c1, c2, x, cache=cache)
 
     out = [(0.0, -_prefactor(alpha) * c2)]
     for lo, hi in zip(roots[:-1], roots[1:]):

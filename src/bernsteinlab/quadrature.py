@@ -19,6 +19,9 @@ evaluate one integral at many outer arguments at once).
 
 Exponent range: node offsets below ~1e-300 are discarded, so singularities
 t**(alpha-1) are handled at full accuracy for alpha down to roughly 0.05.
+
+integrate_zero_to_inf is the one scalar (0, inf) entry; it raises rather than
+return an unconverged value.  Other modules integrate with DEFAULT_CONFIG.
 """
 
 import math
@@ -230,22 +233,23 @@ def integrate_semi_infinite(f: Callable, a: float, cfg: QuadConfig = DEFAULT_CON
 
 
 def integrate_zero_to_inf(f: Callable, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Integrate f over (0, inf): tanh-sinh on (0, s) plus exp-sinh on (s, inf)."""
+    """Integrate f over (0, inf): tanh-sinh on (0, s) plus exp-sinh on (s, inf).
+
+    Raises QuadratureError when either part, or the summed error, misses cfg.
+    """
     r1 = integrate_finite(f, 0.0, cfg.split_point, cfg)
     r2 = integrate_semi_infinite(f, cfg.split_point, cfg)
-    return combine(r1, r2, cfg)
-
-
-def combine(r1: QuadResult, r2: QuadResult, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Sum two partial results, re-checking the combined tolerance."""
     value = r1.value + r2.value
     err = r1.err_estimate + r2.err_estimate
-    ok = (
+    if not (
         r1.converged
         and r2.converged
         and err <= max(cfg.rel_tol * abs(value), cfg.abs_floor)
-    )
-    return QuadResult(value, err, max(r1.levels_used, r2.levels_used), ok)
+    ):
+        raise QuadratureError(
+            f"half-line integral did not converge: value={value!r}, err={err!r}"
+        )
+    return QuadResult(value, err, max(r1.levels_used, r2.levels_used), True)
 
 
 # ---------------------------------------------------------------------------

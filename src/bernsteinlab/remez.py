@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import refine_grid_maxima
 
 __all__ = [
     "ReferenceSet",
@@ -152,20 +152,10 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
             return f(y) - _eval_cheb(coeffs, scale(np.asarray(y, dtype=float)))
 
         grid = np.unique(np.concatenate([base_grid, ref]))
-        e = err(grid)
-        a = np.abs(e)
-
-        # polish every grid local maximum of |err|
-        cand: list[tuple[float, float]] = []
-        for i in range(len(grid)):
-            left = a[i - 1] if i > 0 else -np.inf
-            right = a[i + 1] if i < len(grid) - 1 else -np.inf
-            if a[i] < left or a[i] < right:
-                continue
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, len(grid) - 1)]
-            y_m, _ = golden_max(lambda y: abs(float(err(y))), lo, hi, xtol=1e-12 * y_hi)
-            cand.append((y_m, float(err(y_m))))
+        peaks = refine_grid_maxima(
+            lambda y: abs(float(err(y))), grid, np.abs(err(grid)), xtol=1e-12 * y_hi
+        )
+        cand = [(y_m, float(err(y_m))) for y_m, _ in peaks]
         # the old reference is exactly leveled, guaranteeing alternation
         cand.extend(zip(ref, parity * level))
         cand.sort()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BarycentricInterpolator
 
 from bernsteinlab.chebinterp import build_nodes, interp_eval, scaled_interp_eval, sup_error
 from bernsteinlab.entire import G_alpha, H_alpha_integral
@@ -132,3 +133,13 @@ def test_jackson_order_alpha_half(scaled_err):
 def test_sup_error_argmax_in_unit_interval(scaled_err):
     err = scaled_err("P2", 1.0, 16)
     assert 0.0 <= err.argmax_x <= 1.0
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_p1_sup_error_counts_the_end_x1(n):
+    # the P1 error peaks at x = 1 itself; an oracle sharing no code with the
+    # barycentric evaluator gives the error there (slack for its roundoff only)
+    s = build_nodes("P1", n)
+    p_at_1 = BarycentricInterpolator(s.nodes, np.abs(s.nodes))(1.0)
+    end_value = 2.0 * n * abs(1.0 - p_at_1)
+    assert sup_error(s, 1.0).scaled_error >= end_value * (1.0 - 1e-12)

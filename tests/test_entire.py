@@ -8,7 +8,6 @@ from bernsteinlab.entire import (
     G_alpha,
     H_alpha_integral,
     H_alpha_series,
-    SeriesConfig,
     beta_point,
 )
 from bernsteinlab.kernels import C_const, kernel_eval
@@ -51,28 +50,6 @@ def test_series_rejects_even_integer_alpha():
         H_alpha_series(2.0, 1.0)
     with pytest.raises(ValueError):
         H_alpha_series(4.0, 1.0)
-
-
-def test_series_pairing_mode():
-    cfg = SeriesConfig(accel="pairing", target_tol=1e-8)
-    assert abs(H_alpha_series(0.5, 2.0, cfg) - H_alpha_series(0.5, 2.0)) <= 1e-7
-
-
-def test_series_pairing_stalls_near_branch_edge():
-    # tail exponent approaches -1 as alpha -> 2N+2: pairing cannot reach the
-    # tolerance within max_terms and must say so
-    cfg = SeriesConfig(accel="pairing", target_tol=1e-8, max_terms=10_000)
-    with pytest.raises(RuntimeError, match="short of"):
-        H_alpha_series(1.9, 2.0, cfg)
-
-
-def test_series_config_validation():
-    with pytest.raises(ValueError):
-        SeriesConfig(max_terms=10)
-    with pytest.raises(ValueError):
-        SeriesConfig(accel="magic")
-    with pytest.raises(ValueError):
-        SeriesConfig(target_tol=0.0)
 
 
 def test_even_reflection():

@@ -6,7 +6,6 @@ import pytest
 from bernsteinlab.quadrature import (
     QuadConfig,
     QuadratureError,
-    combine,
     integrate_finite,
     integrate_semi_infinite,
     integrate_zero_to_inf,
@@ -77,8 +76,7 @@ def test_gamma_scalings(alpha):
 def test_split_additivity():
     f = lambda t: np.exp(1.3 * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t))
     whole = integrate_zero_to_inf(f, QuadConfig(split_point=2.0))
-    parts = combine(integrate_finite(f, 0.0, 1.0), integrate_semi_infinite(f, 1.0))
-    assert whole.converged and parts.converged
+    parts = integrate_zero_to_inf(f, QuadConfig(split_point=1.0))
     assert abs(whole.value - parts.value) <= 1e-11 * abs(whole.value)
 
 
@@ -90,6 +88,11 @@ def test_nan_is_hard_error():
 def test_non_convergence_flag():
     r = integrate_finite(lambda t: t**-0.9, 0.0, 1.0, QuadConfig(max_levels=3))
     assert not r.converged
+
+
+def test_halfline_non_convergence_raises():
+    with pytest.raises(QuadratureError, match="did not converge"):
+        integrate_zero_to_inf(lambda t: t**-0.9 * np.exp(-t), QuadConfig(max_levels=3))
 
 
 def test_converged_error_invariant():
