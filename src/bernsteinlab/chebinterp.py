@@ -124,6 +124,8 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     x = 1, where the P1 error peaks, is kept when it is the larger.
     """
     n = system.n
+    if not math.isfinite(alpha):
+        raise ValueError(f"sup_error requires a finite alpha, got {alpha}")
     if 2 * n <= alpha:
         raise ValueError("need 2n > alpha for a meaningful scaled error")
     fvals = _values(system, alpha)

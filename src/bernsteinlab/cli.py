@@ -14,6 +14,7 @@ import concurrent.futures
 import json
 import math
 import sys
+from math import pi
 
 import numpy as np
 
@@ -33,18 +34,21 @@ class ConfigError(Exception):
 def parse_range(spec: str) -> list:
     """'a' -> [a]; 'a:b:step' -> inclusive grid a, a+step, ..., <= b."""
     parts = spec.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"cannot parse range {spec!r} (want 'a' or 'a:b:step')")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            a, b, step = (float(p) for p in parts)
-            if step <= 0 or b < a:
-                raise ConfigError(f"bad range {spec!r}: need a <= b and step > 0")
-            count = int(math.floor((b - a) / step + 0.5)) + 1
-            return [a + k * step for k in range(count) if a + k * step <= b + 1e-9 * step]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"cannot parse range {spec!r}") from exc
-    raise ConfigError(f"cannot parse range {spec!r} (want 'a' or 'a:b:step')")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"bad range {spec!r}: every value must be finite")
+    if len(values) == 1:
+        return values
+    a, b, step = values
+    if step <= 0 or b < a:
+        raise ConfigError(f"bad range {spec!r}: need a <= b and step > 0")
+    count = int(math.floor((b - a) / step + 0.5)) + 1
+    return [a + k * step for k in range(count) if a + k * step <= b + 1e-9 * step]
 
 
 def parse_int_list(spec: str) -> list:
@@ -92,35 +96,35 @@ def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
 # ---------------------------------------------------------------------------
 # verification checks
 # ---------------------------------------------------------------------------
-# Each check returns (measured, bound, ok).  A check "name" is unique; the
-# optional --tol override replaces the default tolerance of every check that
-# compares |measured| against a tolerance (interval checks keep their logic).
+# CHECKS is the one registry behind `verify`, and the tests run each entry as
+# its own case.  An entry is (suite, name, fn, tol); names are unique.  A
+# residual check has a tol, and fn() returns a residual that passes when
+# <= tol; --tol replaces that tol.  An ordered or interval check has tol None,
+# and fn() returns (measured, bound, ok); --tol leaves it alone.  The suite
+# generators below only declare checks: each fn looks up the library functions
+# it calls when it runs, so building CHECKS at import computes nothing.
 
 
-def _residual_checks():
-    """Checks of the form |residual| <= tol."""
-    pi = math.pi
-    out = []
-
-    def add(name, fn, tol):
-        out.append((name, fn, tol))
-
+def _identities():
+    """Properties 1-2 of the kernels, closed forms and special functions."""
     x_grid = (0.1, 1.0, 5.0, 20.0)
 
-    def prop1_residual(alpha, which):
+    def prop1_residual(alpha, kind, power):
+        # worst relative gap in kind(alpha, x) = x^power F(alpha, x) over x_grid
         worst = 0.0
         for x in x_grid:
             f = kernels.kernel_eval("F", alpha, x)
-            if which == "a":
-                lhs, rhs = kernels.kernel_eval("H1", alpha, x), x**alpha * f
-            else:
-                lhs, rhs = kernels.kernel_eval("H2", alpha, x), x ** (alpha + 1.0) * f
+            lhs, rhs = kernels.kernel_eval(kind, alpha, x), x**power * f
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         return worst
 
-    for alpha in (0.5, 1.0, 2.5, 5.0):
-        add(f"prop1a[alpha={alpha}] H1=x^a F", lambda a=alpha: prop1_residual(a, "a"), 1e-9)
-        add(f"prop1b[alpha={alpha}] H2=x^(a+1) F", lambda a=alpha: prop1_residual(a, "b"), 1e-9)
+    for a in (0.5, 1.0, 2.5, 5.0):
+        yield f"prop1a[alpha={a}] H1=x^a F", lambda a=a: prop1_residual(a, "H1", a), 1e-9
+        yield (
+            f"prop1b[alpha={a}] H2=x^(a+1) F",
+            lambda a=a: prop1_residual(a, "H2", a + 1.0),
+            1e-9,
+        )
 
     def c_rescaling(alpha, p):
         # C(p) = alpha^(p+1) int t^p / sinh(alpha t) dt, for p = alpha (prop1e)
@@ -131,14 +135,10 @@ def _residual_checks():
         c = kernels.C_const(p)
         return abs(c - alpha ** (p + 1.0) * integrate_zero_to_inf(g).value) / c
 
-    for alpha in (0.5, 1.0, 2.5, 5.0):
-        add(f"prop1e[alpha={alpha}] C rescaling", lambda a=alpha: c_rescaling(a, a), 1e-9)
-    for alpha in (2.5, 5.0):
-        add(
-            f"prop1f[alpha={alpha}] C(a-1) rescaling",
-            lambda a=alpha: c_rescaling(a, a - 1.0),
-            1e-9,
-        )
+    for a in (0.5, 1.0, 2.5, 5.0):
+        yield f"prop1e[alpha={a}] C rescaling", lambda a=a: c_rescaling(a, a), 1e-9
+    for a in (2.5, 5.0):
+        yield f"prop1f[alpha={a}] C(a-1) rescaling", lambda a=a: c_rescaling(a, a - 1), 1e-9
 
     def prop2a(alpha):
         worst = 0.0
@@ -150,29 +150,33 @@ def _residual_checks():
             worst = max(worst, abs(val - ref) / ref)
         return worst
 
-    def prop2b(alpha):
-        val = integrate_zero_to_inf(lambda x: np.exp((alpha - 2.0) * np.log(x) - alpha * x)).value
-        ref = specfun.gamma(alpha - 1.0) / alpha ** (alpha - 1.0)
-        return abs(val - ref) / ref
-
-    def prop2c(alpha):
-        ref = specfun.gamma(alpha) / alpha**alpha
+    def gamma_moments(alpha, s, powers):
+        # worst relative gap in int_0^inf x^p e^(-alpha x) dx = Gamma(s)/alpha^s
+        # over p in powers: it holds for p = s - 1, and for p = s when s = alpha
+        ref = specfun.gamma(s) / alpha**s
         worst = 0.0
-        for p in (alpha - 1.0, alpha):
+        for p in powers:
             val = integrate_zero_to_inf(lambda x, p=p: np.exp(p * np.log(x) - alpha * x)).value
             worst = max(worst, abs(val - ref) / ref)
         return worst
 
-    for alpha in (0.5, 1.0, 3.0):
-        add(f"prop2a[alpha={alpha}] incomplete-gamma identity", lambda a=alpha: prop2a(a), 1e-9)
-    for alpha in (1.5, 2.0, 5.0):
-        add(f"prop2b[alpha={alpha}] Gamma(a-1)/a^(a-1)", lambda a=alpha: prop2b(a), 1e-9)
-        add(f"prop2c[alpha={alpha}] Gamma(a)/a^a", lambda a=alpha: prop2c(a), 1e-9)
+    for a in (0.5, 1.0, 3.0):
+        yield f"prop2a[alpha={a}] incomplete-gamma identity", lambda a=a: prop2a(a), 1e-9
+    for a in (1.5, 2.0, 5.0):
+        yield (
+            f"prop2b[alpha={a}] Gamma(a-1)/a^(a-1)",
+            lambda a=a: gamma_moments(a, a - 1.0, (a - 2.0,)),
+            1e-9,
+        )
+        yield (
+            f"prop2c[alpha={a}] Gamma(a)/a^a",
+            lambda a=a: gamma_moments(a, a, (a - 1.0, a)),
+            1e-9,
+        )
 
-    zeta3 = specfun.zeta(3.0)
     closed = [
         ("C(1)=pi^2/4", lambda: abs(kernels.C_const(1.0) / (pi * pi / 4.0) - 1.0)),
-        ("C(2)=3.5 zeta(3)", lambda: abs(kernels.C_const(2.0) / (3.5 * zeta3) - 1.0)),
+        ("C(2)=3.5 zeta(3)", lambda: abs(kernels.C_const(2.0) / (3.5 * specfun.zeta(3.0)) - 1.0)),
         ("D(1)=pi/2", lambda: abs(kernels.D_const(1.0) / (pi / 2.0) - 1.0)),
         ("delta1(1)=pi^2/4", lambda: abs(kernels.delta_1_closed(1.0) / (pi * pi / 4.0) - 1.0)),
         (
@@ -181,7 +185,7 @@ def _residual_checks():
         ),
     ]
     for name, fn in closed:
-        add(f"closed-form {name}", fn, 1e-10)
+        yield f"closed-form {name}", fn, 1e-10
 
     def t_recurrence():
         rng = np.random.RandomState(20240811)
@@ -195,13 +199,9 @@ def _residual_checks():
             worst = max(worst, abs(res))
         return worst
 
-    add("chebyshev_T three-term recurrence", t_recurrence, 1e-12)
-    add(
-        "odd_zeta(2)=pi^2/4",
-        lambda: abs(specfun.odd_zeta(2.0) - pi * pi / 4.0),
-        1e-13,
-    )
-    add("odd_zeta(30)->2", lambda: abs(specfun.odd_zeta(30.0) - 2.0) - 2e-9, 1e-9)
+    yield "chebyshev_T three-term recurrence", t_recurrence, 1e-12
+    yield "odd_zeta(2)=pi^2/4", lambda: abs(specfun.odd_zeta(2.0) - pi * pi / 4.0), 1e-13
+    yield "odd_zeta(30)->2", lambda: abs(specfun.odd_zeta(30.0) - 2.0), 3e-9
 
     def slope_bound(alpha, x):
         h = 1e-5
@@ -211,217 +211,270 @@ def _residual_checks():
         bound = -2.0 / (x * x + alpha * alpha) * kernels.kernel_eval("S", alpha, x)
         return max(d - bound - 1e-6, 0.0)
 
-    add("envelope slope bound at (3,4)", lambda: slope_bound(3.0, 4.0), 1e-12)
-    add("envelope slope bound at (5,7)", lambda: slope_bound(5.0, 7.0), 1e-12)
+    yield "envelope slope bound at (3,4)", lambda: slope_bound(3.0, 4.0), 1e-12
+    yield "envelope slope bound at (5,7)", lambda: slope_bound(5.0, 7.0), 1e-12
+    yield (
+        "H(alpha, k pi) = 0",
+        lambda: max(abs(kernels.kernel_eval("H", 1.3, k * pi)) for k in range(1, 6)),
+        1e-12,
+    )
 
-    def h_zero_at_kpi():
-        return max(abs(kernels.kernel_eval("H", 1.3, k * pi)) for k in range(1, 6))
-
-    add("H(alpha, k pi) = 0", h_zero_at_kpi, 1e-12)
-    return out
-
-
-def _suite_identities(tol_override=None):
-    results = []
-    for name, fn, tol in _residual_checks():
-        tol = tol_override if tol_override is not None else tol
-        value = fn()
-        results.append((name, value, tol, value <= tol))
-
-    # ordered / interval checks (kept outside the residual form)
-    def interval(name, ok, detail, bound):
-        results.append((name, detail, bound, ok))
-
-    for alpha in (0.5, 1.0, 2.5, 5.0):
-        h2 = [kernels.kernel_eval("H2", alpha, x) for x in (0.1, 1.0, 5.0, 20.0)]
-        h = [kernels.kernel_eval("H", alpha, x) for x in (0.1, 1.0, 5.0, 20.0)]
+    # ordered / interval checks
+    def prop1c(alpha):
+        h2 = [kernels.kernel_eval("H2", alpha, x) for x in x_grid]
         c = kernels.C_const(alpha)
-        ok_c = all(-1e-12 <= v <= c * (1.0 + 1e-9) for v in h2)
-        interval(f"prop1c[alpha={alpha}] 0<=H2<=C", ok_c, max(h2) / c, 1.0)
-        ok_d = all(abs(a) <= b + 1e-12 for a, b in zip(h, h2))
-        interval(f"prop1d[alpha={alpha}] |H|<=H2", ok_d, max(abs(a) for a in h), max(h2))
-    for alpha in (1.0, 2.0, 5.0, 20.0):
+        return max(h2) / c, 1.0, all(-1e-12 <= v <= c * (1.0 + 1e-9) for v in h2)
+
+    def prop1d(alpha):
+        h2 = [kernels.kernel_eval("H2", alpha, x) for x in x_grid]
+        h = [kernels.kernel_eval("H", alpha, x) for x in x_grid]
+        return max(abs(a) for a in h), max(h2), all(abs(a) <= b + 1e-12 for a, b in zip(h, h2))
+
+    for a in (0.5, 1.0, 2.5, 5.0):
+        yield f"prop1c[alpha={a}] 0<=H2<=C", lambda a=a: prop1c(a), None
+        yield f"prop1d[alpha={a}] |H|<=H2", lambda a=a: prop1d(a), None
+
+    def stirling(alpha):
         g = specfun.gamma(alpha)
-        low = math.sqrt(2.0 * math.pi / alpha) * (alpha / math.e) ** alpha
-        interval(f"prop2d[alpha={alpha}] Gamma > Stirling", g > low, g / low, 1.0)
-    for alpha in (1.5, 2.0, 5.0, 10.0):
+        low = math.sqrt(2.0 * pi / alpha) * (alpha / math.e) ** alpha
+        return g / low, 1.0, g > low
+
+    def zeta_bounds(alpha):
         z = specfun.zeta(alpha)
         hi = 1.0 + 2.0**-alpha + 2.0 ** (1.0 - alpha) / (alpha - 1.0)
-        interval(f"zeta bounds[alpha={alpha}]", 1.0 < z < hi, z, hi)
-    for alpha in (2.5, 4.0, 8.0):
+        return z, hi, 1.0 < z < hi
+
+    for a in (1.0, 2.0, 5.0, 20.0):
+        yield f"prop2d[alpha={a}] Gamma > Stirling", lambda a=a: stirling(a), None
+    for a in (1.5, 2.0, 5.0, 10.0):
+        yield f"zeta bounds[alpha={a}]", lambda a=a: zeta_bounds(a), None
+
+    def f_bracket(alpha):
         ok = True
         for x in (1.0, alpha, 2.0 * alpha):
             f = kernels.kernel_eval("F", alpha, x)
             f1 = kernels.kernel_eval("F1", alpha, x)
             f2 = kernels.kernel_eval("F2", alpha, x)
             ok = ok and f1 <= f * (1.0 + 1e-12) and f <= f2 * (1.0 + 1e-12)
-        interval(f"F1<=F<=F2[alpha={alpha}]", ok, alpha, alpha)
-    for alpha in (3.0, 6.0):
+        return alpha, alpha, ok
+
+    def s_increasing(alpha):
         xs = np.linspace(alpha / 2.0, 3.0 * alpha, 100)
         vals = [kernels.kernel_eval("S", alpha, x) for x in xs]
-        ok = all(b > a for a, b in zip(vals, vals[1:]))
-        interval(f"S increasing[alpha={alpha}]", ok, min(np.diff(vals)), 0.0)
-    return results
+        return min(np.diff(vals)), 0.0, all(b > a for a, b in zip(vals, vals[1:]))
+
+    for a in (2.5, 4.0, 8.0):
+        yield f"F1<=F<=F2[alpha={a}]", lambda a=a: f_bracket(a), None
+    for a in (3.0, 6.0):
+        yield f"S increasing[alpha={a}]", lambda a=a: s_increasing(a), None
 
 
-def _suite_limits(tol_override=None):
-    pi = math.pi
-    results = []
+def _limits():
+    """The entire functions H_alpha and G_alpha, and their finite-n views."""
+    yield "H1(1, 1e-8) -> pi/2", lambda: abs(kernels.kernel_eval("H1", 1.0, 1e-8) - pi / 2.0), 1e-4
+    for a in (0.5, 2.5):
+        yield f"H(alpha,0)=0 [alpha={a}]", lambda a=a: abs(kernels.kernel_eval("H", a, 0.0)), 0.0
+        yield f"H2(alpha,0)=0 [alpha={a}]", lambda a=a: abs(kernels.kernel_eval("H2", a, 0.0)), 0.0
+    yield "H1(2.5, 0)=0", lambda: abs(kernels.kernel_eval("H1", 2.5, 0.0)), 0.0
 
-    def residual(name, value, tol):
-        tol = tol_override if tol_override is not None else tol
-        results.append((name, value, tol, value <= tol))
+    def node_gap(fn, alpha, xs):
+        # an entire interpolant of |x|^alpha, checked at its nodes xs
+        return max(abs(fn(alpha, x) - x**alpha) for x in xs)
 
-    residual("H1(1, 1e-8) -> pi/2", abs(kernels.kernel_eval("H1", 1.0, 1e-8) - pi / 2.0), 1e-4)
-    for alpha in (0.5, 2.5):
-        residual(f"H(alpha,0)=0 [alpha={alpha}]", abs(kernels.kernel_eval("H", alpha, 0.0)), 0.0)
-        residual(f"H2(alpha,0)=0 [alpha={alpha}]", abs(kernels.kernel_eval("H2", alpha, 0.0)), 0.0)
-    residual("H1(2.5, 0)=0", abs(kernels.kernel_eval("H1", 2.5, 0.0)), 0.0)
-
-    for alpha in (0.5, 1.0, 1.9, 3.1, 5.3):
-        worst = max(
-            abs(entire.H_alpha_series(alpha, x) - entire.H_alpha_integral(alpha, x))
-            for x in (0.3, 2.0, 7.0, 15.0)
+    for a in (0.5, 1.0, 1.9, 3.1, 5.3):
+        yield (
+            f"series=integral [alpha={a}]",
+            lambda a=a: max(
+                abs(entire.H_alpha_series(a, x) - entire.H_alpha_integral(a, x))
+                for x in (0.3, 2.0, 7.0, 15.0)
+            ),
+            1e-6,
         )
-        residual(f"series=integral [alpha={alpha}]", worst, 1e-6)
-    for alpha in (0.5, 1.3):
-        worst = max(
-            abs(entire.H_alpha_integral(alpha, k * pi) - (k * pi) ** alpha) for k in range(1, 7)
+    for a in (0.5, 1.3):
+        yield (
+            f"H_alpha interpolates (k pi)^alpha [alpha={a}]",
+            lambda a=a: node_gap(entire.H_alpha_integral, a, [k * pi for k in range(1, 7)]),
+            1e-9,
         )
-        residual(f"H_alpha interpolates (k pi)^alpha [alpha={alpha}]", worst, 1e-9)
-    for alpha in (0.5, 1.0):
-        worst = max(
-            abs(entire.G_alpha(alpha, (k + 0.5) * pi) - ((k + 0.5) * pi) ** alpha)
-            for k in range(0, 5)
+    for a in (0.5, 1.0):
+        yield (
+            f"G_alpha interpolates ((k+1/2) pi)^alpha [alpha={a}]",
+            lambda a=a: node_gap(entire.G_alpha, a, [(k + 0.5) * pi for k in range(0, 5)]),
+            1e-9,
         )
-        residual(f"G_alpha interpolates ((k+1/2) pi)^alpha [alpha={alpha}]", worst, 1e-9)
-    residual("G_alpha(0)=0", abs(entire.G_alpha(1.0, 0.0)), 0.0)
+    yield "G_alpha(0)=0", lambda: abs(entire.G_alpha(1.0, 0.0)), 0.0
 
-    for alpha in (3.9, 8.4, pi):
+    def beta_bracket(alpha):
         beta = entire.beta_point(alpha)
-        ok = alpha + pi / 2.0 < beta <= alpha + 1.5 * pi
-        results.append((f"beta in (a+pi/2, a+3pi/2] [alpha={alpha}]", beta, alpha + 1.5 * pi, ok))
-    for alpha in (3.9, 8.4):
+        return beta, alpha + 1.5 * pi, alpha + pi / 2.0 < beta <= alpha + 1.5 * pi
+
+    def beta_touch(alpha):
         beta = entire.beta_point(alpha)
         lhs = abs(kernels.kernel_eval("H", alpha, beta))
         rhs = kernels.kernel_eval("H1", alpha, beta)
-        residual(f"|H(a,beta)| = H1(a,beta) [alpha={alpha}]", abs(lhs - rhs) / rhs, 1e-9)
+        return abs(lhs - rhs) / rhs
 
-    alpha = 1.5
-    cbound = 2.0 / pi * kernels.C_const(alpha)
-    worst = max(
-        abs(entire.H_alpha_integral(alpha, x)) - (x**alpha + cbound)
-        for x in np.linspace(0.0, 100.0, 401)
+    for a in (3.9, 8.4, pi):
+        yield f"beta in (a+pi/2, a+3pi/2] [alpha={a}]", lambda a=a: beta_bracket(a), None
+    for a in (3.9, 8.4):
+        yield f"|H(a,beta)| = H1(a,beta) [alpha={a}]", lambda a=a: beta_touch(a), 1e-9
+
+    def growth_proxy():
+        alpha = 1.5
+        cbound = 2.0 / pi * kernels.C_const(alpha)
+        worst = max(
+            abs(entire.H_alpha_integral(alpha, x)) - (x**alpha + cbound)
+            for x in np.linspace(0.0, 100.0, 401)
+        )
+        return worst, 0.0, worst <= 0.0
+
+    def scaled_gap(scheme, x, limit):
+        v = chebinterp.scaled_interp_eval(chebinterp.build_nodes(scheme, 64), 1.0, x)
+        return abs(v - limit(1.0, x))
+
+    yield "growth proxy |H_alpha| <= x^a + (2/pi)C", growth_proxy, None
+    yield (
+        "scaled P2(n=64) at pi -> H_alpha(pi)",
+        lambda: scaled_gap("P2", pi, entire.H_alpha_integral),
+        2e-2,
     )
-    results.append(("growth proxy |H_alpha| <= x^a + (2/pi)C", worst, 0.0, worst <= 0.0))
-
-    v = chebinterp.scaled_interp_eval(chebinterp.build_nodes("P2", 64), 1.0, pi)
-    residual("scaled P2(n=64) at pi -> H_alpha(pi)", abs(v - entire.H_alpha_integral(1.0, pi)), 2e-2)
-    v = chebinterp.scaled_interp_eval(chebinterp.build_nodes("P1", 64), 1.0, pi / 2.0)
-    residual("scaled P1(n=64) at pi/2 -> G_alpha(pi/2)", abs(v - entire.G_alpha(1.0, pi / 2.0)), 5e-2)
-    return results
-
-
-def _suite_asymptotics(tol_override=None):
-    results = []
-
-    def residual(name, value, tol):
-        tol = tol_override if tol_override is not None else tol
-        results.append((name, value, tol, value <= tol))
-
-    root = asymptotics.find_alpha0(1e-6)
-    results.append(
-        ("alpha0 in (2.54288, 2.54289)", root, 2.54289, 2.54288 < root < 2.54289)
+    yield (
+        "scaled P1(n=64) at pi/2 -> G_alpha(pi/2)",
+        lambda: scaled_gap("P1", pi / 2.0, entire.G_alpha),
+        5e-2,
     )
-    r_lo = kernels.kernel_eval("R", 2.4, 2.4)
-    r_hi = kernels.kernel_eval("R", 3.0, 3.0)
-    results.append(("R(2.4,2.4) < 0", r_lo, 0.0, r_lo < 0.0))
-    results.append(("R(3,3) > 0", r_hi, 0.0, r_hi > 0.0))
 
-    for alpha in (2.0, 4.0, 8.0, 16.0):
+
+def _asymptotics():
+    """The root alpha0, the envelope chain and the Watson expansions."""
+
+    def alpha0_interval():
+        root = asymptotics.find_alpha0(1e-6)
+        return root, 2.54289, 2.54288 < root < 2.54289
+
+    def r_diag(alpha, negative):
+        r = kernels.kernel_eval("R", alpha, alpha)
+        return r, 0.0, r < 0.0 if negative else r > 0.0
+
+    yield "alpha0 in (2.54288, 2.54289)", alpha0_interval, None
+    yield "R(2.4,2.4) < 0", lambda: r_diag(2.4, True), None
+    yield "R(3,3) > 0", lambda: r_diag(3.0, False), None
+
+    def envelope_chain(alpha):
         try:
             eb = asymptotics.envelope_bounds(alpha)
-            ok, detail = True, eb.norm / eb.upper
         except RuntimeError:
-            ok, detail = False, math.inf
-        results.append((f"envelope chain [alpha={alpha}]", detail, 1.0, ok))
+            return math.inf, 1.0, False
+        return eb.norm / eb.upper, 1.0, True
 
-    for alpha in (3.0, 10.0):
-        ok = asymptotics.monotonicity_check(alpha, alpha + 6.0 * math.pi)
-        results.append((f"H1 decreasing on [a, a+6pi] [alpha={alpha}]", float(ok), 1.0, ok))
+    def h1_decreasing(alpha):
+        ok = asymptotics.monotonicity_check(alpha, alpha + 6.0 * pi)
+        return float(ok), 1.0, ok
 
-    for alpha in (10.0, 20.0):
+    def norm_ratio(alpha):
         r = asymptotics.norm_ratio_limit(alpha)
         lo = 1.0 - 1.0 / math.sqrt(alpha) - 0.02
         hi = 1.0 + 2.0 / math.sqrt(alpha) + 0.02
-        results.append((f"norm ratio in envelope window [alpha={alpha}]", r, hi, lo <= r <= hi))
+        return r, hi, lo <= r <= hi
 
-    for k in (0, 1):
+    def watson_symmetry(k):
         up = asymptotics.watson_coeffs(k, "upper")
-        lo_ = asymptotics.watson_coeffs(k, "lower")
-        ok = all(lo_.a[i] == ((-1.0) ** i) * up.a[i] for i in range(6))
-        results.append((f"Watson branch symmetry [k={k}]", float(ok), 1.0, ok))
+        lo = asymptotics.watson_coeffs(k, "lower")
+        ok = all(lo.a[i] == ((-1.0) ** i) * up.a[i] for i in range(6))
+        return float(ok), 1.0, ok
 
-    for alpha in (20.0, 40.0):
-        for variant, karg in (("G_aa", (alpha, alpha)), ("G_a1a", (alpha + 1.0, alpha))):
-            q = kernels.kernel_eval("G", *karg)
-            e = asymptotics.G_asympt(alpha, variant, 2)
-            residual(f"{variant} order-2 vs quadrature [alpha={alpha}]", abs(q - e) / q, 3.0 / alpha**3)
+    for a in (2.0, 4.0, 8.0, 16.0):
+        yield f"envelope chain [alpha={a}]", lambda a=a: envelope_chain(a), None
+    for a in (3.0, 10.0):
+        yield f"H1 decreasing on [a, a+6pi] [alpha={a}]", lambda a=a: h1_decreasing(a), None
+    for a in (10.0, 20.0):
+        yield f"norm ratio in envelope window [alpha={a}]", lambda a=a: norm_ratio(a), None
+    for k in (0, 1):
+        yield f"Watson branch symmetry [k={k}]", lambda k=k: watson_symmetry(k), None
 
-    q_diff = kernels.kernel_eval("G", 41.0, 40.0) - kernels.kernel_eval("G", 40.0, 40.0)
-    pred = math.sqrt(2.0 * math.pi / 40.0) * math.exp(-40.0) / (4.0 * 1600.0)
-    residual("G(a+1,a)-G(a,a) ~ sqrt(2pi/a)e^-a/(4a^2) [alpha=40]", abs(q_diff / pred - 1.0), 0.2)
+    def g_order2_gap(alpha, variant, karg):
+        q = kernels.kernel_eval("G", *karg)
+        return abs(q - asymptotics.G_asympt(alpha, variant, 2)) / q
 
-    for alpha in (20.0, 50.0):
-        gap = kernels.kernel_eval("G", alpha + 1.0, alpha) - (1.0 + alpha**-3) * kernels.kernel_eval(
-            "G", alpha, alpha
-        )
-        results.append((f"G(a+1,a) > (1+a^-3) G(a,a) [alpha={alpha}]", gap, 0.0, gap > 0.0))
+    def g_shift_difference():
+        q_diff = kernels.kernel_eval("G", 41.0, 40.0) - kernels.kernel_eval("G", 40.0, 40.0)
+        pred = math.sqrt(2.0 * pi / 40.0) * math.exp(-40.0) / (4.0 * 1600.0)
+        return abs(q_diff / pred - 1.0)
 
-    ratio = kernels.kernel_eval("G", 30.0, 31.5) / kernels.kernel_eval("G", 30.0, 30.0)
-    residual("G(a,a+c)/G(a,a) -> e^-c [alpha=30, c=1.5]", abs(ratio / math.exp(-1.5) - 1.0), 0.1)
+    def g_shift_gap(alpha):
+        shifted = kernels.kernel_eval("G", alpha + 1.0, alpha)
+        gap = shifted - (1.0 + alpha**-3) * kernels.kernel_eval("G", alpha, alpha)
+        return gap, 0.0, gap > 0.0
 
-    ratios = []
-    for alpha in (20.0, 40.0, 80.0):
-        r = kernels.kernel_eval("H1", alpha, alpha + 1.5 * math.pi) / kernels.kernel_eval(
-            "H1", alpha, alpha
-        )
-        ratios.append(abs(r - 1.0))
-    ok = ratios[0] <= 0.25 and ratios[0] >= ratios[1] >= ratios[2]
-    results.append(("H1(a, a+3pi/2)/H1(a,a) -> 1 decreasing", ratios[0], 0.25, ok))
+    def g_offset_ratio():
+        ratio = kernels.kernel_eval("G", 30.0, 31.5) / kernels.kernel_eval("G", 30.0, 30.0)
+        return abs(ratio / math.exp(-1.5) - 1.0)
 
-    # expansion coefficients re-derived from the branch tables
-    derived_ok = True
-    for k, coeffs in ((0, (0.5, -5.0 / 24.0, 61.0 / 576.0)), (1, (0.5, -5.0 / 24.0, 205.0 / 576.0))):
-        a = asymptotics.watson_coeffs(k, "upper").a
-        for j in range(3):
-            derived = 2.0 * math.gamma(j + 0.5) * a[2 * j] / math.sqrt(2.0 * math.pi)
-            derived_ok = derived_ok and abs(derived - coeffs[j]) <= 1e-15
-    results.append(("even Watson coefficients match expansions", float(derived_ok), 1.0, derived_ok))
-    return results
+    for a in (20.0, 40.0):
+        for variant, karg in (("G_aa", (a, a)), ("G_a1a", (a + 1.0, a))):
+            yield (
+                f"{variant} order-2 vs quadrature [alpha={a}]",
+                lambda a=a, v=variant, karg=karg: g_order2_gap(a, v, karg),
+                3.0 / a**3,
+            )
+    yield "G(a+1,a)-G(a,a) ~ sqrt(2pi/a)e^-a/(4a^2) [alpha=40]", g_shift_difference, 0.2
+    for a in (20.0, 50.0):
+        yield f"G(a+1,a) > (1+a^-3) G(a,a) [alpha={a}]", lambda a=a: g_shift_gap(a), None
+    yield "G(a,a+c)/G(a,a) -> e^-c [alpha=30, c=1.5]", g_offset_ratio, 0.1
+
+    def lobe_ratio_trend():
+        ratios = []
+        for alpha in (20.0, 40.0, 80.0):
+            r = kernels.kernel_eval("H1", alpha, alpha + 1.5 * pi) / kernels.kernel_eval(
+                "H1", alpha, alpha
+            )
+            ratios.append(abs(r - 1.0))
+        ok = ratios[0] <= 0.25 and ratios[0] >= ratios[1] >= ratios[2]
+        return ratios[0], 0.25, ok
+
+    def even_watson_coefficients():
+        # the expansion coefficients re-derived from the branch tables
+        ok = True
+        for k, coeffs in (
+            (0, (0.5, -5.0 / 24.0, 61.0 / 576.0)),
+            (1, (0.5, -5.0 / 24.0, 205.0 / 576.0)),
+        ):
+            a = asymptotics.watson_coeffs(k, "upper").a
+            for j in range(3):
+                derived = 2.0 * math.gamma(j + 0.5) * a[2 * j] / math.sqrt(2.0 * pi)
+                ok = ok and abs(derived - coeffs[j]) <= 1e-15
+        return float(ok), 1.0, ok
+
+    yield "H1(a, a+3pi/2)/H1(a,a) -> 1 decreasing", lobe_ratio_trend, None
+    yield "even Watson coefficients match expansions", even_watson_coefficients, None
 
 
-_SUITES = {
-    "identities": (_suite_identities,),
-    "limits": (_suite_limits,),
-    "asymptotics": (_suite_asymptotics,),
-    "all": (_suite_identities, _suite_limits, _suite_asymptotics),
-}
+SUITES = {"identities": _identities, "limits": _limits, "asymptotics": _asymptotics}
+CHECKS = [(suite, *check) for suite, declare in SUITES.items() for check in declare()]
+
+
+def evaluate(check, tol=None):
+    """(measured, bound, ok) of one CHECKS entry; tol replaces a residual tol."""
+    _, _, fn, default = check
+    if default is None:
+        return fn()
+    bound = default if tol is None else tol
+    value = fn()
+    return value, bound, value <= bound
 
 
 def run_verify(suite: str, tol=None, out=None) -> int:
     out = out or sys.stdout
-    if suite not in _SUITES:
+    if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
+    checks = [check for check in CHECKS if suite in ("all", check[0])]
     failures = 0
-    count = 0
-    for fn in _SUITES[suite]:
-        for name, value, bound, ok in fn(tol):
-            count += 1
-            failures += 0 if ok else 1
-            status = "PASS" if ok else "FAIL"
-            out.write(f"{name}: {status} (measured={_fmt(float(value))}, bound={_fmt(float(bound))})\n")
-    out.write(f"{suite}: {count - failures}/{count} checks passed\n")
+    for check in checks:
+        value, bound, ok = evaluate(check, tol)
+        failures += 0 if ok else 1
+        status = "PASS" if ok else "FAIL"
+        out.write(f"{check[1]}: {status} (measured={_fmt(float(value))}, bound={_fmt(float(bound))})\n")
+    out.write(f"{suite}: {len(checks) - failures}/{len(checks)} checks passed\n")
     return 0 if failures == 0 else 1
 
 
@@ -548,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=["identities", "limits", "asymptotics", "all"])
+    pv.add_argument("suite", choices=[*SUITES, "all"])
     pv.add_argument("--tol", type=float, default=None, help="override every residual tolerance")
 
     common = argparse.ArgumentParser(add_help=False)
@@ -577,10 +630,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return run_verify(args.suite, args.tol)
-        if args.command == "table":
-            return run_table(args.name, args)
-        if args.command == "curve":
-            return run_curve(args.kind, args)
+        try:
+            if args.command == "table":
+                return run_table(args.name, args)
+            if args.command == "curve":
+                return run_curve(args.kind, args)
+        except ValueError as exc:  # a library domain error: a bad --alpha, --x or --jmax
+            raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

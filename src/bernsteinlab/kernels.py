@@ -99,8 +99,8 @@ def _pow_over_cosh(alpha: float):
 
 
 def _require_alpha(alpha: float, low: float, kind: str):
-    if not alpha > low:
-        raise ValueError(f"{kind} requires alpha > {low}, got {alpha}")
+    if not low < alpha < math.inf:
+        raise ValueError(f"{kind} requires finite alpha > {low}, got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,8 @@ def kernel_values(kind, alpha: float, xs) -> np.ndarray:
     t-integrand does not depend on x (H, H1, H2, A0)."""
     kind = _as_kind(kind)
     xs = np.asarray(xs, dtype=float)
-    if not (xs > 0).all():
-        raise ValueError("kernel_values requires x > 0; use kernel_eval for limits at 0")
+    if not ((xs > 0) & (xs < math.inf)).all():
+        raise ValueError("kernel_values requires finite x > 0; use kernel_eval for limits at 0")
     _require_alpha(alpha, 0.0, kind.value)
     if kind is KernelKind.A0:
         return _A0_values(alpha, xs)
@@ -213,8 +213,8 @@ def kernel_eval(kind, alpha: float, x: float) -> float:
     kind = _as_kind(kind)
     low = 2.0 if kind is KernelKind.F2 else 0.0
     _require_alpha(alpha, low, kind.value)
-    if x < 0:
-        raise ValueError(f"kernel {kind.value} requires x >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"kernel {kind.value} requires finite x >= 0, got {x}")
     if x == 0.0:
         return _eval_at_zero(kind, alpha)
 

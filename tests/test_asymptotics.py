@@ -116,11 +116,6 @@ def test_shifted_kernel_gap_positive():
         assert gap > 0.0
 
 
-def test_find_alpha0_in_reference_interval():
-    root = find_alpha0(1e-6)
-    assert 2.54288 < root < 2.54289
-
-
 def test_R_diagonal_signs():
     assert kernel_eval("R", 2.4, 2.4) < 0.0
     assert kernel_eval("R", 3.0, 3.0) > 0.0

@@ -102,6 +102,8 @@ def test_scaled_p1_approaches_entire_limit():
 def test_sup_error_requires_enough_degree():
     with pytest.raises(ValueError):
         sup_error(build_nodes("P2", 1), 2.5)
+    with pytest.raises(ValueError, match="finite alpha"):
+        sup_error(build_nodes("P2", 8), math.nan)
 
 
 def test_p2_scaled_error_converges_to_kernel_norm(scaled_err, h_norm):

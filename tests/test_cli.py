@@ -20,23 +20,33 @@ def run_main(argv):
     return code, buf.getvalue()
 
 
-def test_verify_identities_passes_with_many_checks():
-    code, out = run_main(["verify", "identities"])
-    assert code == 0
-    assert out.count(": PASS") >= 20
-    assert ": FAIL" not in out
+@pytest.mark.parametrize("check", cli.CHECKS, ids=[name for _, name, _, _ in cli.CHECKS])
+def test_registered_check_passes(check):
+    measured, bound, ok = cli.evaluate(check)
+    assert ok, f"measured={measured}, bound={bound}"
 
 
-def test_verify_asymptotics_includes_root_interval():
-    code, out = run_main(["verify", "asymptotics"])
+def test_check_registry_shape():
+    names = [name for _, name, _, _ in cli.CHECKS]
+    assert len(set(names)) == len(names)  # names are the verify lines and the test ids
+    assert {suite for suite, _, _, _ in cli.CHECKS} == {"identities", "limits", "asymptotics"}
+
+
+@pytest.mark.parametrize("suite,count", [("identities", 55), ("limits", 24), ("asymptotics", 23)])
+def test_verify_reports_every_registered_check(suite, count):
+    assert sum(check[0] == suite for check in cli.CHECKS) == count
+    code, out = run_main(["verify", suite])
     assert code == 0
-    assert "alpha0 in (2.54288, 2.54289): PASS" in out
+    assert out.splitlines()[-1] == f"{suite}: {count}/{count} checks passed"
+    assert len(out.splitlines()) == count + 1
 
 
 def test_verify_zero_tolerance_fails():
     code, out = run_main(["verify", "identities", "--tol", "0"])
     assert code == 1
     assert ": FAIL" in out
+    # --tol replaces every residual tolerance, so a residual that is not exactly 0 fails
+    assert "odd_zeta(30)->2: FAIL" in out
 
 
 def test_unknown_command_exits_2():
@@ -51,14 +61,30 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_missing_required_params_exit_2():
-    code = cli.main(["table", "convergence"])  # needs --alpha and --n
-    assert code == 2
+def _exits_2_with_one_error_line(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def test_bad_range_exit_2():
-    code = cli.main(["table", "envelope", "--alpha", "4:2:0.5"])
-    assert code == 2
+def test_missing_required_params_exit_2(capsys):
+    for argv in (
+        ["table", "convergence"],  # needs --alpha and --n
+        ["table", "c_constants", "--alpha", "2.5"],  # optimize_c needs alpha < 2
+        ["table", "interp_points", "--alpha", "1", "--jmax", "0"],
+        ["curve", "H", "--alpha", "-1"],
+    ):
+        assert _exits_2_with_one_error_line(argv, capsys), argv
+
+
+def test_bad_range_exit_2(capsys):
+    for argv in (
+        ["table", "envelope", "--alpha", "4:2:0.5"],
+        ["table", "envelope", "--alpha", "nan"],
+        ["curve", "H1", "--alpha", "1", "--x", "0:inf:1"],
+        ["curve", "R_diag", "--alpha", "inf"],
+    ):
+        assert _exits_2_with_one_error_line(argv, capsys), argv
 
 
 def test_parse_range():

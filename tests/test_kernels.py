@@ -101,6 +101,14 @@ def test_kernel_domains():
         kernel_eval("F", 1.0, 0.0)  # x = 0 undefined for F
     with pytest.raises(ValueError):
         kernel_eval("nope", 1.0, 1.0)
+    # non-finite input is refused where it enters, naming the argument
+    with pytest.raises(ValueError, match="finite alpha"):
+        kernel_eval("R", math.inf, 1.0)
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite x"):
+            kernel_eval("H1", 1.0, x)
+        with pytest.raises(ValueError, match="finite x"):
+            kernel_values("H1", 1.0, np.array([1.0, x]))
 
 
 def test_kernel_values_matches_scalar():
