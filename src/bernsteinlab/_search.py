@@ -1,16 +1,26 @@
-"""Scalar search helpers: golden-section maximization and bisection."""
+"""Search helpers: golden-section maximization and bisection."""
 
 import math
+
+import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f, a: float, b: float, xtol: float = 1e-6):
+def golden_max(f, a, b, xtol: float = 1e-6):
     """Maximize f on [a, b] by golden-section search; returns (x, f(x)).
 
     Assumes a single interior maximum in the bracket; callers locate the
     bracket with a coarse grid first.
+
+    With arrays a and b (one bracket per entry) f takes and returns arrays:
+    every bracket advances in lockstep, f is called once per step on the
+    brackets still open, and x and f(x) come back as arrays.  Each bracket
+    takes exactly the steps, in the same arithmetic, that a scalar search
+    of it would take.
     """
+    if np.ndim(a) or np.ndim(b):
+        return _golden_max_many(f, a, b, xtol)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -29,6 +39,33 @@ def golden_max(f, a: float, b: float, xtol: float = 1e-6):
         xm, fm = x1, f1
     if f2 > fm:
         xm, fm = x2, f2
+    return xm, fm
+
+
+def _golden_max_many(f, a, b, xtol: float):
+    """golden_max over arrays of brackets: the scalar steps, masked per bracket."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1 = np.array(f(x1), dtype=float)
+    f2 = np.array(f(x2), dtype=float)
+    live = np.flatnonzero(b - a > xtol)
+    while live.size:
+        up = f1[live] < f2[live]
+        u, d = live[up], live[~up]
+        a[u], x1[u], f1[u] = x1[u], x2[u], f2[u]
+        b[d], x2[d], f2[d] = x2[d], x1[d], f1[d]
+        x2[u] = a[u] + _INVPHI * (b[u] - a[u])
+        x1[d] = b[d] - _INVPHI * (b[d] - a[d])
+        fv = f(np.concatenate([x2[u], x1[d]]))
+        f2[u], f1[d] = fv[: len(u)], fv[len(u) :]
+        live = live[b[live] - a[live] > xtol]
+    xm = 0.5 * (a + b)
+    fm = np.array(f(xm), dtype=float)
+    for x, fx in ((x1, f1), (x2, f2)):
+        better = fx > fm
+        xm[better], fm[better] = x[better], fx[better]
     return xm, fm
 
 

@@ -510,6 +510,8 @@ def run_table(name: str, args) -> int:
     elif name == "interp_points":
         if not args.alpha:
             raise ConfigError("table interp_points requires --alpha")
+        if args.jmax < 1:  # checked before any fit runs
+            raise ConfigError(f"--jmax must be >= 1, got {args.jmax}")
         rows = []
         for alpha in parse_range(args.alpha):
             sol = nearbest.optimize_c(alpha)
@@ -635,7 +637,7 @@ def main(argv=None) -> int:
                 return run_table(args.name, args)
             if args.command == "curve":
                 return run_curve(args.kind, args)
-        except ValueError as exc:  # a library domain error: a bad --alpha, --x or --jmax
+        except ValueError as exc:  # a library domain error: a bad --alpha or --x
             raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

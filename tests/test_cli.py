@@ -77,6 +77,16 @@ def test_missing_required_params_exit_2(capsys):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
 
+def test_bad_jmax_exits_2_before_any_fit(capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("optimize_c ran before --jmax was checked")
+
+    monkeypatch.setattr(cli.nearbest, "optimize_c", no_fit)
+    for jmax in ("0", "-3"):
+        argv = ["table", "interp_points", "--alpha", "1", "--jmax", jmax]
+        assert _exits_2_with_one_error_line(argv, capsys), argv
+
+
 def test_bad_range_exit_2(capsys):
     for argv in (
         ["table", "envelope", "--alpha", "4:2:0.5"],

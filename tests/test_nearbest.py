@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bernsteinlab import nearbest
 from bernsteinlab.chebinterp import build_nodes, interp_eval
 from bernsteinlab.nearbest import (
@@ -57,7 +58,7 @@ def test_limit_error_at_zero_is_correction_value():
 
 
 def test_limit_error_cache_matches_direct(cache_half):
-    # off-grid point falls back to quadrature; on-grid uses stored kernels
+    # with the cache, on- and off-grid points both come from the interpolants
     direct = limit_error(0.5, 0.33, 0.78, 4.0)
     assert abs(limit_error(0.5, 0.33, 0.78, 4.0, cache=cache_half) - direct) <= 1e-9
     xg = float(cache_half.xs[123])
@@ -79,9 +80,80 @@ def test_limit_error_linear_decomposition(cache_half):
         assert abs(limit_error(0.5, c1, c2, float(x), cache=cache_half) - ref) <= 1e-12
 
 
+def _node_vals(pieces):
+    return np.zeros((pieces, 2, nearbest._DEGREE + 1))
+
+
 def test_grid_cache_step_invariant():
     with pytest.raises(ValueError):
-        GridCache(1.0, np.array([0.1, 0.6]), np.zeros(2), np.zeros(2))
+        GridCache(1.0, np.array([0.1, 0.6]), np.zeros(2), np.zeros(2), np.array([0.1, 0.6]), _node_vals(1))
+
+
+def test_grid_cache_refuses_interpolants_not_covering_grid():
+    xs = np.array([0.1, 0.15, 0.2])
+    GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.2]), _node_vals(1))
+    with pytest.raises(ValueError, match="cover"):
+        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.19]), _node_vals(1))
+    with pytest.raises(ValueError, match="cover"):
+        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.11, 0.2]), _node_vals(1))
+    with pytest.raises(ValueError, match="increasing"):
+        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.2, 0.2]), _node_vals(2))
+    with pytest.raises(ValueError, match="pieces"):
+        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.15, 0.2]), _node_vals(1))
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("x", [math.inf, math.nan, -1.0])
+def test_limit_error_rejects_bad_x(x, cached, cache_half):
+    with pytest.raises(ValueError, match="x must be finite and >= 0"):
+        limit_error(0.5, 0.2, 0.4, x, cache=cache_half if cached else None)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.0, 1.5, 1.9])
+def test_interpolants_match_quadrature(alpha):
+    # both ends and two interior points of every piece, the graded ones near
+    # pi/100 included, plus a point below pi/100 where the cache defers to
+    # quadrature; the bound is the quadrature's own rel_tol
+    cache = build_cache(alpha)
+    lo, hi = cache.breaks[:-1], cache.breaks[1:]
+    xs = np.concatenate([[PI / 300.0], cache.breaks, lo + 0.37 * (hi - lo), lo + 0.81 * (hi - lo)])
+    c1, c2 = 0.3, 0.8
+    for x in xs:
+        cached = limit_error(alpha, c1, c2, float(x), cache=cache)
+        direct = limit_error(alpha, c1, c2, float(x))
+        assert abs(cached - direct) <= 1e-12 * max(1.0, abs(direct)), x
+
+
+def test_interpolated_H1_matches_gauss_legendre_oracle():
+    # the fixed Gauss-Legendre oracle resolves x/(x^2+t^2) for x >= pi at
+    # alpha = 1 (about 1e-15 there); smaller x or fractional alpha it does not
+    cache = build_cache(1.0)
+    xs = np.linspace(PI, 40.0 * PI, 3001)
+    h1 = nearbest._interpolated_kernels(cache, xs)[:, 1]
+    ref = oracles.gl_sinh_kernel_grid(1.0, xs)
+    assert np.max(np.abs(h1 - ref) / ref) <= 1e-13
+
+
+def test_optimize_c_makes_no_quadrature_call(monkeypatch):
+    # deterministic work gate: every kernel value the fit at alpha = 1 needs
+    # comes from the cache, inside the Nelder-Mead loop and out of it
+    calls = {"total": 0, "in_minimize": 0}
+    kernel_eval, minimize = nearbest.kernel_eval, nearbest.minimize
+
+    def counting_kernel_eval(*args):
+        calls["total"] += 1
+        return kernel_eval(*args)
+
+    def counting_minimize(*args, **kwargs):
+        before = calls["total"]
+        out = minimize(*args, **kwargs)
+        calls["in_minimize"] += calls["total"] - before
+        return out
+
+    monkeypatch.setattr(nearbest, "kernel_eval", counting_kernel_eval)
+    monkeypatch.setattr(nearbest, "minimize", counting_minimize)
+    nearbest.optimize_c(1.0)
+    assert calls == {"total": 0, "in_minimize": 0}
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
