@@ -10,40 +10,24 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def golden_max(f, a, b, xtol: float = 1e-6):
     """Maximize f on [a, b] by golden-section search; returns (x, f(x)).
 
-    Assumes a single interior maximum in the bracket; callers locate the
-    bracket with a coarse grid first.
+    Assumes a single interior maximum in each bracket; callers locate the
+    brackets with a coarse grid first.
 
     With arrays a and b (one bracket per entry) f takes and returns arrays:
     every bracket advances in lockstep, f is called once per step on the
-    brackets still open, and x and f(x) come back as arrays.  Each bracket
-    takes exactly the steps, in the same arithmetic, that a scalar search
-    of it would take.
+    brackets still open, and x and f(x) come back as arrays.  A scalar
+    bracket runs the same loop as a one-element array, with f applied to
+    each point alone, and comes back as two floats.
     """
     if np.ndim(a) or np.ndim(b):
         return _golden_max_many(f, a, b, xtol)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    xm = 0.5 * (a + b)
-    fm = f(xm)
-    if f1 > fm:
-        xm, fm = x1, f1
-    if f2 > fm:
-        xm, fm = x2, f2
-    return xm, fm
+    x, fx = _golden_max_many(lambda xs: [f(float(x)) for x in xs], [a], [b], xtol)
+    return float(x[0]), float(fx[0])
 
 
 def _golden_max_many(f, a, b, xtol: float):
-    """golden_max over arrays of brackets: the scalar steps, masked per bracket."""
+    """golden_max over arrays of brackets, each taking its own golden steps,
+    masked per bracket."""
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     x1 = b - _INVPHI * (b - a)
@@ -91,22 +75,21 @@ def bisect_root(f, a: float, b: float, xtol: float):
 
 
 def refine_grid_maxima(f, xs, values, xtol: float = 1e-6):
-    """Polish every local maximum of sampled |values| with golden sections.
+    """Polish every local maximum of sampled values with golden sections.
 
-    xs must be increasing.  Returns a list of (x, f(x)) pairs, one per grid
-    local maximum, endpoints included.  Golden section never evaluates the
-    ends of its bracket, so a maximum at either end of the grid keeps the
-    sampled endpoint when that beats the polished interior point.
+    xs must be increasing and f takes and returns arrays.  Every grid local
+    maximum, endpoints included, is bracketed by its grid neighbours and all
+    brackets are polished in one array golden_max call.  Returns arrays x and
+    f(x), one entry per maximum.  Golden section never evaluates the ends of
+    its bracket, so a maximum at either end of the grid keeps the sampled
+    endpoint when that beats the polished interior point.
     """
-    out = []
-    n = len(xs)
-    for i in range(n):
-        left = values[i - 1] if i > 0 else -math.inf
-        right = values[i + 1] if i < n - 1 else -math.inf
-        if values[i] < left or values[i] < right:
-            continue
-        x, v = golden_max(f, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], xtol)
-        if (i == 0 or i == n - 1) and values[i] > v:
-            x, v = xs[i], values[i]
-        out.append((x, v))
-    return out
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    padded = np.concatenate([[-math.inf], values, [-math.inf]])
+    idx = np.flatnonzero(~((values < padded[:-2]) | (values < padded[2:])))
+    x, v = golden_max(f, xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, n - 1)], xtol)
+    end = ((idx == 0) | (idx == n - 1)) & (values[idx] > v)
+    x[end], v[end] = xs[idx[end]], values[idx[end]]
+    return x, v

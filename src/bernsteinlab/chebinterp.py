@@ -88,13 +88,20 @@ def _values(system: NodeSystem, alpha: float) -> np.ndarray:
 
 
 def _bary(system: NodeSystem, fvals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Second barycentric form, vectorized over x; exact at the nodes."""
+    """Second barycentric form, vectorized over x; exact at the nodes.
+
+    Both sums are taken row by row (numpy's pairwise summation), in place in
+    the one (len(x), nodes) matrix: a point gets the same bits whatever batch
+    it is evaluated in, which a matrix-vector product does not promise.
+    """
     diff = x[:, None] - system.nodes[None, :]
     hit = diff == 0.0
     on_node = hit.any(axis=1)
     diff[on_node] = np.where(hit[on_node], 1.0, diff[on_node])  # avoid 0-division
-    ratio = system.bary_weights[None, :] / diff
-    out = (ratio @ fvals) / ratio.sum(axis=1)
+    ratio = np.divide(system.bary_weights[None, :], diff, out=diff)
+    den = ratio.sum(axis=1)
+    ratio *= fvals
+    out = ratio.sum(axis=1) / den
     if on_node.any():
         out[on_node] = fvals[hit[on_node].argmax(axis=1)]
     return out
@@ -120,8 +127,9 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
 
     The sup is taken over [0, 1] only (the error is even).  A theta-uniform
     grid x = cos(theta) with 40 n points resolves every oscillation of the
-    error, and each grid maximum is polished by golden section; the end
-    x = 1, where the P1 error peaks, is kept when it is the larger.
+    error, and all grid maxima are polished together by one array golden
+    section, whose every step is one batched _bary call; the end x = 1,
+    where the P1 error peaks, is kept when it is the larger.
     """
     n = system.n
     if not math.isfinite(alpha):
@@ -134,16 +142,14 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     xs = np.cos(theta)[::-1]  # increasing, in [0, 1]
     xs[0] = 0.0
 
-    err = np.empty(m)
-    for lo in range(0, m, 4096):
-        chunk = xs[lo : lo + 4096]
-        err[lo : lo + 4096] = np.abs(
-            chunk**alpha - _bary(system, fvals, chunk)
-        )
+    def abserr(x: np.ndarray) -> np.ndarray:
+        # in blocks of 4096 points, so that _bary's matrix stays bounded
+        out = np.empty(len(x))
+        for lo in range(0, len(x), 4096):
+            chunk = x[lo : lo + 4096]
+            out[lo : lo + 4096] = np.abs(chunk**alpha - _bary(system, fvals, chunk))
+        return out
 
-    def abserr(x: float) -> float:
-        return abs(x**alpha - _bary(system, fvals, np.array([x]))[0])
-
-    peaks = refine_grid_maxima(abserr, xs, err, xtol=1e-10)
-    argmax, peak = max(peaks, key=lambda p: p[1])
-    return InterpError(n, (2.0 * n) ** alpha * peak, argmax)
+    peaks, values = refine_grid_maxima(abserr, xs, abserr(xs), xtol=1e-10)
+    k = int(np.argmax(values))
+    return InterpError(n, (2.0 * n) ** alpha * float(values[k]), float(peaks[k]))

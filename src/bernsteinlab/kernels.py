@@ -326,31 +326,33 @@ def sup_norm_H(alpha: float) -> SupNormReport:
     """sup over [0, inf) of |H(alpha, .)| = |sin(x)| * H1(alpha, x).
 
     |H| vanishes at every multiple of pi, so each period [k pi, (k+1) pi]
-    is scanned on a coarse grid and its maximum polished by golden section.
-    The horizon starts at max(alpha, beta(alpha)) + 10 pi and doubles until
-    the tail bound C(alpha)/X certifies that no larger lobe lies beyond.
+    is scanned on a coarse grid, and the maxima of all newly scanned periods
+    are polished together by one array golden section over batched
+    quadrature (no scalar kernel_eval).  The horizon starts at
+    max(alpha, beta(alpha)) + 10 pi and doubles until the tail bound
+    C(alpha)/X certifies that no larger lobe lies beyond.
     """
     _require_alpha(alpha, 0.0, "sup_norm_H")
     c = C_const(alpha)
 
     def absH(x):
-        return abs(math.sin(x)) * kernel_eval(KernelKind.H1, alpha, x)
+        return np.abs(np.sin(x)) * _J_values(alpha, x)
 
     n_periods = math.ceil((max(alpha, beta_point(alpha)) + 10.0 * math.pi) / math.pi)
+    half_cell = math.pi / (_PERIOD_GRID + 1.0)
+    offs = np.arange(1, _PERIOD_GRID + 1) / (_PERIOD_GRID + 1.0)
     maxima: list = []
     scanned = 0
     for _ in range(40):
         if scanned < n_periods:
             ks = np.arange(scanned, n_periods)
-            offs = np.arange(1, _PERIOD_GRID + 1) / (_PERIOD_GRID + 1.0)
             grid = (ks[:, None] + offs[None, :]) * math.pi
-            vals = np.abs(np.sin(grid.ravel())) * _J_values(alpha, grid.ravel())
-            vals = vals.reshape(grid.shape)
-            for row, k in enumerate(ks):
-                i = int(np.argmax(vals[row]))
-                lo = grid[row, i] - math.pi / (_PERIOD_GRID + 1.0)
-                hi = grid[row, i] + math.pi / (_PERIOD_GRID + 1.0)
-                maxima.append(golden_max(absH, max(lo, 1e-12), hi, xtol=1e-5))
+            vals = absH(grid.ravel()).reshape(grid.shape)
+            centre = grid[np.arange(len(ks)), np.argmax(vals, axis=1)]
+            x, v = golden_max(
+                absH, np.maximum(centre - half_cell, 1e-12), centre + half_cell, xtol=1e-5
+            )
+            maxima.extend(zip(x.tolist(), v.tolist()))
             scanned = n_periods
         norm = max(v for _, v in maxima)
         x_cut = scanned * math.pi
@@ -368,17 +370,14 @@ def sup_norm_H1(alpha: float) -> SupNormReport:
     """sup over [0, inf) of the envelope H1(alpha, .), for alpha > 1.
 
     For alpha <= 1 the envelope is unbounded (or attains its sup at 0) and
-    the domain is rejected.  One bracket over [0, alpha + 20 pi] suffices;
-    the tail is certified through H1 = H2/x <= C(alpha)/x, doubling the
-    horizon when needed.
+    the domain is rejected.  One bracket over [0, alpha + 20 pi] suffices,
+    polished by golden section over batched quadrature (no scalar
+    kernel_eval); the tail is certified through H1 = H2/x <= C(alpha)/x,
+    doubling the horizon when needed.
     """
     if not alpha > 1.0:
         raise ValueError(f"sup_norm_H1 requires alpha > 1, got {alpha}")
     c = C_const(alpha)
-
-    def h1(x):
-        return kernel_eval(KernelKind.H1, alpha, x)
-
     x_cut = alpha + 20.0 * math.pi
     xs = np.linspace(0.0, x_cut, 601)[1:]
     vals = _J_values(alpha, xs)
@@ -387,7 +386,8 @@ def sup_norm_H1(alpha: float) -> SupNormReport:
         i = int(np.argmax(vals))
         lo = xs[i - 1] if i > 0 else 1e-12
         hi = xs[i + 1] if i < len(xs) - 1 else xs[-1]
-        maxima.append(golden_max(h1, lo, hi, xtol=1e-6))
+        x, v = golden_max(lambda x: _J_values(alpha, x), np.array([lo]), np.array([hi]), xtol=1e-6)
+        maxima.append((float(x[0]), float(v[0])))
         norm = max(v for _, v in maxima)
         if c / x_cut < 0.5 * norm:
             break

@@ -155,8 +155,14 @@ def _piece_breaks(x_lo: float, x_hi: float) -> np.ndarray:
 
 def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
     """A0 and H1 on the scan grid (step, 2*step, ..., x_max], step pi/100,
-    and their piecewise Chebyshev interpolants over the same span."""
-    xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP)
+    and their piecewise Chebyshev interpolants over the same span.  An
+    x_max that leaves fewer than two grid points is refused before any
+    kernel is evaluated."""
+    xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP) if x_max < math.inf else np.empty(0)
+    if len(xs) < 2:
+        raise ValueError(
+            f"x_max must be finite and above 1.5 pi/100 (two grid points), got {x_max}"
+        )
     breaks = _piece_breaks(xs[0], xs[-1])
     lo, hi = breaks[:-1, None], breaks[1:, None]
     nodes = (0.5 * (hi + lo) + 0.5 * (hi - lo) * _CHEB_NODES).ravel()
@@ -298,7 +304,7 @@ def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSo
     minimax = float(res.fun)
 
     roots = interp_points(alpha, c1, c2, 11, cache=cache)
-    alts = alternation_points(alpha, c1, c2, 10, cache=cache)
+    alts = _extrema(alpha, c1, c2, roots, cache)
     mags = [abs(e) for _, e in alts]
     return NearBestSolution(
         alpha,
@@ -352,7 +358,12 @@ def alternation_points(
     between each pair of consecutive interpolation points."""
     if cache is None or cache.alpha != alpha:
         cache = build_cache(alpha, x_max=(j_max + 3.0) * math.pi)
-    roots = interp_points(alpha, c1, c2, j_max + 1, cache=cache)
+    return _extrema(alpha, c1, c2, interp_points(alpha, c1, c2, j_max + 1, cache=cache), cache)
+
+
+def _extrema(alpha: float, c1: float, c2: float, roots, cache: GridCache) -> list:
+    """(0, E(0)) plus (y, E(y)) at the extremum of E between each pair of
+    consecutive roots."""
 
     def err(x):
         return limit_error(alpha, c1, c2, x, cache=cache)

@@ -149,13 +149,13 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
         coeffs, level = sol[:-1], sol[-1]
 
         def err(y):
-            return f(y) - _eval_cheb(coeffs, scale(np.asarray(y, dtype=float)))
+            return f(y) - _eval_cheb(coeffs, scale(y))
 
         grid = np.unique(np.concatenate([base_grid, ref]))
-        peaks = refine_grid_maxima(
-            lambda y: abs(float(err(y))), grid, np.abs(err(grid)), xtol=1e-12 * y_hi
+        peaks, _ = refine_grid_maxima(
+            lambda y: np.abs(err(y)), grid, np.abs(err(grid)), xtol=1e-12 * y_hi
         )
-        cand = [(y_m, float(err(y_m))) for y_m, _ in peaks]
+        cand = list(zip(peaks.tolist(), err(peaks).tolist()))
         # the old reference is exactly leveled, guaranteeing alternation
         cand.extend(zip(ref, parity * level))
         cand.sort()

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import BarycentricInterpolator
 
+from bernsteinlab import chebinterp
 from bernsteinlab.chebinterp import build_nodes, interp_eval, scaled_interp_eval, sup_error
 from bernsteinlab.entire import G_alpha, H_alpha_integral
 from bernsteinlab.kernels import C_const
@@ -145,3 +147,51 @@ def test_p1_sup_error_counts_the_end_x1(n):
     p_at_1 = BarycentricInterpolator(s.nodes, np.abs(s.nodes))(1.0)
     end_value = 2.0 * n * abs(1.0 - p_at_1)
     assert sup_error(s, 1.0).scaled_error >= end_value * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 512])
+@pytest.mark.parametrize("scheme", ["P1", "P2"])
+def test_bary_point_is_independent_of_its_batch(scheme, n):
+    # a point gets the same bits alone as in any batch; the polish evaluates
+    # batches whose size changes every step
+    s = build_nodes(scheme, n)
+    fvals = np.abs(s.nodes) ** 0.7
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 3001), s.nodes[:: max(1, n // 8)]])
+    batch = chebinterp._bary(s, fvals, xs)
+    single = np.array([chebinterp._bary(s, fvals, xs[i : i + 1])[0] for i in range(len(xs))])
+    assert np.array_equal(batch, single)
+    assert np.array_equal(chebinterp._bary(s, fvals, s.nodes), fvals)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_p2_sup_error_matches_mpmath_at_its_argmax(alpha):
+    # 40-digit barycentric evaluation on nodes and weights built in mpmath,
+    # sharing no code with the library, at the library's own argmax
+    n = 512
+    got = sup_error(build_nodes("P2", n), alpha)
+    m = 2 * n + 1
+    with mpmath.workdps(40):
+        x, a = mpmath.mpf(got.argmax_x), mpmath.mpf(alpha)
+        num = den = mpmath.mpf(0)
+        for j in range(1, m + 1):
+            theta = (j - mpmath.mpf(0.5)) * mpmath.pi / m
+            q = (-1) ** (j - 1) * mpmath.sin(theta) / (x - mpmath.cos(theta))
+            num += q * abs(mpmath.cos(theta)) ** a
+            den += q
+        ref = float((2 * n) ** a * abs(x**a - num / den))
+    assert abs(got.scaled_error - ref) <= 1e-13 * ref
+
+
+def test_sup_error_polishes_in_few_batched_calls(monkeypatch):
+    # deterministic work gate: the grid scan and every golden step are one
+    # _bary call each (in blocks of 4096 points), not one call per point
+    calls = []
+    bary = chebinterp._bary
+
+    def counting_bary(system, fvals, x):
+        calls.append(len(x))
+        return bary(system, fvals, x)
+
+    monkeypatch.setattr(chebinterp, "_bary", counting_bary)
+    sup_error(build_nodes("P2", 512), 1.0)
+    assert len(calls) <= 64

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bernsteinlab import specfun
+from bernsteinlab import kernels, specfun
 from bernsteinlab.entire import beta_point
 from bernsteinlab.kernels import (
     C_const,
@@ -226,6 +226,15 @@ def test_sup_norm_H1_vs_dense_grid(h1_norm):
     xs = np.linspace(0.0, 6.4 + 20.0 * PI, 1_000_000)[1:]
     vals = oracles.gl_sinh_kernel_grid(6.4, xs)
     assert abs(rep.norm - vals.max()) <= 1e-6 * rep.norm
+
+
+@pytest.mark.parametrize("search", [sup_norm_H, sup_norm_H1])
+def test_sup_norms_make_no_scalar_quadrature_call(search, monkeypatch):
+    # deterministic work gate: every lobe is polished on batched kernel values
+    calls = []
+    monkeypatch.setattr(kernels, "kernel_eval", lambda *args: calls.append(args))
+    search(40.0)
+    assert calls == []
 
 
 def test_sup_norm_H1_domain():

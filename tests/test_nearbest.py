@@ -102,6 +102,34 @@ def test_grid_cache_refuses_interpolants_not_covering_grid():
         GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.15, 0.2]), _node_vals(1))
 
 
+@pytest.mark.parametrize("x_max", [0.02, 1.5 * PI / 100.0, 0.0, -1.0, math.nan, math.inf])
+def test_build_cache_rejects_x_max_leaving_no_grid(x_max, monkeypatch):
+    # refused by name before any kernel is evaluated
+    monkeypatch.setattr(nearbest, "kernel_values", None)
+    with pytest.raises(ValueError, match="x_max"):
+        build_cache(1.0, x_max=x_max)
+
+
+def test_build_cache_smallest_grid():
+    cache = build_cache(1.0, x_max=0.05)
+    assert len(cache.xs) == 2
+
+
+def test_optimize_c_finds_the_roots_once(monkeypatch):
+    # the alternation points come from the same roots as the interpolation points
+    calls = []
+    find_roots = nearbest.interp_points
+
+    def counting_interp_points(*args, **kwargs):
+        calls.append(args[3])
+        return find_roots(*args, **kwargs)
+
+    monkeypatch.setattr(nearbest, "interp_points", counting_interp_points)
+    sol = nearbest.optimize_c(1.0)
+    assert calls == [11]
+    assert len(sol.alternation_points) == 11
+
+
 @pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("x", [math.inf, math.nan, -1.0])
 def test_limit_error_rejects_bad_x(x, cached, cache_half):

@@ -113,6 +113,27 @@ def test_stagnation_raises_with_reference(monkeypatch):
     assert isinstance(err.value.reference, remez.ReferenceSet)
 
 
+def test_polish_evaluates_all_candidates_together(monkeypatch):
+    # deterministic work gate: per exchange, the grid scan, every golden step
+    # over all peaks and the candidate errors are one Clenshaw call each
+    calls = {"exchanges": 0, "clenshaw": 0}
+    cheb_vander, eval_cheb = remez._cheb_vander, remez._eval_cheb
+
+    def counting_vander(*args):
+        calls["exchanges"] += 1
+        return cheb_vander(*args)
+
+    def counting_eval(*args):
+        calls["clenshaw"] += 1
+        return eval_cheb(*args)
+
+    monkeypatch.setattr(remez, "_cheb_vander", counting_vander)
+    monkeypatch.setattr(remez, "_eval_cheb", counting_eval)
+    remez.best_poly(1.0, 64)
+    assert calls["exchanges"] >= 1
+    assert calls["clenshaw"] <= 60 * calls["exchanges"]
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.3])
 def test_closed_form_constants_cross_check(alpha):
     """L1/L2 closed forms vs brute-force series / quadrature (no Remez)."""
