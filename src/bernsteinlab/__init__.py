@@ -9,7 +9,7 @@ expansions of the Laplace-type kernel, and a tuned near-best construction.
 
 __version__ = "0.1.0"
 
-from .quadrature import QuadConfig, QuadResult, QuadratureError
+from .quadrature import QuadResult, QuadratureError
 from .specfun import alternating_odd_sum, chebyshev_T, gamma, odd_zeta, zeta
 from .kernels import (
     C_const,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from math import pi
 import numpy as np
 
 from . import __version__, asymptotics, chebinterp, entire, kernels, nearbest, specfun
-from .quadrature import integrate_finite, integrate_zero_to_inf
+from .quadrature import REL_TOL, integrate_finite, integrate_zero_to_inf
 
 
 class ConfigError(Exception):
@@ -133,7 +134,7 @@ def _identities():
             return np.exp(p * np.log(t) - alpha * t) * 2.0 / (-np.expm1(-2.0 * alpha * t))
 
         c = kernels.C_const(p)
-        return abs(c - alpha ** (p + 1.0) * integrate_zero_to_inf(g).value) / c
+        return abs(c - alpha ** (p + 1.0) * integrate_zero_to_inf(g).value[0]) / c
 
     for a in (0.5, 1.0, 2.5, 5.0):
         yield f"prop1e[alpha={a}] C rescaling", lambda a=a: c_rescaling(a, a), 1e-9
@@ -156,7 +157,7 @@ def _identities():
         ref = specfun.gamma(s) / alpha**s
         worst = 0.0
         for p in powers:
-            val = integrate_zero_to_inf(lambda x, p=p: np.exp(p * np.log(x) - alpha * x)).value
+            val = integrate_zero_to_inf(lambda x, p=p: np.exp(p * np.log(x) - alpha * x)).value[0]
             worst = max(worst, abs(val - ref) / ref)
         return worst
 
@@ -220,13 +221,18 @@ def _identities():
     )
 
     # ordered / interval checks
+    @functools.cache
+    def h2_grid(alpha):
+        # shared by prop1c and prop1d, computed by whichever runs first
+        return [kernels.kernel_eval("H2", alpha, x) for x in x_grid]
+
     def prop1c(alpha):
-        h2 = [kernels.kernel_eval("H2", alpha, x) for x in x_grid]
+        h2 = h2_grid(alpha)
         c = kernels.C_const(alpha)
         return max(h2) / c, 1.0, all(-1e-12 <= v <= c * (1.0 + 1e-9) for v in h2)
 
     def prop1d(alpha):
-        h2 = [kernels.kernel_eval("H2", alpha, x) for x in x_grid]
+        h2 = h2_grid(alpha)
         h = [kernels.kernel_eval("H", alpha, x) for x in x_grid]
         return max(abs(a) for a in h), max(h2), all(abs(a) <= b + 1e-12 for a, b in zip(h, h2))
 
@@ -502,7 +508,7 @@ def _pool_map(fn, items, jobs: int):
 
 
 def run_table(name: str, args) -> int:
-    meta = {"command": f"table {name}", "rel_tol": 1e-12}
+    meta = {"command": f"table {name}", "rel_tol": REL_TOL}
     if name == "c_constants":
         alphas = parse_range(args.alpha) if args.alpha else parse_range("0.1:1.9:0.1")
         rows = _pool_map(_cc_row, alphas, args.jobs)
@@ -515,7 +521,9 @@ def run_table(name: str, args) -> int:
         rows = []
         for alpha in parse_range(args.alpha):
             sol = nearbest.optimize_c(alpha)
-            pts = nearbest.interp_points(alpha, sol.c1, sol.c2, args.jmax)
+            # the fit's cache serves if it reaches as far as interp_points would build one
+            cache = sol.cache if (args.jmax + 2.0) * pi <= sol.cache.xs[-1] else None
+            pts = nearbest.interp_points(alpha, sol.c1, sol.c2, args.jmax, cache=cache)
             rows += [(alpha, j + 1, x) for j, x in enumerate(pts)]
         emit(("alpha", "j", "x_j_star"), rows, meta, args.format, args.out)
     elif name == "convergence":
@@ -549,7 +557,7 @@ def run_table(name: str, args) -> int:
 
 
 def run_curve(kind: str, args) -> int:
-    meta = {"command": f"curve {kind}", "rel_tol": 1e-12}
+    meta = {"command": f"curve {kind}", "rel_tol": REL_TOL}
     if kind == "R_diag":
         alphas = parse_range(args.alpha) if args.alpha else parse_range("2.4:20:0.05")
         rows = [(a, kernels.kernel_eval("R", a, a)) for a in alphas]

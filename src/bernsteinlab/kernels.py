@@ -19,11 +19,17 @@ plus the constants C(a) = int t^a/sinh(t) dt and D(a) = int t^(a-1)/cosh(t) dt.
 
 Integrands are evaluated in the log-stable forms
 
-    t^a/sinh t   = exp(a log t - t) * 2/(-expm1(-2t))
-    t^a/cosh t   = exp(a log t - t) * 2/(1 + exp(-2t))
-    t^a e^(-x t) = exp(a log t - x t)
+    t^a/sinh t     = exp(a log t - t) * 2/(-expm1(-2t))
+    t^a/cosh t     = exp(a log t - t) * 2/(1 + exp(-2t))
+    t^a/sinh(x t)  = exp(a log t - x t) * 2/(-expm1(-2 x t))
+    t^a e^(-x t)   = exp(a log t - x t)
 
-so nothing overflows even for a = 80 on the exp-sinh tail nodes.
+so nothing overflows on the exp-sinh tail nodes, even for a = 80; a value
+itself past the double range (F(80, 1e-3) ~ 1e352) raises OverflowError.
+
+J, A0, F and G are integrated as (x, t) matrices, 512 x per call of
+quadrature.integrate_zero_to_inf, and the other kinds combine them: one
+path, kernel_values, serves every kind, and kernel_eval is one point of it.
 """
 
 import math
@@ -34,13 +40,7 @@ import numpy as np
 
 from . import specfun
 from ._search import golden_max
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureError,
-    integrate_finite_batch,
-    integrate_semi_infinite_batch,
-    integrate_zero_to_inf,
-)
+from .quadrature import integrate_zero_to_inf
 
 __all__ = [
     "KernelKind",
@@ -73,29 +73,17 @@ class KernelKind(Enum):
 _BATCH_CHUNK = 512
 
 
-def _as_kind(kind) -> KernelKind:
-    if isinstance(kind, KernelKind):
-        return kind
-    return KernelKind(str(kind))
-
-
 # ---------------------------------------------------------------------------
 # stable t-integrands
 # ---------------------------------------------------------------------------
 
 
-def _pow_over_sinh(alpha: float):
-    def g(t):
-        return np.exp(alpha * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t))
-
-    return g
+def _pow_over_sinh(alpha: float, t):
+    return np.exp(alpha * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t))
 
 
-def _pow_over_cosh(alpha: float):
-    def g(t):
-        return np.exp(alpha * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t))
-
-    return g
+def _pow_over_cosh(alpha: float, t):
+    return np.exp(alpha * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t))
 
 
 def _require_alpha(alpha: float, low: float, kind: str):
@@ -111,85 +99,95 @@ def _require_alpha(alpha: float, low: float, kind: str):
 def C_const(alpha: float) -> float:
     """C(alpha) = int_0^inf t^alpha / sinh(t) dt, alpha > 0."""
     _require_alpha(alpha, 0.0, "C_const")
-    return integrate_zero_to_inf(_pow_over_sinh(alpha)).value
+    return float(integrate_zero_to_inf(lambda t: _pow_over_sinh(alpha, t)).value[0])
 
 
 def D_const(alpha: float) -> float:
     """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, alpha > 0."""
     _require_alpha(alpha, 0.0, "D_const")
-    return integrate_zero_to_inf(_pow_over_cosh(alpha - 1.0)).value
+    return float(integrate_zero_to_inf(lambda t: _pow_over_cosh(alpha - 1.0, t)).value[0])
 
 
 # ---------------------------------------------------------------------------
-# batched x-family: J(a, .) and A0(a, .) share one t-integrand across all x
+# batched evaluation, one path for every kind
 # ---------------------------------------------------------------------------
 
 
-def _batched_family(g, xkernel, xs: np.ndarray) -> np.ndarray:
-    split = DEFAULT_CONFIG.split_point
+def _batched_family(fmat, xs: np.ndarray) -> np.ndarray:
+    """int_0^inf fmat(x, t) dt for every x in xs, _BATCH_CHUNK rows per call;
+    fmat gets x as an (m, 1) column and t as an (n,) row."""
     out = np.empty(len(xs))
     for lo in range(0, len(xs), _BATCH_CHUNK):
         chunk = xs[lo : lo + _BATCH_CHUNK, None]
-
-        def fmat(t):
-            return g(t)[None, :] * xkernel(chunk, t[None, :])
-
-        v1, ok1 = integrate_finite_batch(fmat, 0.0, split)
-        v2, ok2 = integrate_semi_infinite_batch(fmat, split)
-        if not (ok1 and ok2):
-            raise QuadratureError("batched kernel integral did not converge")
-        out[lo : lo + _BATCH_CHUNK] = v1 + v2
+        out[lo : lo + _BATCH_CHUNK] = integrate_zero_to_inf(lambda t: fmat(chunk, t)).value
     return out
 
 
 def _J_values(alpha: float, xs: np.ndarray) -> np.ndarray:
-    return _batched_family(_pow_over_sinh(alpha), lambda x, t: x / (x * x + t * t), xs)
+    return _batched_family(lambda x, t: _pow_over_sinh(alpha, t) * (x / (x * x + t * t)), xs)
 
 
 def _A0_values(alpha: float, xs: np.ndarray) -> np.ndarray:
     return _batched_family(
-        _pow_over_cosh(alpha - 1.0), lambda x, t: x * x / (x * x + t * t), xs
+        lambda x, t: _pow_over_cosh(alpha - 1.0, t) * (x * x / (x * x + t * t)), xs
     )
 
 
-def kernel_values(kind, alpha: float, xs) -> np.ndarray:
-    """Vectorized kernel_eval over an array of positive x, for the kinds whose
-    t-integrand does not depend on x (H, H1, H2, A0)."""
-    kind = _as_kind(kind)
-    xs = np.asarray(xs, dtype=float)
-    if not ((xs > 0) & (xs < math.inf)).all():
-        raise ValueError("kernel_values requires finite x > 0; use kernel_eval for limits at 0")
-    _require_alpha(alpha, 0.0, kind.value)
-    if kind is KernelKind.A0:
-        return _A0_values(alpha, xs)
-    if kind in (KernelKind.H, KernelKind.H1, KernelKind.H2):
-        j = _J_values(alpha, xs)
-        if kind is KernelKind.H:
-            return np.sin(xs) * j
-        if kind is KernelKind.H2:
-            return xs * j
-        return j
-    raise ValueError(f"kernel_values does not support kind {kind.value}")
-
-
-# ---------------------------------------------------------------------------
-# scalar evaluation
-# ---------------------------------------------------------------------------
-
-
-def _F_kernel(alpha: float, x: float) -> float:
-    def g(t):
+def _F_values(alpha: float, xs: np.ndarray) -> np.ndarray:
+    def fmat(x, t):
         xt = x * t
         return np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
 
-    return integrate_zero_to_inf(g).value
+    return _batched_family(fmat, xs)
 
 
-def _G_kernel(alpha: float, x: float) -> float:
-    def g(t):
-        return np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t)
+def _G_values(alpha: float, xs: np.ndarray) -> np.ndarray:
+    return _batched_family(lambda x, t: np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t), xs)
 
-    return integrate_zero_to_inf(g).value
+
+def _R_values(a: float, x: np.ndarray) -> np.ndarray:
+    return (x / a) * _F_values(a + 1.0, x) - _F_values(a, x)
+
+
+# kind -> values at finite x > 0, for one alpha
+_VALUES = {
+    KernelKind.H: lambda a, x: np.sin(x) * _J_values(a, x),
+    KernelKind.H1: _J_values,
+    KernelKind.H2: lambda a, x: x * _J_values(a, x),
+    KernelKind.F: _F_values,
+    KernelKind.G: _G_values,
+    KernelKind.R: _R_values,
+    KernelKind.S: lambda a, x: 0.5 * a * x ** (a - 1.0) * (x * x + a * a) * _R_values(a, x),
+    KernelKind.F1: lambda a, x: (2.0 - 2.0**-a) * specfun.zeta(a + 1.0) * _G_values(a, x),
+    KernelKind.F2: lambda a, x: (2.0 - 2.0 ** -(a - 2.0)) * specfun.zeta(a - 1.0) * _G_values(a, x),
+    KernelKind.A0: _A0_values,
+}
+
+
+def _require_kind_alpha(kind: KernelKind, alpha: float):
+    _require_alpha(alpha, 2.0 if kind is KernelKind.F2 else 0.0, kind.value)
+
+
+def _values(kind: KernelKind, alpha: float, xs: np.ndarray) -> np.ndarray:
+    """The kind at every x of a checked 1-D array of finite x > 0."""
+    try:
+        return _VALUES[kind](alpha, xs)
+    except OverflowError:
+        at = f"x={xs[0]}" if len(xs) == 1 else f"some x in [{xs.min()}, {xs.max()}]"
+        raise OverflowError(
+            f"kernel {kind.value} at alpha={alpha} and {at} exceeds the double range"
+        ) from None
+
+
+def kernel_values(kind, alpha: float, xs) -> np.ndarray:
+    """kernel_eval over a 1-D array of finite x > 0, for every kind; all x
+    share the quadrature nodes, 512 at a time."""
+    kind = KernelKind(kind)
+    xs = np.asarray(xs, dtype=float)
+    if not ((xs > 0) & (xs < math.inf)).all():
+        raise ValueError("kernel_values requires finite x > 0; use kernel_eval for limits at 0")
+    _require_kind_alpha(kind, alpha)
+    return _values(kind, alpha, xs)
 
 
 def _eval_at_zero(kind: KernelKind, alpha: float) -> float:
@@ -210,41 +208,13 @@ def kernel_eval(kind, alpha: float, x: float) -> float:
     x = 0 is allowed for H, H1, H2 and A0, returning the limiting values
     (H1(1, 0) = pi/2; H1(alpha, 0) = 0 for alpha > 1; the rest vanish).
     """
-    kind = _as_kind(kind)
-    low = 2.0 if kind is KernelKind.F2 else 0.0
-    _require_alpha(alpha, low, kind.value)
+    kind = KernelKind(kind)
+    _require_kind_alpha(kind, alpha)
     if not 0 <= x < math.inf:
         raise ValueError(f"kernel {kind.value} requires finite x >= 0, got {x}")
     if x == 0.0:
         return _eval_at_zero(kind, alpha)
-
-    if kind in (KernelKind.H, KernelKind.H1, KernelKind.H2):
-        j = _J_values(alpha, np.array([x]))[0]
-        if kind is KernelKind.H:
-            return math.sin(x) * j
-        if kind is KernelKind.H2:
-            return x * j
-        return j
-    if kind is KernelKind.A0:
-        return _A0_values(alpha, np.array([x]))[0]
-    if kind is KernelKind.F:
-        return _F_kernel(alpha, x)
-    if kind is KernelKind.G:
-        return _G_kernel(alpha, x)
-    if kind is KernelKind.R:
-        return (x / alpha) * _F_kernel(alpha + 1.0, x) - _F_kernel(alpha, x)
-    if kind is KernelKind.S:
-        r = (x / alpha) * _F_kernel(alpha + 1.0, x) - _F_kernel(alpha, x)
-        return 0.5 * alpha * x ** (alpha - 1.0) * (x * x + alpha * alpha) * r
-    if kind is KernelKind.F1:
-        return (2.0 - 2.0**-alpha) * specfun.zeta(alpha + 1.0) * _G_kernel(alpha, x)
-    if kind is KernelKind.F2:
-        return (
-            (2.0 - 2.0 ** -(alpha - 2.0))
-            * specfun.zeta(alpha - 1.0)
-            * _G_kernel(alpha, x)
-        )
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    return float(_values(kind, alpha, np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------

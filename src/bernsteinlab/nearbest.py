@@ -125,6 +125,8 @@ class NearBestSolution:
     alternation_points: list
     equioscillation_spread: float
     reference_delta: float | None = None
+    # the fit's kernel cache, for further root or error evaluations at alpha
+    cache: GridCache | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         xs = self.interp_points
@@ -315,6 +317,7 @@ def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSo
         alts,
         max(mags) - min(mags),
         reference_delta,
+        cache,
     )
 
 

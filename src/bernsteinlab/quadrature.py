@@ -20,24 +20,32 @@ evaluate one integral at many outer arguments at once).
 Exponent range: node offsets below ~1e-300 are discarded, so singularities
 t**(alpha-1) are handled at full accuracy for alpha down to roughly 0.05.
 
-integrate_zero_to_inf is the one scalar (0, inf) entry; it raises rather than
-return an unconverged value.  Other modules integrate with DEFAULT_CONFIG.
+Every rule works to the fixed tolerances below.  integrate_zero_to_inf is
+the one (0, inf) entry and the only code that knows SPLIT_POINT; it raises
+rather than return an unconverged value.  A NaN integrand is a
+QuadratureError, an infinite one an OverflowError.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "QuadConfig",
     "QuadResult",
     "QuadratureError",
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_zero_to_inf",
 ]
+
+# relative tolerance on each integral, and an absolute floor for near-zero ones
+REL_TOL = 1e-12
+ABS_FLOOR = 1e-300
+# cap on trapezoidal refinements (level 0 has step 1 in t)
+MAX_LEVELS = 12
+# (0, inf) integrals are cut into (0, s) + (s, inf) here
+SPLIT_POINT = 1.0
 
 # |t| range of the trapezoidal grid.  Offsets underflow past ~6.1 anyway.
 _T_MAX = 6.5
@@ -51,42 +59,15 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and refinement limits for the adaptive rules.
-
-    rel_tol     relative tolerance on the integral value
-    abs_floor   absolute tolerance floor (protects near-zero integrals)
-    max_levels  cap on trapezoidal refinements (level 0 has step 1 in t)
-    split_point where (0, inf) integrals are cut into (0, s) + (s, inf)
-    """
-
-    rel_tol: float = 1e-12
-    abs_floor: float = 1e-300
-    max_levels: int = 12
-    split_point: float = 1.0
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_floor < 0.0:
-            raise ValueError("abs_floor must be >= 0")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
-        if not self.split_point > 0.0:
-            raise ValueError("split_point must be positive")
-
-
-@dataclass(frozen=True)
 class QuadResult:
-    """Integral value with an error estimate from the last refinement."""
+    """Integral value with an error estimate from the last refinement (per-row
+    arrays from integrate_zero_to_inf)."""
 
-    value: float
-    err_estimate: float
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
     levels_used: int
     converged: bool
 
-
-DEFAULT_CONFIG = QuadConfig()
 
 # ---------------------------------------------------------------------------
 # node tables, cached per refinement level (independent of the interval)
@@ -144,15 +125,16 @@ def _exp_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _run_levels(make_xw, f, cfg: QuadConfig):
+def _run_levels(make_xw, f):
     """Shared trapezoidal refinement loop.
 
     make_xw(level) yields the nodes/weights new at that level; the running
-    value obeys I_l = I_{l-1}/2 + h_l * (new contributions).  Returns vectors
-    so that batched integrands (f returning an (m, n) matrix) work unchanged.
+    value obeys I_l = I_{l-1}/2 + h_l * (new contributions).  Returns
+    per-row (values, errors, levels used, converged), so that batched
+    integrands (f returning an (m, n) matrix) work unchanged.
     """
     value = prev = err = None
-    for level in range(cfg.max_levels):
+    for level in range(MAX_LEVELS):
         xs, ws = make_xw(level)
         # underflow to 0 (and inf intermediates cancelling to 0) are routine on
         # the deepest nodes; only a non-finite *result* is an error
@@ -161,21 +143,19 @@ def _run_levels(make_xw, f, cfg: QuadConfig):
         bad = ~np.isfinite(fx)
         if bad.any():
             where = np.argwhere(bad)[0]
-            raise QuadratureError(
-                f"integrand returned {fx[tuple(where)]!r} at x={xs[where[-1]]!r}"
-            )
+            got = fx[tuple(where)]
+            message = f"integrand returned {got!r} at x={xs[where[-1]]!r}"
+            raise QuadratureError(message) if np.isnan(got) else OverflowError(message)
         h = _LEVEL0_H / 2**level
         contrib = fx @ ws
         value = h * contrib if level == 0 else 0.5 * value + h * contrib
         if level >= 2:
             err = np.abs(value - prev)
-            tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_floor)
+            tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
             if (err <= tol).all():
                 return value, err, level + 1, True
         prev = value
-    if err is None:
-        err = np.full_like(np.atleast_1d(value), np.inf)
-    return value, err, cfg.max_levels, False
+    return value, err, MAX_LEVELS, False
 
 
 def _finite_xw(a: float, b: float):
@@ -205,51 +185,51 @@ def _semi_xw(a: float):
     return make
 
 
-def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+def integrate_finite(f: Callable, a: float, b: float) -> QuadResult:
     """Integrate f over (a, b) with the tanh-sinh rule.
 
     f must accept a numpy array of abscissas.  Endpoint singularities of
-    integrable algebraic order converge without special treatment; NaN or
-    inf from the integrand is a hard error naming the abscissa.  If the
-    tolerance is not met within cfg.max_levels the result is returned with
-    converged=False and the caller decides.
+    integrable algebraic order converge without special treatment; NaN from
+    the integrand is a hard error naming the abscissa, inf an OverflowError.
+    If the tolerance is not met within MAX_LEVELS the result is returned
+    with converged=False and the caller decides.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
     if a > b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    value, err, levels, ok = _run_levels(_finite_xw(a, b), f, cfg)
+    value, err, levels, ok = _run_levels(_finite_xw(a, b), f)
     return QuadResult(float(value[0]), float(err[0]), levels, ok)
 
 
-def integrate_semi_infinite(f: Callable, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+def integrate_semi_infinite(f: Callable, a: float) -> QuadResult:
     """Integrate f over (a, inf) with the exp-sinh rule.
 
     Assumes f decays at least exponentially (true of every kernel here:
     they all contain 1/sinh, 1/cosh, or exp(-x t)).
     """
-    value, err, levels, ok = _run_levels(_semi_xw(a), f, cfg)
+    value, err, levels, ok = _run_levels(_semi_xw(a), f)
     return QuadResult(float(value[0]), float(err[0]), levels, ok)
 
 
-def integrate_zero_to_inf(f: Callable, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Integrate f over (0, inf): tanh-sinh on (0, s) plus exp-sinh on (s, inf).
-
-    Raises QuadratureError when either part, or the summed error, misses cfg.
+def integrate_zero_to_inf(f: Callable) -> QuadResult:
+    """Integrate f over (0, inf): tanh-sinh on (0, SPLIT_POINT) plus exp-sinh
+    on (SPLIT_POINT, inf).  f may return (n,) or (m, n); value and
+    err_estimate have shape (m,).  Raises QuadratureError when a row misses
+    the tolerance on either part, or in its summed error.
     """
-    r1 = integrate_finite(f, 0.0, cfg.split_point, cfg)
-    r2 = integrate_semi_infinite(f, cfg.split_point, cfg)
-    value = r1.value + r2.value
-    err = r1.err_estimate + r2.err_estimate
-    if not (
-        r1.converged
-        and r2.converged
-        and err <= max(cfg.rel_tol * abs(value), cfg.abs_floor)
-    ):
+    v1, e1, l1, ok1 = integrate_finite_batch(f, 0.0, SPLIT_POINT)
+    v2, e2, l2, ok2 = integrate_semi_infinite_batch(f, SPLIT_POINT)
+    value = v1 + v2
+    err = e1 + e2
+    tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
+    if not (ok1 and ok2 and (err <= tol).all()):
+        row = int(np.argmax(err / tol))
         raise QuadratureError(
-            f"half-line integral did not converge: value={value!r}, err={err!r}"
+            f"half-line integral did not converge: value={value[row]}, "
+            f"err={err[row]} (row {row} of {len(value)})"
         )
-    return QuadResult(value, err, max(r1.levels_used, r2.levels_used), True)
+    return QuadResult(value, err, max(l1, l2), True)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +237,13 @@ def integrate_zero_to_inf(f: Callable, cfg: QuadConfig = DEFAULT_CONFIG) -> Quad
 # ---------------------------------------------------------------------------
 
 
-def integrate_finite_batch(fmat: Callable, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG):
-    """Like integrate_finite for fmat returning an (m, n) matrix of integrands.
-
-    Refinement stops when every row meets the tolerance.  Returns
-    (values, converged) with values of shape (m,).
-    """
-    values, _err, _levels, ok = _run_levels(_finite_xw(a, b), fmat, cfg)
-    return np.atleast_1d(values), ok
+def integrate_finite_batch(fmat: Callable, a: float, b: float):
+    """Like integrate_finite for fmat returning an (m, n) matrix of integrands,
+    refined until every row meets the tolerance.  Returns (values, errors,
+    levels used, converged), values and errors of shape (m,)."""
+    return _run_levels(_finite_xw(a, b), fmat)
 
 
-def integrate_semi_infinite_batch(fmat: Callable, a: float, cfg: QuadConfig = DEFAULT_CONFIG):
+def integrate_semi_infinite_batch(fmat: Callable, a: float):
     """Batch counterpart of integrate_semi_infinite."""
-    values, _err, _levels, ok = _run_levels(_semi_xw(a), fmat, cfg)
-    return np.atleast_1d(values), ok
+    return _run_levels(_semi_xw(a), fmat)

@@ -6,10 +6,17 @@ these lru-cached accessors so each (input) combination runs once.
 """
 
 import functools
+import os
+from pathlib import Path
 
 import pytest
 
 import bernsteinlab as bl
+
+# tests that start `python -m bernsteinlab.cli` in a subprocess import the
+# same src/ as this process, also when PYTHONPATH does not name it
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # best-approximation constants used as reference lower bounds
 DELTA_INF = {0.5: 0.348648, 1.0: 0.280169}

@@ -136,6 +136,37 @@ def test_table_interp_points_row_j5(nb_solution):
     assert abs(float(j5.split(",")[2]) - 11.13) <= 0.05
 
 
+def test_table_interp_points_builds_one_cache_per_alpha(monkeypatch):
+    # deterministic work gate: the roots are taken on the fit's own cache
+    builds = []
+    build_cache = cli.nearbest.build_cache
+
+    def counting_build_cache(*args, **kwargs):
+        builds.append(args)
+        return build_cache(*args, **kwargs)
+
+    monkeypatch.setattr(cli.nearbest, "build_cache", counting_build_cache)
+    code, _ = run_main(["table", "interp_points", "--alpha", "1", "--jmax", "10"])
+    assert code == 0
+    assert builds == [(1.0,)]
+
+
+def test_prop1c_prop1d_share_one_H2_grid(monkeypatch):
+    # both entries read H2 on the same four x; a fresh suite evaluates it once
+    h2_calls = []
+    kernel_eval = cli.kernels.kernel_eval
+
+    def counting_kernel_eval(kind, alpha, x):
+        h2_calls.extend([x] if kind == "H2" else [])
+        return kernel_eval(kind, alpha, x)
+
+    monkeypatch.setattr(cli.kernels, "kernel_eval", counting_kernel_eval)
+    entries = {name: fn for name, fn, _ in cli._identities()}
+    for name in ("prop1c[alpha=1.0] 0<=H2<=C", "prop1d[alpha=1.0] |H|<=H2"):
+        assert entries[name]()[2]
+    assert h2_calls == [0.1, 1.0, 5.0, 20.0]
+
+
 def test_curve_r_diag_sign_change():
     code, out = run_main(["curve", "R_diag", "--alpha", "2.4:2.7:0.05"])
     assert code == 0

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -112,10 +113,39 @@ def test_kernel_domains():
 
 
 def test_kernel_values_matches_scalar():
+    # one point is the same code bit for bit; a batch refines until its last
+    # row converges, so it agrees to the quadrature tolerance
     xs = np.array([0.7, 2.0, 9.5])
-    batch = kernel_values(KernelKind.H1, 1.5, xs)
-    for x, v in zip(xs, batch):
-        assert abs(v - kernel_eval("H1", 1.5, x)) <= 1e-11 * abs(v)
+    for kind in KernelKind:
+        for alpha in (2.5, 6.0):
+            batch = kernel_values(kind, alpha, xs)
+            for x, v in zip(xs, batch):
+                scalar = kernel_eval(kind, alpha, x)
+                assert kernel_values(kind, alpha, [x])[0] == scalar
+                assert abs(v - scalar) <= 1e-11 * abs(v)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5, 10.0])
+def test_F_G_vs_mpmath(alpha):
+    # 30-digit mpmath quadrature, split where exp(-x t) turns over
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        for x in (0.1, 1.0, 10.0):
+            xm = mpmath.mpf(x)
+            refs = {
+                "F": lambda t: t**a / mpmath.sinh(xm * t) / (1 + t * t),
+                "G": lambda t: t**a * mpmath.exp(-xm * t) / (1 + t * t),
+            }
+            for kind, integrand in refs.items():
+                ref = mpmath.quad(integrand, [0, 1 / xm, mpmath.inf])
+                assert abs(kernel_eval(kind, alpha, x) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("kind", ["F", "G", "R"])
+def test_overflow_names_kind_alpha_x(kind):
+    # the true values are about Gamma(79) 10^237 ~ 1e352, past the double range
+    with pytest.raises(OverflowError, match=rf"kernel {kind} at alpha=80.0 and x=0.001 "):
+        kernel_eval(kind, 80.0, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from bernsteinlab import quadrature
 from bernsteinlab.quadrature import (
-    QuadConfig,
     QuadratureError,
     integrate_finite,
     integrate_semi_infinite,
@@ -74,10 +74,11 @@ def test_gamma_scalings(alpha):
 
 
 def test_split_additivity():
+    # the half-line entry against the same integral cut at 2 instead
     f = lambda t: np.exp(1.3 * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t))
-    whole = integrate_zero_to_inf(f, QuadConfig(split_point=2.0))
-    parts = integrate_zero_to_inf(f, QuadConfig(split_point=1.0))
-    assert abs(whole.value - parts.value) <= 1e-11 * abs(whole.value)
+    whole = integrate_zero_to_inf(f)
+    parts = integrate_finite(f, 0.0, 2.0).value + integrate_semi_infinite(f, 2.0).value
+    assert abs(whole.value[0] - parts) <= 1e-11 * abs(parts)
 
 
 def test_nan_is_hard_error():
@@ -85,21 +86,40 @@ def test_nan_is_hard_error():
         integrate_finite(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
 
 
+def test_inf_is_overflow_error():
+    with pytest.raises(OverflowError, match="x="):
+        integrate_finite(lambda t: np.full_like(t, np.inf), 0.0, 1.0)
+
+
+def _kink(t):
+    # |t - 1/3|^(1/2): the interior kink caps the tanh-sinh rule at about 1e-6
+    return np.abs(t - 1.0 / 3.0) ** 0.5
+
+
 def test_non_convergence_flag():
-    r = integrate_finite(lambda t: t**-0.9, 0.0, 1.0, QuadConfig(max_levels=3))
+    r = integrate_finite(_kink, 0.0, 1.0)
     assert not r.converged
+    assert r.levels_used == quadrature.MAX_LEVELS
 
 
 def test_halfline_non_convergence_raises():
     with pytest.raises(QuadratureError, match="did not converge"):
-        integrate_zero_to_inf(lambda t: t**-0.9 * np.exp(-t), QuadConfig(max_levels=3))
+        integrate_zero_to_inf(lambda t: np.abs(t - 0.5) ** 0.5 * np.exp(-t))
+
+
+def test_halfline_batch_rows():
+    # one value and one error per row of an (m, n) integrand
+    ps = np.array([[0.5], [1.0], [3.0]])
+    r = integrate_zero_to_inf(lambda t: np.exp(ps * np.log(t) - t))
+    assert r.value.shape == r.err_estimate.shape == (3,)
+    for p, v in zip(ps[:, 0], r.value):
+        assert abs(v - math.gamma(p + 1.0)) <= 1e-12 * math.gamma(p + 1.0)
 
 
 def test_converged_error_invariant():
-    cfg = QuadConfig(rel_tol=1e-10)
-    r = integrate_finite(lambda t: np.cos(t), 0.0, 2.0, cfg)
+    r = integrate_finite(lambda t: np.cos(t), 0.0, 2.0)
     assert r.converged
-    assert r.err_estimate <= max(cfg.rel_tol * abs(r.value), cfg.abs_floor)
+    assert r.err_estimate <= max(quadrature.REL_TOL * abs(r.value), quadrature.ABS_FLOOR)
 
 
 def test_degenerate_interval():
@@ -110,18 +130,3 @@ def test_degenerate_interval():
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
         integrate_finite(lambda t: t, 1.0, 0.0)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"rel_tol": 0.0},
-        {"rel_tol": -1.0},
-        {"abs_floor": -1e-3},
-        {"max_levels": 0},
-        {"split_point": 0.0},
-    ],
-)
-def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        QuadConfig(**kwargs)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import bernsteinlab
 import bernsteinlab.cli  # the tracer also wraps the CLI entry points
+from bernsteinlab import kernels, quadrature
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -28,3 +29,32 @@ def test_every_trace_target_exists_and_unwraps():
         tracer.uninstall()
     assert not hasattr(bernsteinlab.kernels.kernel_eval, "__wrapped__")
     assert not hasattr(bernsteinlab.nearbest.kernel_eval, "__wrapped__")
+
+
+def test_half_line_integral_is_counted_once(monkeypatch):
+    # one half-line integral is one call of each rule, on either side of the
+    # split, and the tracer counts every node the integrand sees exactly once
+    seen = {"nodes": 0}
+    run_levels = quadrature._run_levels
+
+    def counting_run_levels(make_xw, f):
+        def counted(t):
+            seen["nodes"] += len(t)
+            return f(t)
+
+        return run_levels(make_xw, counted)
+
+    monkeypatch.setattr(quadrature, "_run_levels", counting_run_levels)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        for call in (lambda: kernels.kernel_eval("F", 2.5, 1.0), lambda: kernels.C_const(1.0)):
+            before = tracer.counts.copy()
+            seen["nodes"] = 0
+            call()
+            added = tracer.counts - before
+            assert added["quadrature.calls"] == 2
+            assert added["quadrature.rows"] == 2
+            assert added["quadrature.nodes"] == seen["nodes"] > 0
+    finally:
+        tracer.uninstall()
