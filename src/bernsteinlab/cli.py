@@ -110,12 +110,18 @@ def _identities():
     """Properties 1-2 of the kernels, closed forms and special functions."""
     x_grid = (0.1, 1.0, 5.0, 20.0)
 
+    @functools.cache
+    def kernel(kind, alpha, x):
+        # entries share values (F and H2 on x_grid, S(3, 4)): each is
+        # evaluated once per suite, by whichever entry asks first
+        return kernels.kernel_eval(kind, alpha, x)
+
     def prop1_residual(alpha, kind, power):
         # worst relative gap in kind(alpha, x) = x^power F(alpha, x) over x_grid
         worst = 0.0
         for x in x_grid:
-            f = kernels.kernel_eval("F", alpha, x)
-            lhs, rhs = kernels.kernel_eval(kind, alpha, x), x**power * f
+            f = kernel("F", alpha, x)
+            lhs, rhs = kernel(kind, alpha, x), x**power * f
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         return worst
 
@@ -206,34 +212,27 @@ def _identities():
 
     def slope_bound(alpha, x):
         h = 1e-5
-        d = (kernels.kernel_eval("H1", alpha, x + h) - kernels.kernel_eval("H1", alpha, x - h)) / (
-            2.0 * h
-        )
-        bound = -2.0 / (x * x + alpha * alpha) * kernels.kernel_eval("S", alpha, x)
+        d = (kernel("H1", alpha, x + h) - kernel("H1", alpha, x - h)) / (2.0 * h)
+        bound = -2.0 / (x * x + alpha * alpha) * kernel("S", alpha, x)
         return max(d - bound - 1e-6, 0.0)
 
     yield "envelope slope bound at (3,4)", lambda: slope_bound(3.0, 4.0), 1e-12
     yield "envelope slope bound at (5,7)", lambda: slope_bound(5.0, 7.0), 1e-12
     yield (
         "H(alpha, k pi) = 0",
-        lambda: max(abs(kernels.kernel_eval("H", 1.3, k * pi)) for k in range(1, 6)),
+        lambda: max(abs(kernel("H", 1.3, k * pi)) for k in range(1, 6)),
         1e-12,
     )
 
     # ordered / interval checks
-    @functools.cache
-    def h2_grid(alpha):
-        # shared by prop1c and prop1d, computed by whichever runs first
-        return [kernels.kernel_eval("H2", alpha, x) for x in x_grid]
-
     def prop1c(alpha):
-        h2 = h2_grid(alpha)
+        h2 = [kernel("H2", alpha, x) for x in x_grid]
         c = kernels.C_const(alpha)
         return max(h2) / c, 1.0, all(-1e-12 <= v <= c * (1.0 + 1e-9) for v in h2)
 
     def prop1d(alpha):
-        h2 = h2_grid(alpha)
-        h = [kernels.kernel_eval("H", alpha, x) for x in x_grid]
+        h2 = [kernel("H2", alpha, x) for x in x_grid]
+        h = [kernel("H", alpha, x) for x in x_grid]
         return max(abs(a) for a in h), max(h2), all(abs(a) <= b + 1e-12 for a, b in zip(h, h2))
 
     for a in (0.5, 1.0, 2.5, 5.0):
@@ -258,15 +257,15 @@ def _identities():
     def f_bracket(alpha):
         ok = True
         for x in (1.0, alpha, 2.0 * alpha):
-            f = kernels.kernel_eval("F", alpha, x)
-            f1 = kernels.kernel_eval("F1", alpha, x)
-            f2 = kernels.kernel_eval("F2", alpha, x)
+            f = kernel("F", alpha, x)
+            f1 = kernel("F1", alpha, x)
+            f2 = kernel("F2", alpha, x)
             ok = ok and f1 <= f * (1.0 + 1e-12) and f <= f2 * (1.0 + 1e-12)
         return alpha, alpha, ok
 
     def s_increasing(alpha):
         xs = np.linspace(alpha / 2.0, 3.0 * alpha, 100)
-        vals = [kernels.kernel_eval("S", alpha, x) for x in xs]
+        vals = [kernel("S", alpha, x) for x in xs]
         return min(np.diff(vals)), 0.0, all(b > a for a, b in zip(vals, vals[1:]))
 
     for a in (2.5, 4.0, 8.0):
@@ -473,7 +472,8 @@ def run_verify(suite: str, tol=None, out=None) -> int:
     out = out or sys.stdout
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
-    checks = [check for check in CHECKS if suite in ("all", check[0])]
+    # the suites declared afresh, so that values their entries share last one run
+    checks = [(s, *c) for s, declare in SUITES.items() if suite in ("all", s) for c in declare()]
     failures = 0
     for check in checks:
         value, bound, ok = evaluate(check, tol)
@@ -521,9 +521,12 @@ def run_table(name: str, args) -> int:
         rows = []
         for alpha in parse_range(args.alpha):
             sol = nearbest.optimize_c(alpha)
-            # the fit's cache serves if it reaches as far as interp_points would build one
-            cache = sol.cache if (args.jmax + 2.0) * pi <= sol.cache.xs[-1] else None
-            pts = nearbest.interp_points(alpha, sol.c1, sol.c2, args.jmax, cache=cache)
+            if args.jmax <= len(sol.interp_points):  # the fit holds these roots
+                pts = sol.interp_points[: args.jmax]
+            else:
+                # the fit's cache serves if it reaches as far as interp_points would build one
+                cache = sol.cache if (args.jmax + 2.0) * pi <= sol.cache.xs[-1] else None
+                pts = nearbest.interp_points(alpha, sol.c1, sol.c2, args.jmax, cache=cache)
             rows += [(alpha, j + 1, x) for j, x in enumerate(pts)]
         emit(("alpha", "j", "x_j_star"), rows, meta, args.format, args.out)
     elif name == "convergence":

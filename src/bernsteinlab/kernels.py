@@ -28,13 +28,16 @@ so nothing overflows on the exp-sinh tail nodes, even for a = 80; a value
 itself past the double range (F(80, 1e-3) ~ 1e352) raises OverflowError.
 
 J, A0, F and G are integrated as (x, t) matrices, 512 x per call of
-quadrature.integrate_zero_to_inf, and the other kinds combine them: one
-path, kernel_values, serves every kind, and kernel_eval is one point of it.
+quadrature.integrate_zero_to_inf; each matrix is built in one or two buffers
+with out=, in the operation order of the expression in its docstring, so it
+equals that expression bit for bit.  The other kinds combine them: one path,
+kernel_values, serves every kind, and kernel_eval is one point of it.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -113,36 +116,50 @@ def D_const(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _batched_family(fmat, xs: np.ndarray) -> np.ndarray:
-    """int_0^inf fmat(x, t) dt for every x in xs, _BATCH_CHUNK rows per call;
-    fmat gets x as an (m, 1) column and t as an (n,) row."""
+def _batched_family(fmat, alpha: float, xs: np.ndarray) -> np.ndarray:
+    """int_0^inf fmat(alpha, x, t) dt for every x in xs, _BATCH_CHUNK rows per
+    call; fmat gets x as an (m, 1) column and t as an (n,) row."""
     out = np.empty(len(xs))
     for lo in range(0, len(xs), _BATCH_CHUNK):
         chunk = xs[lo : lo + _BATCH_CHUNK, None]
-        out[lo : lo + _BATCH_CHUNK] = integrate_zero_to_inf(lambda t: fmat(chunk, t)).value
+        out[lo : lo + _BATCH_CHUNK] = integrate_zero_to_inf(lambda t: fmat(alpha, chunk, t)).value
     return out
 
 
-def _J_values(alpha: float, xs: np.ndarray) -> np.ndarray:
-    return _batched_family(lambda x, t: _pow_over_sinh(alpha, t) * (x / (x * x + t * t)), xs)
+def _J_mat(alpha: float, x, t):
+    """_pow_over_sinh(alpha, t) * (x / (x * x + t * t))"""
+    out = np.add(x * x, t * t)
+    return np.multiply(_pow_over_sinh(alpha, t), np.divide(x, out, out=out), out=out)
 
 
-def _A0_values(alpha: float, xs: np.ndarray) -> np.ndarray:
-    return _batched_family(
-        lambda x, t: _pow_over_cosh(alpha - 1.0, t) * (x * x / (x * x + t * t)), xs
-    )
+def _A0_mat(alpha: float, x, t):
+    """_pow_over_cosh(alpha - 1.0, t) * (x * x / (x * x + t * t))"""
+    xx = x * x
+    out = np.add(xx, t * t)
+    return np.multiply(_pow_over_cosh(alpha - 1.0, t), np.divide(xx, out, out=out), out=out)
 
 
-def _F_values(alpha: float, xs: np.ndarray) -> np.ndarray:
-    def fmat(x, t):
-        xt = x * t
-        return np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
+def _F_mat(alpha: float, x, t):
+    """np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
+    with xt = x * t"""
+    xt = np.multiply(x, t)
+    out = np.subtract(alpha * np.log(t), xt)
+    np.multiply(np.exp(out, out=out), 2.0, out=out)
+    np.negative(np.expm1(np.multiply(-2.0, xt, out=xt), out=xt), out=xt)
+    return np.divide(np.divide(out, xt, out=out), 1.0 + t * t, out=out)
 
-    return _batched_family(fmat, xs)
+
+def _G_mat(alpha: float, x, t):
+    """np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t)"""
+    out = np.multiply(x, t)
+    np.exp(np.subtract(alpha * np.log(t), out, out=out), out=out)
+    return np.divide(out, 1.0 + t * t, out=out)
 
 
-def _G_values(alpha: float, xs: np.ndarray) -> np.ndarray:
-    return _batched_family(lambda x, t: np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t), xs)
+_J_values = partial(_batched_family, _J_mat)
+_A0_values = partial(_batched_family, _A0_mat)
+_F_values = partial(_batched_family, _F_mat)
+_G_values = partial(_batched_family, _G_mat)
 
 
 def _R_values(a: float, x: np.ndarray) -> np.ndarray:

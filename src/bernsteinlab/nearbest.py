@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import chebinterp, specfun
 from ._search import bisect_root, golden_max
@@ -260,6 +259,12 @@ def _polished_sup(cache: GridCache, c1: float, c2: float) -> float:
         lambda x: np.abs(_interpolated_error(cache, c1, c2, x)), lo, hi, xtol=1e-6
     )
     return max(top, abs(_prefactor(cache.alpha) * c2), v.max())
+
+
+def minimize(*args, **kwargs):
+    """scipy's minimize, imported on first call (most of the import time)."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSolution:

@@ -21,11 +21,14 @@ Exponent range: node offsets below ~1e-300 are discarded, so singularities
 t**(alpha-1) are handled at full accuracy for alpha down to roughly 0.05.
 
 Every rule works to the fixed tolerances below.  integrate_zero_to_inf is
-the one (0, inf) entry and the only code that knows SPLIT_POINT; it raises
-rather than return an unconverged value.  A NaN integrand is a
-QuadratureError, an infinite one an OverflowError.
+the one (0, inf) entry; it raises rather than return an unconverged value.
+Its two parts, (0, SPLIT_POINT) and (SPLIT_POINT, inf), share read-only
+node tables built once per level.  A NaN integrand is a QuadratureError, an
+infinite one an OverflowError, naming the node; each level checks the row
+sums for finiteness and scans the integrand matrix only when one is not.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,27 +137,28 @@ def _run_levels(make_xw, f):
     integrands (f returning an (m, n) matrix) work unchanged.
     """
     value = prev = err = None
-    for level in range(MAX_LEVELS):
-        xs, ws = make_xw(level)
-        # underflow to 0 (and inf intermediates cancelling to 0) are routine on
-        # the deepest nodes; only a non-finite *result* is an error
-        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    # underflow to 0 (and inf intermediates cancelling to 0) are routine on
+    # the deepest nodes; only a non-finite *result* is an error
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        for level in range(MAX_LEVELS):
+            xs, ws = make_xw(level)
             fx = np.atleast_2d(f(xs))
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            where = np.argwhere(bad)[0]
-            got = fx[tuple(where)]
-            message = f"integrand returned {got!r} at x={xs[where[-1]]!r}"
-            raise QuadratureError(message) if np.isnan(got) else OverflowError(message)
-        h = _LEVEL0_H / 2**level
-        contrib = fx @ ws
-        value = h * contrib if level == 0 else 0.5 * value + h * contrib
-        if level >= 2:
-            err = np.abs(value - prev)
-            tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
-            if (err <= tol).all():
-                return value, err, level + 1, True
-        prev = value
+            contrib = fx @ ws
+            # weights are positive, so a non-finite entry makes its row sum
+            # non-finite: fx itself is scanned only when a sum is
+            if not np.isfinite(contrib).all() and not np.isfinite(fx).all():
+                where = np.argwhere(~np.isfinite(fx))[0]
+                got = fx[tuple(where)]
+                message = f"integrand returned {got!r} at x={xs[where[-1]]!r}"
+                raise QuadratureError(message) if np.isnan(got) else OverflowError(message)
+            h = _LEVEL0_H / 2**level
+            value = h * contrib if level == 0 else 0.5 * value + h * contrib
+            if level >= 2:
+                err = np.abs(value - prev)
+                tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
+                if (err <= tol).all():
+                    return value, err, level + 1, True
+            prev = value
     return value, err, MAX_LEVELS, False
 
 
@@ -183,6 +187,15 @@ def _semi_xw(a: float):
         return a + eu, w
 
     return make
+
+
+@functools.cache
+def _split_part_xw(finite: bool, level: int):
+    """One level's (xs, ws) of (0, SPLIT_POINT) or (SPLIT_POINT, inf), the two
+    parts of integrate_zero_to_inf: built once and kept read-only."""
+    xs, ws = (_finite_xw(0.0, SPLIT_POINT) if finite else _semi_xw(SPLIT_POINT))(level)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
 
 
 def integrate_finite(f: Callable, a: float, b: float) -> QuadResult:
@@ -241,9 +254,11 @@ def integrate_finite_batch(fmat: Callable, a: float, b: float):
     """Like integrate_finite for fmat returning an (m, n) matrix of integrands,
     refined until every row meets the tolerance.  Returns (values, errors,
     levels used, converged), values and errors of shape (m,)."""
-    return _run_levels(_finite_xw(a, b), fmat)
+    fixed = (a, b) == (0.0, SPLIT_POINT)
+    return _run_levels(functools.partial(_split_part_xw, True) if fixed else _finite_xw(a, b), fmat)
 
 
 def integrate_semi_infinite_batch(fmat: Callable, a: float):
     """Batch counterpart of integrate_semi_infinite."""
-    return _run_levels(_semi_xw(a), fmat)
+    fixed = a == SPLIT_POINT
+    return _run_levels(functools.partial(_split_part_xw, False) if fixed else _semi_xw(a), fmat)

@@ -151,6 +151,39 @@ def test_table_interp_points_builds_one_cache_per_alpha(monkeypatch):
     assert builds == [(1.0,)]
 
 
+def test_table_interp_points_takes_the_fits_roots(monkeypatch):
+    # the fit finds 11 roots once, inside optimize_c; jmax 10 bisects none again
+    j_maxes = []
+    interp_points = cli.nearbest.interp_points
+
+    def counting_interp_points(alpha, c1, c2, j_max, **kwargs):
+        j_maxes.append(j_max)
+        return interp_points(alpha, c1, c2, j_max, **kwargs)
+
+    monkeypatch.setattr(cli.nearbest, "interp_points", counting_interp_points)
+    code, out = run_main(["table", "interp_points", "--alpha", "1", "--jmax", "10"])
+    assert code == 0
+    assert j_maxes == [11]
+    assert len(out.strip().splitlines()) == 4 + 10  # 3 comment lines, the header, 10 rows
+
+
+def test_verify_identities_evaluates_each_kernel_value_once(monkeypatch):
+    # entries share values within a run, and no value outlives its run
+    calls = []
+    kernel_eval = cli.kernels.kernel_eval
+
+    def recording_kernel_eval(kind, alpha, x):
+        calls.append((kind, alpha, x))
+        return kernel_eval(kind, alpha, x)
+
+    monkeypatch.setattr(cli.kernels, "kernel_eval", recording_kernel_eval)
+    for _ in range(2):
+        assert cli.run_verify("identities", out=io.StringIO()) == 0
+    first = calls[: len(calls) // 2]
+    assert calls == first + first
+    assert first and len(set(first)) == len(first)
+
+
 def test_prop1c_prop1d_share_one_H2_grid(monkeypatch):
     # both entries read H2 on the same four x; a fresh suite evaluates it once
     h2_calls = []

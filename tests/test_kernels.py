@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bernsteinlab import kernels, specfun
+from bernsteinlab import kernels, quadrature, specfun
 from bernsteinlab.entire import beta_point
 from bernsteinlab.kernels import (
     C_const,
@@ -146,6 +146,34 @@ def test_overflow_names_kind_alpha_x(kind):
     # the true values are about Gamma(79) 10^237 ~ 1e352, past the double range
     with pytest.raises(OverflowError, match=rf"kernel {kind} at alpha=80.0 and x=0.001 "):
         kernel_eval(kind, 80.0, 1e-3)
+
+
+# the integrand matrices as plain expressions: the in-place builds must
+# reproduce them bit for bit
+_REFERENCE_MATS = {
+    "J": lambda a, x, t: kernels._pow_over_sinh(a, t) * (x / (x * x + t * t)),
+    "A0": lambda a, x, t: kernels._pow_over_cosh(a - 1.0, t) * (x * x / (x * x + t * t)),
+    "F": lambda a, x, t: (
+        lambda xt: np.exp(a * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
+    )(x * t),
+    "G": lambda a, x, t: np.exp(a * np.log(t) - x * t) / (1.0 + t * t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_MATS))
+def test_in_place_integrands_are_bit_equal(name):
+    build = getattr(kernels, f"_{name}_mat")
+    x = np.geomspace(1e-3, 1e3, 49)[:, None]
+    split = quadrature.SPLIT_POINT
+    parts = (quadrature._finite_xw(0.0, split), quadrature._semi_xw(split))
+    with np.errstate(all="ignore"):  # F at alpha = 80, x = 1e-3 overflows, as it should
+        for part in parts:
+            for level in range(quadrature.MAX_LEVELS):
+                t, _ = part(level)
+                for alpha in (0.05, 1.0, 2.5, 80.0):
+                    got, ref = build(alpha, x, t), _REFERENCE_MATS[name](alpha, x, t)
+                    assert got.shape == ref.shape == (len(x), len(t))
+                    assert np.array_equal(got, ref), (alpha, level)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +184,13 @@ def test_optimize_c_makes_no_quadrature_call(monkeypatch):
     monkeypatch.setattr(nearbest, "minimize", counting_minimize)
     nearbest.optimize_c(1.0)
     assert calls == {"total": 0, "in_minimize": 0}
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time; only optimize_c loads it
+    code = "import sys, bernsteinlab, bernsteinlab.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])

@@ -130,3 +130,60 @@ def test_degenerate_interval():
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
         integrate_finite(lambda t: t, 1.0, 0.0)
+
+
+def _three_rows_with(value):
+    """A 3-row integrand equal to exp(-t), but for `value` at node 5 of row 1
+    on the first call; records the nodes of that call."""
+    seen = []
+
+    def f(t):
+        rows = np.vstack([np.exp(-t)] * 3)
+        if not seen:
+            seen.append(t.copy())
+            rows[1, 5] = value
+        return rows
+
+    return f, seen
+
+
+@pytest.mark.parametrize("value,error", [(np.inf, OverflowError), (np.nan, QuadratureError)])
+def test_non_finite_entry_names_its_x(value, error):
+    # the row sums flag the bad row; the error still names the node it came from
+    f, seen = _three_rows_with(value)
+    with pytest.raises(error) as exc:
+        integrate_zero_to_inf(f)
+    assert str(exc.value) == f"integrand returned {np.float64(value)!r} at x={seen[0][5]!r}"
+
+
+def test_finite_rows_whose_sums_overflow_do_not_converge():
+    # every entry is finite, so there is no node to name: the sums are inf and
+    # the half-line entry reports the unconverged row
+    with pytest.raises(QuadratureError, match="did not converge"):
+        integrate_zero_to_inf(lambda t: np.full((3, len(t)), 1e308))
+
+
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        lambda f: quadrature.integrate_finite_batch(f, 0.0, quadrature.SPLIT_POINT)[:2],
+        lambda f: quadrature.integrate_semi_infinite_batch(f, quadrature.SPLIT_POINT)[:2],
+        lambda f: (lambda r: (r.value, r.err_estimate))(integrate_zero_to_inf(f)),
+    ],
+    ids=["finite_part", "semi_infinite_part", "zero_to_inf"],
+)
+def test_fixed_part_nodes_are_read_only(integrate):
+    # the nodes of (0, SPLIT_POINT) and (SPLIT_POINT, inf) are built once and
+    # shared, so an integrand that writes to them must fail, not corrupt them
+    def f(t):
+        return np.exp(-t) / (1.0 + t * t)
+
+    def writer(t):
+        t *= 2.0
+        return f(t)
+
+    value, err = integrate(f)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(writer)
+    again = integrate(f)
+    assert np.array_equal(value, again[0]) and np.array_equal(err, again[1])
