@@ -97,13 +97,14 @@ def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
 # ---------------------------------------------------------------------------
 # verification checks
 # ---------------------------------------------------------------------------
-# CHECKS is the one registry behind `verify`, and the tests run each entry as
-# its own case.  An entry is (suite, name, fn, tol); names are unique.  A
-# residual check has a tol, and fn() returns a residual that passes when
-# <= tol; --tol replaces that tol.  An ordered or interval check has tol None,
-# and fn() returns (measured, bound, ok); --tol leaves it alone.  The suite
-# generators below only declare checks: each fn looks up the library functions
-# it calls when it runs, so building CHECKS at import computes nothing.
+# SUITES declares the checks, afresh on each `verify`; CHECKS is that list
+# declared once, and the tests run each entry as its own case.  An entry is
+# (suite, name, fn, tol); names are unique.  A residual check has a tol, and
+# fn() returns a residual that passes when <= tol; --tol replaces that tol.
+# An ordered or interval check has tol None, and fn() returns (measured,
+# bound, ok); --tol leaves it alone.  The generators only declare checks:
+# each fn looks up the library functions it calls when it runs, so building
+# CHECKS at import computes nothing.
 
 
 def _identities():
@@ -112,8 +113,7 @@ def _identities():
 
     @functools.cache
     def kernel(kind, alpha, x):
-        # entries share values (F and H2 on x_grid, S(3, 4)): each is
-        # evaluated once per suite, by whichever entry asks first
+        # F and H2 on x_grid and S(3, 4) are shared: evaluated once per run
         return kernels.kernel_eval(kind, alpha, x)
 
     def prop1_residual(alpha, kind, power):
@@ -455,7 +455,14 @@ def _asymptotics():
 
 
 SUITES = {"identities": _identities, "limits": _limits, "asymptotics": _asymptotics}
-CHECKS = [(suite, *check) for suite, declare in SUITES.items() for check in declare()]
+
+
+def _declare(suite: str) -> list:
+    """The (suite, name, fn, tol) entries of one suite, or of all of them."""
+    return [(s, *c) for s, declare in SUITES.items() if suite in ("all", s) for c in declare()]
+
+
+CHECKS = _declare("all")
 
 
 def evaluate(check, tol=None):
@@ -472,8 +479,8 @@ def run_verify(suite: str, tol=None, out=None) -> int:
     out = out or sys.stdout
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
-    # the suites declared afresh, so that values their entries share last one run
-    checks = [(s, *c) for s, declare in SUITES.items() if suite in ("all", s) for c in declare()]
+    # declared afresh, so that values the entries share last one run
+    checks = _declare(suite)
     failures = 0
     for check in checks:
         value, bound, ok = evaluate(check, tol)

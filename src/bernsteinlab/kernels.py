@@ -28,10 +28,9 @@ so nothing overflows on the exp-sinh tail nodes, even for a = 80; a value
 itself past the double range (F(80, 1e-3) ~ 1e352) raises OverflowError.
 
 J, A0, F and G are integrated as (x, t) matrices, 512 x per call of
-quadrature.integrate_zero_to_inf; each matrix is built in one or two buffers
-with out=, in the operation order of the expression in its docstring, so it
-equals that expression bit for bit.  The other kinds combine them: one path,
-kernel_values, serves every kind, and kernel_eval is one point of it.
+quadrature.integrate_zero_to_inf, each built in place (out=) in the order of
+the expression in its docstring, so bit for bit equal to it.  The other kinds
+combine them: one path, kernel_values, serves every kind.
 """
 
 import math
@@ -134,14 +133,12 @@ def _J_mat(alpha: float, x, t):
 
 def _A0_mat(alpha: float, x, t):
     """_pow_over_cosh(alpha - 1.0, t) * (x * x / (x * x + t * t))"""
-    xx = x * x
-    out = np.add(xx, t * t)
-    return np.multiply(_pow_over_cosh(alpha - 1.0, t), np.divide(xx, out, out=out), out=out)
+    out = np.add(x * x, t * t)
+    return np.multiply(_pow_over_cosh(alpha - 1.0, t), np.divide(x * x, out, out=out), out=out)
 
 
 def _F_mat(alpha: float, x, t):
-    """np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
-    with xt = x * t"""
+    """np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t), xt = x * t"""
     xt = np.multiply(x, t)
     out = np.subtract(alpha * np.log(t), xt)
     np.multiply(np.exp(out, out=out), 2.0, out=out)

@@ -22,10 +22,9 @@ t**(alpha-1) are handled at full accuracy for alpha down to roughly 0.05.
 
 Every rule works to the fixed tolerances below.  integrate_zero_to_inf is
 the one (0, inf) entry; it raises rather than return an unconverged value.
-Its two parts, (0, SPLIT_POINT) and (SPLIT_POINT, inf), share read-only
-node tables built once per level.  A NaN integrand is a QuadratureError, an
-infinite one an OverflowError, naming the node; each level checks the row
-sums for finiteness and scans the integrand matrix only when one is not.
+The batch rules build an interval's nodes once per level, read-only.  A NaN
+integrand is a QuadratureError, an infinite one an OverflowError, naming the
+node; each level scans the integrand only when a row sum is not finite.
 """
 
 import functools
@@ -144,8 +143,7 @@ def _run_levels(make_xw, f):
             xs, ws = make_xw(level)
             fx = np.atleast_2d(f(xs))
             contrib = fx @ ws
-            # weights are positive, so a non-finite entry makes its row sum
-            # non-finite: fx itself is scanned only when a sum is
+            # weights are positive: a non-finite entry makes its row sum so
             if not np.isfinite(contrib).all() and not np.isfinite(fx).all():
                 where = np.argwhere(~np.isfinite(fx))[0]
                 got = fx[tuple(where)]
@@ -190,10 +188,10 @@ def _semi_xw(a: float):
 
 
 @functools.cache
-def _split_part_xw(finite: bool, level: int):
-    """One level's (xs, ws) of (0, SPLIT_POINT) or (SPLIT_POINT, inf), the two
-    parts of integrate_zero_to_inf: built once and kept read-only."""
-    xs, ws = (_finite_xw(0.0, SPLIT_POINT) if finite else _semi_xw(SPLIT_POINT))(level)
+def _batch_xw(a: float, b: float | None, level: int):
+    """One level's (xs, ws) of (a, b), or of (a, inf) when b is None, for the
+    batch rules: built once per interval and level, and kept read-only."""
+    xs, ws = (_semi_xw(a) if b is None else _finite_xw(a, b))(level)
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
@@ -254,11 +252,9 @@ def integrate_finite_batch(fmat: Callable, a: float, b: float):
     """Like integrate_finite for fmat returning an (m, n) matrix of integrands,
     refined until every row meets the tolerance.  Returns (values, errors,
     levels used, converged), values and errors of shape (m,)."""
-    fixed = (a, b) == (0.0, SPLIT_POINT)
-    return _run_levels(functools.partial(_split_part_xw, True) if fixed else _finite_xw(a, b), fmat)
+    return _run_levels(functools.partial(_batch_xw, a, b), fmat)
 
 
 def integrate_semi_infinite_batch(fmat: Callable, a: float):
     """Batch counterpart of integrate_semi_infinite."""
-    fixed = a == SPLIT_POINT
-    return _run_levels(functools.partial(_split_part_xw, False) if fixed else _semi_xw(a), fmat)
+    return _run_levels(functools.partial(_batch_xw, a, None), fmat)
