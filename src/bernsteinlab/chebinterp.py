@@ -23,6 +23,9 @@ from ._search import refine_grid_maxima
 __all__ = ["NodeSystem", "InterpError", "build_nodes", "interp_eval", "scaled_interp_eval", "sup_error"]
 
 _GRID_PER_N = 40  # theta-uniform sup_error grid points per unit of n
+# entries of _bary's (rows, nodes) block: 2^16 doubles (512 kB) stay in cache,
+# where one matrix of all the rows of a large batch spills to memory
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,25 +94,49 @@ def _bary(system: NodeSystem, fvals: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Second barycentric form, vectorized over x; exact at the nodes.
 
     Both sums are taken row by row (numpy's pairwise summation), in place in
-    the one (len(x), nodes) matrix: a point gets the same bits whatever batch
-    it is evaluated in, which a matrix-vector product does not promise.
+    one (rows, nodes) block of about _BLOCK_ENTRIES entries that is reused
+    for every block of rows: a point gets the same bits whatever batch it is
+    evaluated in, which a matrix-vector product does not promise.  A row
+    whose result is not finite has x on a node, or so close to the node 0
+    that w / (x - 0) overflows; it takes the value at its nearest node.  A
+    NaN x stays NaN.
     """
-    diff = x[:, None] - system.nodes[None, :]
-    hit = diff == 0.0
-    on_node = hit.any(axis=1)
-    diff[on_node] = np.where(hit[on_node], 1.0, diff[on_node])  # avoid 0-division
-    ratio = np.divide(system.bary_weights[None, :], diff, out=diff)
-    den = ratio.sum(axis=1)
-    ratio *= fvals
-    out = ratio.sum(axis=1) / den
-    if on_node.any():
-        out[on_node] = fvals[hit[on_node].argmax(axis=1)]
+    nodes = system.nodes
+    rows = max(1, _BLOCK_ENTRIES // len(nodes))
+    block = np.empty((min(rows, len(x)), len(nodes)))
+    out = np.empty(len(x))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, len(x), rows):
+            xs = x[lo : lo + rows]
+            ratio = block[: len(xs)]
+            np.subtract(xs[:, None], nodes, out=ratio)
+            np.divide(system.bary_weights, ratio, out=ratio)
+            den = ratio.sum(axis=1)
+            ratio *= fvals
+            out[lo : lo + rows] = ratio.sum(axis=1) / den
+    snap = ~np.isfinite(out) & np.isfinite(x)
+    if snap.any():
+        out[snap] = fvals[np.abs(x[snap, None] - nodes).argmin(axis=1)]
     return out
 
 
+def _check_alpha(alpha: float) -> None:
+    # |t|^alpha at the node t = 0 must be finite
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"requires a finite alpha >= 0, got {alpha}")
+
+
 def interp_eval(system: NodeSystem, alpha: float, x) -> float:
-    """Evaluate the Lagrange interpolant of |t|^alpha at x in [-1, 1]."""
+    """Evaluate the Lagrange interpolant of |t|^alpha at x in [-1, 1].
+
+    Raises ValueError naming alpha unless it is finite and >= 0, and naming
+    x unless every x lies in [-1, 1].
+    """
+    _check_alpha(alpha)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    outside = ~(np.abs(xs) <= 1.0)
+    if outside.any():
+        raise ValueError(f"x must lie in [-1, 1], got {xs[outside][0]}")
     out = _bary(system, _values(system, alpha), xs)
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
@@ -117,7 +144,7 @@ def interp_eval(system: NodeSystem, alpha: float, x) -> float:
 def scaled_interp_eval(system: NodeSystem, alpha: float, x_big: float) -> float:
     """(2n)^alpha * P(x_big / (2n)): the interpolant viewed at the large scale."""
     two_n = 2.0 * system.n
-    if abs(x_big) > two_n:
+    if not abs(x_big) <= two_n:
         raise ValueError(f"|x_big| must be <= 2n = {two_n}, got {x_big}")
     return two_n**alpha * interp_eval(system, alpha, x_big / two_n)
 
@@ -129,11 +156,11 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     grid x = cos(theta) with 40 n points resolves every oscillation of the
     error, and all grid maxima are polished together by one array golden
     section, whose every step is one batched _bary call; the end x = 1,
-    where the P1 error peaks, is kept when it is the larger.
+    where the P1 error peaks, is kept when it is the larger.  _bary bounds
+    its own memory by working in blocks of rows, so each batch is one call.
     """
     n = system.n
-    if not math.isfinite(alpha):
-        raise ValueError(f"sup_error requires a finite alpha, got {alpha}")
+    _check_alpha(alpha)
     if 2 * n <= alpha:
         raise ValueError("need 2n > alpha for a meaningful scaled error")
     fvals = _values(system, alpha)
@@ -143,12 +170,7 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     xs[0] = 0.0
 
     def abserr(x: np.ndarray) -> np.ndarray:
-        # in blocks of 4096 points, so that _bary's matrix stays bounded
-        out = np.empty(len(x))
-        for lo in range(0, len(x), 4096):
-            chunk = x[lo : lo + 4096]
-            out[lo : lo + 4096] = np.abs(chunk**alpha - _bary(system, fvals, chunk))
-        return out
+        return np.abs(x**alpha - _bary(system, fvals, x))
 
     peaks, values = refine_grid_maxima(abserr, xs, abserr(xs), xtol=1e-10)
     k = int(np.argmax(values))

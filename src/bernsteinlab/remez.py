@@ -13,6 +13,7 @@ least n+2 points at every iteration.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,17 @@ def _cheb_vander(u: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _eval_cheb(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Clenshaw recurrence
+    # Clenshaw recurrence b1 <- 2 u b1 - b2 + c in three rotating buffers;
+    # 2.0 * u * b1 evaluates as (2.0 * u) * b1, so hoisting u2 keeps the bits
+    u2 = 2.0 * u
     b1 = np.zeros_like(u)
     b2 = np.zeros_like(u)
+    tmp = np.empty_like(u)
     for c in coeffs[:0:-1]:
-        b1, b2 = 2.0 * u * b1 - b2 + c, b1
+        np.multiply(u2, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
     return u * b1 - b2 + coeffs[0]
 
 
@@ -115,12 +122,16 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
 
     n is the degree in y = x^2 (n = 0 gives the best constant).  y_hi scales
     the working interval to [0, y_hi], i.e. x in [-sqrt(y_hi), sqrt(y_hi)].
-    Raises RemezError (carrying the last reference) on exchange stagnation.
+    Raises RemezError (carrying the last reference) on exchange stagnation,
+    and ValueError naming alpha, n or y_hi when one is outside its domain:
+    alpha and y_hi finite and positive, n an integer >= 0.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    if not 0.0 < y_hi < math.inf:
+        raise ValueError(f"y_hi must be finite and positive, got {y_hi}")
     if alpha == 2.0 * round(alpha / 2.0) and n >= alpha / 2.0:
         return _exact_even_case(alpha, n, y_hi)
 
@@ -197,8 +208,8 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
 
 def scaling_check(alpha: float, n: int, b: float) -> float:
     """Ratio of best errors on [-b, b] vs [-1, 1]; equals b^alpha in sup norm."""
-    if not b > 0.0:
-        raise ValueError(f"b must be positive, got {b}")
+    if not (b > 0.0 and 0.0 < b * b < math.inf):
+        raise ValueError(f"b must be positive with a finite, nonzero square, got {b}")
     on_b = best_poly(alpha, n, y_hi=b * b)
     on_1 = best_poly(alpha, n)
     return on_b.E_n / on_1.E_n
@@ -207,13 +218,14 @@ def scaling_check(alpha: float, n: int, b: float) -> float:
 def bernstein_extrapolate(alpha: float, n_list) -> float:
     """Extrapolate (2n)^alpha E_2n to its n -> inf limit.
 
-    Fits s_n = L + b/n + c/n^2 by least squares over the given n's and
-    returns L.  The fit model is a pragmatic choice; tolerances downstream
-    are kept loose accordingly.
+    Fits s_n = L + b/n + c/n^2 by least squares over the given n's, of
+    which at least 3 must be distinct and all >= 1, and returns L.  The fit
+    model is a pragmatic choice; tolerances downstream are kept loose
+    accordingly.
     """
     ns = sorted(int(n) for n in n_list)
-    if len(ns) < 3:
-        raise ValueError("need at least 3 entries in n_list")
+    if len(set(ns)) < 3 or ns[0] < 1:
+        raise ValueError(f"n_list needs at least 3 distinct n >= 1, got {ns}")
     s = np.array([(2.0 * n) ** alpha * best_poly(alpha, n).E_n for n in ns])
     inv = 1.0 / np.array(ns, dtype=float)
     design = np.vstack([np.ones_like(inv), inv, inv**2]).T

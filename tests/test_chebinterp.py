@@ -106,6 +106,39 @@ def test_sup_error_requires_enough_degree():
         sup_error(build_nodes("P2", 1), 2.5)
     with pytest.raises(ValueError, match="finite alpha"):
         sup_error(build_nodes("P2", 8), math.nan)
+    with pytest.raises(ValueError, match="alpha >= 0"):
+        sup_error(build_nodes("P2", 8), -1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+def test_interp_eval_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        interp_eval(build_nodes("P2", 8), alpha, 0.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 2.0, -1.0000000000000002, [0.5, math.nan]])
+def test_interp_eval_rejects_x_outside_the_interval(x):
+    with pytest.raises(ValueError, match=r"x must lie in \[-1, 1\]"):
+        interp_eval(build_nodes("P1", 8), 1.0, x)
+
+
+def test_scaled_eval_rejects_nan():
+    with pytest.raises(ValueError, match="x_big"):
+        scaled_interp_eval(build_nodes("P2", 4), 1.0, math.nan)
+
+
+@pytest.mark.parametrize("scheme,x", [("P1", 1e-310), ("P2", 5e-324), ("P1", -5e-324)])
+def test_subnormal_x_next_to_node_zero_takes_its_value(scheme, x):
+    # w / (x - 0) overflows without an exact hit; the row takes the value at
+    # its nearest node, |0|^alpha = 0, and raises no RuntimeWarning
+    assert interp_eval(build_nodes(scheme, 8), 1.0, x) == 0.0
+
+
+def test_bary_never_snaps_nan_to_a_node():
+    s = build_nodes("P1", 8)
+    out = chebinterp._bary(s, np.abs(s.nodes), np.array([math.nan, 0.0, s.nodes[2]]))
+    assert math.isnan(out[0])
+    assert out[1] == 0.0 and out[2] == abs(s.nodes[2])
 
 
 def test_p2_scaled_error_converges_to_kernel_norm(scaled_err, h_norm):
@@ -153,10 +186,15 @@ def test_p1_sup_error_counts_the_end_x1(n):
 @pytest.mark.parametrize("scheme", ["P1", "P2"])
 def test_bary_point_is_independent_of_its_batch(scheme, n):
     # a point gets the same bits alone as in any batch; the polish evaluates
-    # batches whose size changes every step
+    # batches whose size changes every step.  The batch spans several of
+    # _bary's blocks, with node hits (x = 0 among them) only after the first
     s = build_nodes(scheme, n)
     fvals = np.abs(s.nodes) ** 0.7
-    xs = np.concatenate([np.linspace(-1.0, 1.0, 3001), s.nodes[:: max(1, n // 8)]])
+    rows = chebinterp._BLOCK_ENTRIES // len(s.nodes)
+    xs = np.concatenate(
+        [np.linspace(-1.0, 1.0, max(3001, 3 * rows + 1)), s.nodes[:: max(1, n // 8)], [0.0, -0.0]]
+    )
+    assert len(xs) > 3 * rows
     batch = chebinterp._bary(s, fvals, xs)
     single = np.array([chebinterp._bary(s, fvals, xs[i : i + 1])[0] for i in range(len(xs))])
     assert np.array_equal(batch, single)
@@ -184,7 +222,7 @@ def test_p2_sup_error_matches_mpmath_at_its_argmax(alpha):
 
 def test_sup_error_polishes_in_few_batched_calls(monkeypatch):
     # deterministic work gate: the grid scan and every golden step are one
-    # _bary call each (in blocks of 4096 points), not one call per point
+    # _bary call each (which blocks its rows privately), not one per point
     calls = []
     bary = chebinterp._bary
 

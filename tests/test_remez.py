@@ -97,6 +97,13 @@ def test_extrapolation_needs_three_points():
         remez.bernstein_extrapolate(1.0, [8, 16])
 
 
+@pytest.mark.parametrize("n_list", [[8, 8, 8], [8, 16, 16], [0, 8, 16], [-8, 8, 16]])
+def test_extrapolation_needs_three_distinct_positive_n(n_list):
+    # [8, 8, 8] would fit a rank-deficient model, [0, 8, 16] divide by zero
+    with pytest.raises(ValueError, match="n_list"):
+        remez.bernstein_extrapolate(1.0, n_list)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         remez.best_poly(-1.0, 4)
@@ -104,6 +111,47 @@ def test_domain_validation():
         remez.best_poly(1.0, -1)
     with pytest.raises(ValueError):
         remez.scaling_check(1.0, 1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((math.inf, 4), "alpha"),
+        ((math.nan, 4), "alpha"),
+        ((1.0, 2.5), "n"),
+        ((1.0, 4, math.nan), "y_hi"),
+        ((1.0, 4, math.inf), "y_hi"),
+        ((1.0, 4, 0.0), "y_hi"),
+        ((1.0, 4, -1.0), "y_hi"),
+    ],
+)
+def test_best_poly_names_the_bad_argument(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        remez.best_poly(*args)
+
+
+@pytest.mark.parametrize("b", [-2.0, math.nan, math.inf, 1e200, 1e-200])
+def test_scaling_check_names_b(b):
+    with pytest.raises(ValueError, match="^b must"):
+        remez.scaling_check(1.0, 1, b)
+
+
+def _clenshaw_reference(coeffs, u):
+    # the plain four-line recurrence that _eval_cheb runs in place
+    b1 = np.zeros_like(u)
+    b2 = np.zeros_like(u)
+    for c in coeffs[:0:-1]:
+        b1, b2 = 2.0 * u * b1 - b2 + c, b1
+    return u * b1 - b2 + coeffs[0]
+
+
+@pytest.mark.parametrize("size", [0, 1, 258, 13059])
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 257])
+def test_eval_cheb_has_the_bits_of_the_plain_recurrence(length, size):
+    rng = np.random.default_rng(1000 * length + size)
+    coeffs = rng.standard_normal(length)
+    u = rng.uniform(-1.0, 1.0, size)
+    assert np.array_equal(remez._eval_cheb(coeffs, u), _clenshaw_reference(coeffs, u))
 
 
 def test_stagnation_raises_with_reference(monkeypatch):
