@@ -133,8 +133,8 @@ class EnvelopeBounds:
 def envelope_bounds(alpha: float) -> EnvelopeBounds:
     """Envelope bound chain at alpha >= 2, with both ends C(alpha)/(1+2alpha)
     times (1 -/+ 1/sqrt(alpha), 2/sqrt(alpha))."""
-    if not alpha >= 2.0:
-        raise ValueError(f"envelope_bounds requires alpha >= 2, got {alpha}")
+    if not 2.0 <= alpha < math.inf:
+        raise ValueError(f"envelope_bounds requires finite alpha >= 2, got {alpha}")
     base = C_const(alpha) / (1.0 + 2.0 * alpha)
     return EnvelopeBounds(
         alpha,
@@ -158,6 +158,8 @@ def monotonicity_check(alpha: float, x_hi: float) -> bool:
     Guaranteed by theory for alpha above the R sign change (~2.543); the
     check runs and reports for any alpha > 0.
     """
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"monotonicity_check requires finite alpha > 0, got {alpha}")
     if not x_hi > alpha:
         raise ValueError("x_hi must exceed alpha")
     xs = np.linspace(alpha, x_hi, _MONOTONE_POINTS)
@@ -167,6 +169,6 @@ def monotonicity_check(alpha: float, x_hi: float) -> bool:
 
 def norm_ratio_limit(alpha: float) -> float:
     """||H(alpha, .)|| * (1 + 2 alpha) / C(alpha); tends to 1 as alpha grows."""
-    if not alpha >= 2.0:
-        raise ValueError(f"norm_ratio_limit requires alpha >= 2, got {alpha}")
+    if not 2.0 <= alpha < math.inf:
+        raise ValueError(f"norm_ratio_limit requires finite alpha >= 2, got {alpha}")
     return sup_norm_H(alpha).norm * (1.0 + 2.0 * alpha) / C_const(alpha)

@@ -64,10 +64,11 @@ def parse_int_list(spec: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+@functools.cache
+def _row_format(types: tuple) -> str:
+    """The % string of a CSV row whose values have these types: 17
+    significant digits for a float, str() for anything else."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
 
 
 def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
@@ -75,7 +76,7 @@ def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
         lines = [f"# bernsteinlab {__version__}"]
         lines += [f"# {k}: {meta[k]}" for k in sorted(meta)]
         lines.append(",".join(columns))
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [_row_format(tuple(map(type, row))) % tuple(row) for row in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {
@@ -327,10 +328,8 @@ def _limits():
     def growth_proxy():
         alpha = 1.5
         cbound = 2.0 / pi * kernels.C_const(alpha)
-        worst = max(
-            abs(entire.H_alpha_integral(alpha, x)) - (x**alpha + cbound)
-            for x in np.linspace(0.0, 100.0, 401)
-        )
+        xs = np.linspace(0.0, 100.0, 401)
+        worst = float(np.max(np.abs(entire.H_alpha_integral(alpha, xs)) - (xs**alpha + cbound)))
         return worst, 0.0, worst <= 0.0
 
     def scaled_gap(scheme, x, limit):
@@ -486,7 +485,7 @@ def run_verify(suite: str, tol=None, out=None) -> int:
         value, bound, ok = evaluate(check, tol)
         failures += 0 if ok else 1
         status = "PASS" if ok else "FAIL"
-        out.write(f"{check[1]}: {status} (measured={_fmt(float(value))}, bound={_fmt(float(bound))})\n")
+        out.write(f"{check[1]}: {status} (measured={float(value):.17g}, bound={float(bound):.17g})\n")
     out.write(f"{suite}: {len(checks) - failures}/{len(checks)} checks passed\n")
     return 0 if failures == 0 else 1
 
@@ -570,7 +569,8 @@ def run_curve(kind: str, args) -> int:
     meta = {"command": f"curve {kind}", "rel_tol": REL_TOL}
     if kind == "R_diag":
         alphas = parse_range(args.alpha) if args.alpha else parse_range("2.4:20:0.05")
-        rows = [(a, kernels.kernel_eval("R", a, a)) for a in alphas]
+        r = kernels.kernel_values("R", alphas, alphas)
+        rows = list(zip(alphas, r.tolist()))
         emit(("alpha", "R_diag"), rows, meta, args.format, args.out)
         return 0
 
@@ -593,10 +593,10 @@ def run_curve(kind: str, args) -> int:
         rows = list(zip(grid.tolist(), h1.tolist()))
         emit(("x", "H1"), rows, meta, args.format, args.out)
     elif kind == "H_alpha":
-        rows = [(x, entire.H_alpha_integral(alpha, x)) for x in xs]
+        rows = list(zip(xs, entire.H_alpha_integral(alpha, xs).tolist()))
         emit(("x", "H_alpha"), rows, meta, args.format, args.out)
     elif kind == "G_alpha":
-        rows = [(x, entire.G_alpha(alpha, x)) for x in xs]
+        rows = list(zip(xs, entire.G_alpha(alpha, xs).tolist()))
         emit(("x", "G_alpha"), rows, meta, args.format, args.out)
     elif kind == "limit_error":
         if args.c1 is None or args.c2 is None:

@@ -17,8 +17,10 @@ quadrature with the integral path and the two serve as independent oracles
 for each other.  The series' alternating tail is summed by an iterated
 Euler transform to a fixed 1e-8, and a shortfall raises.
 
-Both functions are even; negative arguments are reflected.  beta_point, the
-lobe abscissa, lives in kernels and is re-exported here.
+Both functions are even; negative arguments are reflected.  The integral
+forms take x as a float or as an array, whose kernel values come from one
+kernel_values batch.  beta_point, the lobe abscissa, lives in kernels and is
+re-exported here.
 """
 
 import math
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .kernels import KernelKind, beta_point, kernel_eval
+from .kernels import KernelKind, beta_point, kernel_eval, kernel_values
 
 __all__ = [
     "H_alpha_integral",
@@ -44,10 +46,30 @@ def _C_closed(a: float) -> float:
     return 2.0 * (1.0 - 2.0 ** -(a + 1.0)) * specfun.gamma(a + 1.0) * specfun.zeta(a + 1.0)
 
 
-def H_alpha_integral(alpha: float, x: float) -> float:
-    """H_alpha(x) through the error-kernel quadrature."""
+def _float_power(x: np.ndarray, alpha: float) -> np.ndarray:
+    """x ** alpha entry by entry in float arithmetic, the bits of the scalar
+    call (numpy's array power can differ from it in the last bit)."""
+    return np.array([v**alpha for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _vanishing_at_zero(kind: KernelKind, alpha: float, x: np.ndarray) -> np.ndarray:
+    """kind(alpha, x) at every x >= 0 of an array, for a kind that is 0 at
+    x = 0 (H, A0): one kernel_values call over the other x."""
+    out = np.zeros(x.shape)
+    rest = x != 0.0
+    out[rest] = kernel_values(kind, alpha, x[rest])
+    return out
+
+
+def H_alpha_integral(alpha: float, x):
+    """H_alpha(x) through the error-kernel quadrature; x a float, or an array
+    evaluated in one batch."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if np.ndim(x) != 0:
+        x = np.abs(np.asarray(x, dtype=float))
+        h = _vanishing_at_zero(KernelKind.H, alpha, x)
+        return _float_power(x, alpha) - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * h
     x = abs(x)
     return x**alpha - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * kernel_eval(
         KernelKind.H, alpha, x
@@ -122,12 +144,18 @@ def H_alpha_series(alpha: float, x: float) -> float:
     return value
 
 
-def G_alpha(alpha: float, x: float) -> float:
-    """G_alpha(x) = |x|^alpha - (2/pi) sin(pi alpha/2) cos(x) A0(alpha, x)."""
+def G_alpha(alpha: float, x):
+    """G_alpha(x) = |x|^alpha - (2/pi) sin(pi alpha/2) cos(x) A0(alpha, x); x a
+    float, or an array evaluated in one batch."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha == 2.0 * round(alpha / 2.0):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
+    if np.ndim(x) != 0:
+        x = np.abs(np.asarray(x, dtype=float))
+        a0 = _vanishing_at_zero(KernelKind.A0, alpha, x)
+        scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
+        return _float_power(x, alpha) - scale * np.cos(x) * a0
     x = abs(x)
     return x**alpha - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * math.cos(
         x

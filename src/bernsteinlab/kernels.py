@@ -29,11 +29,16 @@ itself past the double range (F(80, 1e-3) ~ 1e352) raises OverflowError.
 
 J, A0, F and G are integrated as (x, t) matrices, 512 x per call of
 quadrature.integrate_zero_to_inf, each built in place (out=) in the order of
-the expression in its docstring, so bit for bit equal to it.  The other kinds
-combine them: one path, kernel_values, serves every kind.
+the expression in its docstring, so bit for bit equal to it.  alpha is one
+float for all rows, or one per row beside x.  The factors that depend on the
+nodes alone (log t, t*t, 1 + t*t, -expm1(-2t), 1 + exp(-2t)) are computed
+once per cached node table, and the row t^a/sinh t or t^a/cosh t once per
+table and alpha.  The other kinds combine the four: one path, kernel_values,
+serves every kind.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -80,17 +85,76 @@ _BATCH_CHUNK = 512
 # ---------------------------------------------------------------------------
 
 
-def _pow_over_sinh(alpha: float, t):
-    return np.exp(alpha * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t))
+class _Nodes:
+    """The node-only factors of one node row t, and in rows, per denominator,
+    the row exp(alpha log t - t) * 2 / den of the last scalar alpha."""
+
+    __slots__ = ("log_t", "t_sq", "one_plus_t_sq", "sinh_den", "cosh_den", "rows")
+
+    def __init__(self, t):
+        self.log_t = np.log(t)
+        self.t_sq = t * t
+        self.one_plus_t_sq = 1.0 + self.t_sq
+        self.sinh_den = -np.expm1(-2.0 * t)
+        self.cosh_den = 1.0 + np.exp(-2.0 * t)
+        self.rows = {}
 
 
-def _pow_over_cosh(alpha: float, t):
-    return np.exp(alpha * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t))
+# the factors of each read-only node row by id: the batch rules' cached
+# level tables, which live as long as the process; an entry goes with its row
+_NODES: dict[int, _Nodes] = {}
 
 
-def _require_alpha(alpha: float, low: float, kind: str):
-    if not low < alpha < math.inf:
-        raise ValueError(f"{kind} requires finite alpha > {low}, got {alpha}")
+def _nodes(t) -> _Nodes:
+    """The factors of t: once per read-only row, afresh for a writeable one
+    (the scalar rules' nodes), which is never cached."""
+    if t.flags.writeable:
+        return _Nodes(t)
+    got = _NODES.get(id(t))
+    if got is None:
+        got = _NODES[id(t)] = _Nodes(t)
+        weakref.finalize(t, _NODES.pop, id(t), None)
+    return got
+
+
+def _pow_over(den: str, alpha, t):
+    """exp(alpha log t - t) * 2 / den, den "sinh_den" or "cosh_den": a row for
+    a scalar alpha, kept on a cached row until alpha changes; a matrix for an
+    (m, 1) column of alphas."""
+    nodes = _nodes(t)
+    scalar = np.ndim(alpha) == 0
+    if scalar:
+        got = nodes.rows.get(den)
+        if got is not None and got[0] == alpha:
+            return got[1]
+    out = np.multiply(alpha, nodes.log_t)
+    out -= t
+    np.exp(out, out=out)
+    out *= 2.0
+    out /= getattr(nodes, den)
+    if scalar and not t.flags.writeable:
+        out.flags.writeable = False
+        nodes.rows[den] = (alpha, out)
+    return out
+
+
+def _pow_over_sinh(alpha, t):
+    """t^alpha / sinh t = exp(alpha log t - t) * 2 / (-expm1(-2 t))"""
+    return _pow_over("sinh_den", alpha, t)
+
+
+def _pow_over_cosh(alpha, t):
+    """t^alpha / cosh t = exp(alpha log t - t) * 2 / (1 + exp(-2 t))"""
+    return _pow_over("cosh_den", alpha, t)
+
+
+def _require_alpha(alpha, low: float, kind: str):
+    """alpha, a float or an array, finite and > low; the first entry that is
+    not is named."""
+    a = np.ravel(alpha)
+    ok = (low < a) & (a < math.inf)
+    if not ok.all():
+        raise ValueError(f"{kind} requires finite alpha > {low}, got {a[np.argmin(ok)]}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,42 +179,48 @@ def D_const(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _batched_family(fmat, alpha: float, xs: np.ndarray) -> np.ndarray:
+def _batched_family(fmat, alpha, xs: np.ndarray) -> np.ndarray:
     """int_0^inf fmat(alpha, x, t) dt for every x in xs, _BATCH_CHUNK rows per
-    call; fmat gets x as an (m, 1) column and t as an (n,) row."""
+    call; fmat gets x as an (m, 1) column and t as an (n,) row, and alpha as
+    it is when a scalar, else as the (m, 1) column of its rows beside x."""
     out = np.empty(len(xs))
     for lo in range(0, len(xs), _BATCH_CHUNK):
-        chunk = xs[lo : lo + _BATCH_CHUNK, None]
-        out[lo : lo + _BATCH_CHUNK] = integrate_zero_to_inf(lambda t: fmat(alpha, chunk, t)).value
+        rows = slice(lo, lo + _BATCH_CHUNK)
+        a = alpha if np.ndim(alpha) == 0 else alpha[rows, None]
+        chunk = xs[rows, None]
+        out[rows] = integrate_zero_to_inf(lambda t: fmat(a, chunk, t)).value
     return out
 
 
-def _J_mat(alpha: float, x, t):
+def _J_mat(alpha, x, t):
     """_pow_over_sinh(alpha, t) * (x / (x * x + t * t))"""
-    out = np.add(x * x, t * t)
+    out = np.add(x * x, _nodes(t).t_sq)
     return np.multiply(_pow_over_sinh(alpha, t), np.divide(x, out, out=out), out=out)
 
 
-def _A0_mat(alpha: float, x, t):
+def _A0_mat(alpha, x, t):
     """_pow_over_cosh(alpha - 1.0, t) * (x * x / (x * x + t * t))"""
-    out = np.add(x * x, t * t)
-    return np.multiply(_pow_over_cosh(alpha - 1.0, t), np.divide(x * x, out, out=out), out=out)
+    xx = x * x
+    out = np.add(xx, _nodes(t).t_sq)
+    return np.multiply(_pow_over_cosh(alpha - 1.0, t), np.divide(xx, out, out=out), out=out)
 
 
-def _F_mat(alpha: float, x, t):
+def _F_mat(alpha, x, t):
     """np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t), xt = x * t"""
+    nodes = _nodes(t)
     xt = np.multiply(x, t)
-    out = np.subtract(alpha * np.log(t), xt)
+    out = np.subtract(np.multiply(alpha, nodes.log_t), xt)
     np.multiply(np.exp(out, out=out), 2.0, out=out)
     np.negative(np.expm1(np.multiply(-2.0, xt, out=xt), out=xt), out=xt)
-    return np.divide(np.divide(out, xt, out=out), 1.0 + t * t, out=out)
+    return np.divide(np.divide(out, xt, out=out), nodes.one_plus_t_sq, out=out)
 
 
-def _G_mat(alpha: float, x, t):
+def _G_mat(alpha, x, t):
     """np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t)"""
+    nodes = _nodes(t)
     out = np.multiply(x, t)
-    np.exp(np.subtract(alpha * np.log(t), out, out=out), out=out)
-    return np.divide(out, 1.0 + t * t, out=out)
+    np.exp(np.subtract(np.multiply(alpha, nodes.log_t), out, out=out), out=out)
+    return np.divide(out, nodes.one_plus_t_sq, out=out)
 
 
 _J_values = partial(_batched_family, _J_mat)
@@ -159,11 +229,24 @@ _F_values = partial(_batched_family, _F_mat)
 _G_values = partial(_batched_family, _G_mat)
 
 
-def _R_values(a: float, x: np.ndarray) -> np.ndarray:
+def _R_values(a, x: np.ndarray) -> np.ndarray:
     return (x / a) * _F_values(a + 1.0, x) - _F_values(a, x)
 
 
-# kind -> values at finite x > 0, for one alpha
+def _per_alpha(f, a, x: np.ndarray):
+    """f(a, x) for a scalar a; for an array, f(v, x[a == v]) for each distinct
+    v, so that every row gets the scalar call's bits (numpy rounds 2.0**-a,
+    and x**e at e = 2, 0.5 or -1, differently for an array)."""
+    if np.ndim(a) == 0:
+        return f(a, x)
+    out = np.empty(x.shape)
+    for v in np.unique(a).tolist():
+        rows = a == v
+        out[rows] = f(v, x[rows])
+    return out
+
+
+# kind -> values at finite x > 0, for alpha a float or an array beside x
 _VALUES = {
     KernelKind.H: lambda a, x: np.sin(x) * _J_values(a, x),
     KernelKind.H1: _J_values,
@@ -171,37 +254,58 @@ _VALUES = {
     KernelKind.F: _F_values,
     KernelKind.G: _G_values,
     KernelKind.R: _R_values,
-    KernelKind.S: lambda a, x: 0.5 * a * x ** (a - 1.0) * (x * x + a * a) * _R_values(a, x),
-    KernelKind.F1: lambda a, x: (2.0 - 2.0**-a) * specfun.zeta(a + 1.0) * _G_values(a, x),
-    KernelKind.F2: lambda a, x: (2.0 - 2.0 ** -(a - 2.0)) * specfun.zeta(a - 1.0) * _G_values(a, x),
+    KernelKind.S: lambda a, x: (
+        _per_alpha(lambda v, x: 0.5 * v * x ** (v - 1.0) * (x * x + v * v), a, x) * _R_values(a, x)
+    ),
+    KernelKind.F1: lambda a, x: (
+        _per_alpha(lambda v, _: (2.0 - 2.0**-v) * specfun.zeta(v + 1.0), a, x) * _G_values(a, x)
+    ),
+    KernelKind.F2: lambda a, x: (
+        _per_alpha(lambda v, _: (2.0 - 2.0 ** -(v - 2.0)) * specfun.zeta(v - 1.0), a, x)
+        * _G_values(a, x)
+    ),
     KernelKind.A0: _A0_values,
 }
 
 
-def _require_kind_alpha(kind: KernelKind, alpha: float):
+def _require_kind_alpha(kind: KernelKind, alpha):
     _require_alpha(alpha, 2.0 if kind is KernelKind.F2 else 0.0, kind.value)
 
 
-def _values(kind: KernelKind, alpha: float, xs: np.ndarray) -> np.ndarray:
-    """The kind at every x of a checked 1-D array of finite x > 0."""
+def _values(kind: KernelKind, alpha, xs: np.ndarray) -> np.ndarray:
+    """The kind at every x of a checked 1-D array of finite x > 0, with alpha
+    checked and a float or an array of the shape of xs."""
     try:
         return _VALUES[kind](alpha, xs)
     except OverflowError:
         at = f"x={xs[0]}" if len(xs) == 1 else f"some x in [{xs.min()}, {xs.max()}]"
+        alpha = alpha if np.ndim(alpha) == 0 else f"some alpha in [{alpha.min()}, {alpha.max()}]"
         raise OverflowError(
             f"kernel {kind.value} at alpha={alpha} and {at} exceeds the double range"
         ) from None
 
 
-def kernel_values(kind, alpha: float, xs) -> np.ndarray:
-    """kernel_eval over a 1-D array of finite x > 0, for every kind; all x
-    share the quadrature nodes, 512 at a time."""
+def kernel_values(kind, alpha, x) -> np.ndarray:
+    """kernel_eval over arrays, for every kind: alpha a float or an array that
+    broadcasts against x, x of any shape (0-d included) and finite > 0; the
+    result has the broadcast shape.  All points share the quadrature nodes,
+    512 at a time, an array alpha row by row beside x."""
     kind = KernelKind(kind)
-    xs = np.asarray(xs, dtype=float)
-    if not ((xs > 0) & (xs < math.inf)).all():
+    x = np.asarray(x, dtype=float)
+    if not ((x > 0) & (x < math.inf)).all():
         raise ValueError("kernel_values requires finite x > 0; use kernel_eval for limits at 0")
+    shape = x.shape
+    if np.ndim(alpha) != 0:
+        alpha = np.asarray(alpha, dtype=float)
+        try:
+            shape = np.broadcast_shapes(alpha.shape, x.shape)
+        except ValueError:
+            raise ValueError(
+                f"alpha of shape {alpha.shape} does not broadcast against x of shape {x.shape}"
+            ) from None
+        alpha = np.broadcast_to(alpha, shape).ravel()
     _require_kind_alpha(kind, alpha)
-    return _values(kind, alpha, xs)
+    return _values(kind, alpha, np.broadcast_to(x, shape).ravel()).reshape(shape)
 
 
 def _eval_at_zero(kind: KernelKind, alpha: float) -> float:
@@ -223,6 +327,8 @@ def kernel_eval(kind, alpha: float, x: float) -> float:
     (H1(1, 0) = pi/2; H1(alpha, 0) = 0 for alpha > 1; the rest vanish).
     """
     kind = KernelKind(kind)
+    if np.ndim(alpha) != 0 or np.ndim(x) != 0:
+        raise ValueError("kernel_eval takes a scalar alpha and x; kernel_values takes arrays")
     _require_kind_alpha(kind, alpha)
     if not 0 <= x < math.inf:
         raise ValueError(f"kernel {kind.value} requires finite x >= 0, got {x}")
@@ -301,8 +407,7 @@ def beta_point(alpha: float) -> float:
     The abscissa of the first or second lobe of |H(alpha, .)| to the right
     of alpha where |sin| = 1; satisfies alpha + pi/2 < beta <= alpha + 3 pi/2.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha, 0.0, "beta_point")
     return math.pi * math.floor(alpha / math.pi) + 1.5 * math.pi
 
 
@@ -359,8 +464,7 @@ def sup_norm_H1(alpha: float) -> SupNormReport:
     kernel_eval); the tail is certified through H1 = H2/x <= C(alpha)/x,
     doubling the horizon when needed.
     """
-    if not alpha > 1.0:
-        raise ValueError(f"sup_norm_H1 requires alpha > 1, got {alpha}")
+    _require_alpha(alpha, 1.0, "sup_norm_H1")
     c = C_const(alpha)
     x_cut = alpha + 20.0 * math.pi
     xs = np.linspace(0.0, x_cut, 601)[1:]

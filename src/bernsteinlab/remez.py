@@ -223,8 +223,11 @@ def bernstein_extrapolate(alpha: float, n_list) -> float:
     model is a pragmatic choice; tolerances downstream are kept loose
     accordingly.
     """
+    for n in n_list:
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_list entries must be integers >= 1, got {n!r}")
     ns = sorted(int(n) for n in n_list)
-    if len(set(ns)) < 3 or ns[0] < 1:
+    if len(set(ns)) < 3:
         raise ValueError(f"n_list needs at least 3 distinct n >= 1, got {ns}")
     s = np.array([(2.0 * n) ** alpha * best_poly(alpha, n).E_n for n in ns])
     inv = 1.0 / np.array(ns, dtype=float)

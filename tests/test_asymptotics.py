@@ -136,6 +136,20 @@ def test_monotonicity_check_runs_below_threshold():
     assert monotonicity_check(1.5, 10.0) in (True, False)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: monotonicity_check(math.nan, 5.0), "monotonicity_check"),
+        (lambda: monotonicity_check(math.inf, math.inf), "monotonicity_check"),
+        (lambda: envelope_bounds(math.inf), "envelope_bounds"),
+        (lambda: norm_ratio_limit(math.inf), "norm_ratio_limit"),
+    ],
+)
+def test_non_finite_alpha_is_named(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} requires finite alpha"):
+        call()
+
+
 def test_envelope_bounds_chain():
     for alpha in (2.0, 4.0, 16.0):
         eb = envelope_bounds(alpha)

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bernsteinlab import cli
@@ -206,6 +207,75 @@ def test_curve_r_diag_sign_change():
     rows = [l for l in out.strip().splitlines() if not l.startswith("#")][1:]
     vals = [float(r.split(",")[1]) for r in rows]
     assert vals[0] < 0.0 and vals[-1] > 0.0
+
+
+def _count_half_line_integrals(monkeypatch):
+    """Count the calls of quadrature.integrate_zero_to_inf made by kernels,
+    where every kernel value is integrated."""
+    calls = []
+    integrate = cli.kernels.integrate_zero_to_inf
+
+    def counting(f):
+        calls.append(f)
+        return integrate(f)
+
+    monkeypatch.setattr(cli.kernels, "integrate_zero_to_inf", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,most",
+    [
+        # deterministic work gates: one batch per 512 rows, not one integral per row
+        (["curve", "R_diag", "--alpha", "2.4:20:0.05"], 2),  # was 706
+        (["curve", "H_alpha", "--alpha", "1.5"], 4),  # was 1,999
+        (["curve", "G_alpha", "--alpha", "1.5"], 4),  # was 1,999
+    ],
+)
+def test_curves_integrate_in_batches(argv, most, monkeypatch):
+    calls = _count_half_line_integrals(monkeypatch)
+    code, _ = run_main(argv)
+    assert code == 0
+    assert 0 < len(calls) <= most
+
+
+def test_growth_proxy_integrates_in_one_batch(monkeypatch):
+    (check,) = [c for c in cli.CHECKS if c[1].startswith("growth proxy")]
+    calls = _count_half_line_integrals(monkeypatch)
+    assert cli.evaluate(check)[2]
+    assert 0 < len(calls) <= 2  # C(1.5) and one batch of 401 x; was 401
+
+
+def test_emit_bytes_match_per_value_formatting(tmp_path):
+    # the one-%-string-per-row emitter against the per-value formatting it
+    # replaced: format(v, ".17g") for a float (numpy float64 included), str()
+    # for anything else
+    def per_value(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    rows = [
+        (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308),
+        (np.float64(0.1), 3, True, "P1", 2**70, np.float64(-1e-300)),
+        (0.1, "P2", 7, False, -12, 1.0 / 3.0),
+        (1, 2.5),
+    ]
+    columns, meta = ("a", "b", "c", "d", "e", "f"), {"command": "test", "rel_tol": 1e-12}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"out.{fmt}"
+        cli.emit(columns, rows, meta, fmt, str(path))
+        if fmt == "csv":
+            lines = [f"# bernsteinlab {cli.__version__}", "# command: test", "# rel_tol: 1e-12"]
+            lines += [",".join(columns)] + [",".join(per_value(v) for v in row) for row in rows]
+            expected = "\n".join(lines) + "\n"
+        else:
+            payload = {
+                "tool": f"bernsteinlab {cli.__version__}",
+                "meta": meta,
+                "columns": list(columns),
+                "rows": [list(row) for row in rows],
+            }
+            expected = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        assert path.read_text() == expected
 
 
 def test_curve_H_envelope_dominates():

@@ -58,6 +58,22 @@ def test_even_reflection():
     assert G_alpha(0.5, -2.0) == G_alpha(0.5, 2.0)
 
 
+@pytest.mark.parametrize("fn,alpha", [(H_alpha_integral, 1.5), (G_alpha, 0.5)])
+def test_array_x_is_one_batch_of_the_scalar_values(fn, alpha):
+    # the rows of a batch refine together, so they agree with one-point calls
+    # to the quadrature tolerance; 0 and negative x take the scalar path's rules
+    xs = np.array([[0.0, -2.0, 0.3], [7.0, 15.0, 100.0]])
+    got = fn(alpha, xs)
+    assert got.shape == xs.shape
+    for x, v in zip(xs.ravel(), got.ravel()):
+        ref = fn(alpha, float(x))
+        assert type(ref) is float
+        assert abs(v - ref) <= 1e-11 * max(abs(ref), 1.0)
+    assert got[0, 0] == 0.0
+    with pytest.raises(ValueError, match="finite x"):
+        fn(alpha, np.array([1.0, math.nan]))
+
+
 def test_value_at_zero():
     assert H_alpha_integral(0.5, 0.0) == 0.0
     assert H_alpha_series(0.5, 0.0) == 0.0
@@ -103,3 +119,5 @@ def test_growth_proxy_bound():
     bound_c = 2.0 / PI * C_const(alpha)
     for x in np.linspace(0.0, 100.0, 201):
         assert abs(H_alpha_integral(alpha, x)) <= x**alpha + bound_c
+    xs = np.linspace(0.0, 100.0, 201)
+    assert (np.abs(H_alpha_integral(alpha, xs)) <= xs**alpha + bound_c).all()

@@ -123,6 +123,52 @@ def test_kernel_values_matches_scalar():
                 scalar = kernel_eval(kind, alpha, x)
                 assert kernel_values(kind, alpha, [x])[0] == scalar
                 assert abs(v - scalar) <= 1e-11 * abs(v)
+        # an alpha per row: every row is its own (alpha, x) point
+        alphas = np.array([2.5, 6.0, 3.0])
+        for a, x, v in zip(alphas, xs, kernel_values(kind, alphas, xs)):
+            scalar = kernel_eval(kind, a, x)
+            assert abs(v - scalar) <= 1e-11 * abs(v)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_uniform_alpha_array_is_bit_equal_to_scalar(kind):
+    # S's power takes 2 at alpha = 3 and 0.5 at alpha = 1.5, exponents numpy
+    # rounds differently as a scalar than as an array
+    xs = np.geomspace(0.05, 60.0, 37)
+    for alpha in (2.5, 3.0) if kind is KernelKind.F2 else (1.5, 3.0, 0.3):
+        got = kernel_values(kind, np.full(len(xs), alpha), xs)
+        assert np.array_equal(got, kernel_values(kind, alpha, xs)), alpha
+
+
+def test_kernel_values_broadcasts_alpha_against_x():
+    xs = np.array([0.5, 3.0, 11.0])
+    alphas = np.array([[1.5], [4.0]])
+    grid = kernel_values("H", alphas, xs)
+    assert grid.shape == (2, 3)
+    for a, row in zip(alphas[:, 0], grid):
+        assert np.allclose(row, kernel_values("H", a, xs), rtol=1e-11, atol=0.0)
+    # x of any shape, a 0-d x included, keeps its shape
+    assert kernel_values("H1", 1.0, 2.0).shape == ()
+    assert kernel_values("H1", 1.0, 2.0) == kernel_eval("H1", 1.0, 2.0)
+    x2 = xs.reshape(3, 1) * np.ones((1, 2))
+    assert np.array_equal(kernel_values("H1", 1.0, x2), kernel_values("H1", 1.0, x2.ravel()).reshape(3, 2))
+
+
+def test_array_alpha_contract():
+    xs = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"alpha of shape \(2,\) .* x of shape \(3,\)"):
+        kernel_values("H1", np.array([1.0, 2.0]), xs)
+    # checked entry by entry, the first bad one named
+    with pytest.raises(ValueError, match=r"H1 requires finite alpha > 0.0, got -1.0$"):
+        kernel_values("H1", np.array([1.0, -1.0, math.nan]), xs)
+    with pytest.raises(ValueError, match=r"F2 requires finite alpha > 2.0, got 1.5$"):
+        kernel_values("F2", np.array([3.0, 1.5, 2.5]), xs)
+    with pytest.raises(ValueError, match="scalar alpha and x"):
+        kernel_eval("H1", np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(ValueError, match=r"beta_point requires finite alpha"):
+        beta_point(math.inf)
+    with pytest.raises(ValueError, match=r"sup_norm_H1 requires finite alpha > 1.0, got inf"):
+        sup_norm_H1(math.inf)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.5, 10.0])
@@ -151,8 +197,12 @@ def test_overflow_names_kind_alpha_x(kind):
 # the integrand matrices as plain expressions: the in-place builds must
 # reproduce them bit for bit
 _REFERENCE_MATS = {
-    "J": lambda a, x, t: kernels._pow_over_sinh(a, t) * (x / (x * x + t * t)),
-    "A0": lambda a, x, t: kernels._pow_over_cosh(a - 1.0, t) * (x * x / (x * x + t * t)),
+    "J": lambda a, x, t: (
+        np.exp(a * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t)) * (x / (x * x + t * t))
+    ),
+    "A0": lambda a, x, t: (
+        np.exp((a - 1.0) * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t)) * (x * x / (x * x + t * t))
+    ),
     "F": lambda a, x, t: (
         lambda xt: np.exp(a * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
     )(x * t),
@@ -160,20 +210,54 @@ _REFERENCE_MATS = {
 }
 
 
+def _node_rows():
+    """Each level's nodes on both sides of the split, as fresh writeable
+    arrays (what the scalar rules pass) and as the batch rules' cached
+    read-only tables, whose factors kernels keeps."""
+    split = quadrature.SPLIT_POINT
+    for level in range(quadrature.MAX_LEVELS):
+        yield quadrature._finite_xw(0.0, split)(level)[0]
+        yield quadrature._semi_xw(split)(level)[0]
+        yield quadrature._batch_xw(0.0, split, level)[0]
+        yield quadrature._batch_xw(split, None, level)[0]
+
+
 @pytest.mark.parametrize("name", sorted(_REFERENCE_MATS))
 def test_in_place_integrands_are_bit_equal(name):
     build = getattr(kernels, f"_{name}_mat")
     x = np.geomspace(1e-3, 1e3, 49)[:, None]
-    split = quadrature.SPLIT_POINT
-    parts = (quadrature._finite_xw(0.0, split), quadrature._semi_xw(split))
+    # 80 comes back after 1, so that a row kept for a stale alpha would show;
+    # the last alpha is an (m, 1) column, one alpha per row of x
+    alphas = (0.05, 80.0, 1.0, 80.0, 2.5, np.geomspace(0.05, 80.0, len(x))[:, None])
     with np.errstate(all="ignore"):  # F at alpha = 80, x = 1e-3 overflows, as it should
-        for part in parts:
-            for level in range(quadrature.MAX_LEVELS):
-                t, _ = part(level)
-                for alpha in (0.05, 1.0, 2.5, 80.0):
-                    got, ref = build(alpha, x, t), _REFERENCE_MATS[name](alpha, x, t)
-                    assert got.shape == ref.shape == (len(x), len(t))
-                    assert np.array_equal(got, ref), (alpha, level)
+        for t in _node_rows():
+            for alpha in alphas:
+                got, ref = build(alpha, x, t), _REFERENCE_MATS[name](alpha, x, t)
+                assert got.shape == ref.shape == (len(x), len(t))
+                assert np.array_equal(got, ref), (alpha, len(t), t.flags.writeable)
+
+
+def test_node_factors_are_kept_for_read_only_tables_only():
+    # the deepest exp-sinh nodes overflow t * t, as under the quadrature
+    with np.errstate(over="ignore", under="ignore"):
+        cached = quadrature._batch_xw(quadrature.SPLIT_POINT, None, 3)[0]
+        fresh = quadrature._semi_xw(quadrature.SPLIT_POINT)(3)[0]
+        assert kernels._nodes(cached) is kernels._nodes(cached)
+        assert kernels._nodes(fresh) is not kernels._nodes(fresh)
+        row = kernels._pow_over_sinh(2.5, cached)
+        assert kernels._pow_over_sinh(2.5, cached) is row and not row.flags.writeable
+        assert kernels._pow_over_sinh(2.5, fresh) is not kernels._pow_over_sinh(2.5, fresh)
+        # a new alpha replaces the row; the old alpha is computed again, equal
+        assert kernels._pow_over_sinh(3.0, cached) is not row
+        assert np.array_equal(kernels._pow_over_sinh(2.5, cached), row)
+    # a read-only array that dies takes its factors with it
+    table = np.linspace(0.1, 1.0, 7)
+    table.flags.writeable = False
+    kernels._nodes(table)
+    key = id(table)
+    assert key in kernels._NODES
+    del table
+    assert key not in kernels._NODES
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,13 @@ def test_extrapolation_needs_three_distinct_positive_n(n_list):
         remez.bernstein_extrapolate(1.0, n_list)
 
 
+@pytest.mark.parametrize("n_list", [[8.9, 16, 32], [8.0, 16, 32], [8, 16, "32"]])
+def test_extrapolation_refuses_what_best_poly_refuses(n_list):
+    # int() would truncate 8.9 to 8 and fit [8, 16, 32] without a word
+    with pytest.raises(ValueError, match="n_list"):
+        remez.bernstein_extrapolate(1.0, n_list)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         remez.best_poly(-1.0, 4)
