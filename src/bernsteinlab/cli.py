@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 import argparse
 import concurrent.futures
 import functools
+import itertools
 import json
 import math
 import sys
@@ -64,11 +65,16 @@ def parse_int_list(spec: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _row_format(types: tuple) -> str:
-    """The % string of a CSV row whose values have these types: 17
-    significant digits for a float, str() for anything else."""
-    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+def _csv_lines(rows) -> list:
+    """The CSV lines of the rows.  Each run of rows whose values have the same
+    types is formatted by one % operation: the row's % string (%.17g for a
+    float, %s for anything else) repeated once per row."""
+    lines = []
+    for types, run in itertools.groupby(map(tuple, rows), key=lambda row: tuple(map(type, row))):
+        run = list(run)
+        row_format = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append("\n".join([row_format] * len(run)) % tuple(itertools.chain.from_iterable(run)))
+    return lines
 
 
 def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
@@ -76,7 +82,7 @@ def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
         lines = [f"# bernsteinlab {__version__}"]
         lines += [f"# {k}: {meta[k]}" for k in sorted(meta)]
         lines.append(",".join(columns))
-        lines += [_row_format(tuple(map(type, row))) % tuple(row) for row in rows]
+        lines += _csv_lines(rows)
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {

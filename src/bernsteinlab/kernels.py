@@ -97,6 +97,8 @@ class _Nodes:
         self.one_plus_t_sq = 1.0 + self.t_sq
         self.sinh_den = -np.expm1(-2.0 * t)
         self.cosh_den = 1.0 + np.exp(-2.0 * t)
+        for factor in (self.log_t, self.t_sq, self.one_plus_t_sq, self.sinh_den, self.cosh_den):
+            factor.flags.writeable = False  # shared by every integrand on t
         self.rows = {}
 
 

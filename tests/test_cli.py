@@ -247,16 +247,19 @@ def test_growth_proxy_integrates_in_one_batch(monkeypatch):
 
 
 def test_emit_bytes_match_per_value_formatting(tmp_path):
-    # the one-%-string-per-row emitter against the per-value formatting it
-    # replaced: format(v, ".17g") for a float (numpy float64 included), str()
-    # for anything else
+    # the emitter's % strings against the per-value formatting they replaced:
+    # format(v, ".17g") for a float (numpy float64 included), str() for
+    # anything else
     def per_value(v):
         return format(v, ".17g") if isinstance(v, float) else str(v)
 
+    # runs of one type signature, formatted together, and changes between them
     rows = [
         (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308),
+        (0.1, 2.0, 1e-7, 123456789.0, -2.5e-310, math.pi),
         (np.float64(0.1), 3, True, "P1", 2**70, np.float64(-1e-300)),
-        (0.1, "P2", 7, False, -12, 1.0 / 3.0),
+        [0.1, "P2", 7, False, -12, 1.0 / 3.0],
+        (0.2, "P1", 8, True, 0, -1.0 / 3.0),
         (1, 2.5),
     ]
     columns, meta = ("a", "b", "c", "d", "e", "f"), {"command": "test", "rel_tol": 1e-12}
