@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .kernels import KernelKind, beta_point, kernel_eval, kernel_values
+from .kernels import KernelKind, beta_point, kernel_values
 
 __all__ = [
     "H_alpha_integral",
@@ -46,10 +46,12 @@ def _C_closed(a: float) -> float:
     return 2.0 * (1.0 - 2.0 ** -(a + 1.0)) * specfun.gamma(a + 1.0) * specfun.zeta(a + 1.0)
 
 
-def _float_power(x: np.ndarray, alpha: float) -> np.ndarray:
-    """x ** alpha entry by entry in float arithmetic, the bits of the scalar
-    call (numpy's array power can differ from it in the last bit)."""
-    return np.array([v**alpha for v in x.ravel().tolist()]).reshape(x.shape)
+def _by_entry(f, x: np.ndarray) -> np.ndarray:
+    """f applied to each entry of x as a Python float.  numpy's array power
+    and cos may differ from x**alpha and math.cos in the last bit; applied
+    entry by entry they keep H_alpha_integral and G_alpha at a float x
+    bit-equal to the float formula (test_float_x_keeps_the_float_formula_bits)."""
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _vanishing_at_zero(kind: KernelKind, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -66,14 +68,11 @@ def H_alpha_integral(alpha: float, x):
     evaluated in one batch."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if np.ndim(x) != 0:
-        x = np.abs(np.asarray(x, dtype=float))
-        h = _vanishing_at_zero(KernelKind.H, alpha, x)
-        return _float_power(x, alpha) - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * h
-    x = abs(x)
-    return x**alpha - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * kernel_eval(
-        KernelKind.H, alpha, x
-    )
+    xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    h = _vanishing_at_zero(KernelKind.H, alpha, xs)
+    scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
+    out = _by_entry(lambda v: v**alpha, xs) - scale * h
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _euler_tail(h, k0: int) -> float:
@@ -151,12 +150,8 @@ def G_alpha(alpha: float, x):
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha == 2.0 * round(alpha / 2.0):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
-    if np.ndim(x) != 0:
-        x = np.abs(np.asarray(x, dtype=float))
-        a0 = _vanishing_at_zero(KernelKind.A0, alpha, x)
-        scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
-        return _float_power(x, alpha) - scale * np.cos(x) * a0
-    x = abs(x)
-    return x**alpha - (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha) * math.cos(
-        x
-    ) * kernel_eval(KernelKind.A0, alpha, x)
+    xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    a0 = _vanishing_at_zero(KernelKind.A0, alpha, xs)
+    scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
+    out = _by_entry(lambda v: v**alpha, xs) - scale * _by_entry(math.cos, xs) * a0
+    return float(out[0]) if np.ndim(x) == 0 else out

@@ -223,10 +223,11 @@ def bernstein_extrapolate(alpha: float, n_list) -> float:
     model is a pragmatic choice; tolerances downstream are kept loose
     accordingly.
     """
-    for n in n_list:
+    ns = list(n_list)
+    for n in ns:
         if not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"n_list entries must be integers >= 1, got {n!r}")
-    ns = sorted(int(n) for n in n_list)
+    ns = sorted(ns)
     if len(set(ns)) < 3:
         raise ValueError(f"n_list needs at least 3 distinct n >= 1, got {ns}")
     s = np.array([(2.0 * n) ** alpha * best_poly(alpha, n).E_n for n in ns])

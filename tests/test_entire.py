@@ -74,6 +74,21 @@ def test_array_x_is_one_batch_of_the_scalar_values(fn, alpha):
         fn(alpha, np.array([1.0, math.nan]))
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 3.1])
+def test_float_x_keeps_the_float_formula_bits(alpha):
+    # a float x goes through the array path and must give the float formula's bits
+    scale = (2.0 / PI) * math.sin(0.5 * PI * alpha)
+    # numpy's power on a 1-entry array differs from x**alpha at about 1 x in 20
+    for x in [0.0, -0.0, -2.0, PI] + np.linspace(0.05, 60.0, 40).tolist():
+        ax = abs(x)
+        h = ax**alpha - scale * kernel_eval("H", alpha, ax)
+        g = ax**alpha - scale * math.cos(ax) * kernel_eval("A0", alpha, ax)
+        assert H_alpha_integral(alpha, x) == h
+        assert type(H_alpha_integral(alpha, x)) is float
+        assert G_alpha(alpha, x) == g
+        assert type(G_alpha(alpha, np.float64(x))) is float
+
+
 def test_value_at_zero():
     assert H_alpha_integral(0.5, 0.0) == 0.0
     assert H_alpha_series(0.5, 0.0) == 0.0

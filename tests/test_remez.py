@@ -80,6 +80,8 @@ def test_scaling_identity():
 def test_extrapolation_alpha_one():
     est = remez.bernstein_extrapolate(1.0, [8, 16, 32, 64])
     assert abs(est - 0.2802) <= 0.005
+    # a one-shot iterable gives the list's value
+    assert remez.bernstein_extrapolate(1.0, (n for n in [8, 16, 32, 64])) == est
 
 
 def test_extrapolation_alpha_half():
