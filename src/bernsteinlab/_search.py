@@ -1,4 +1,4 @@
-"""Search helpers: golden-section maximization and bisection."""
+"""Search helpers over arrays of brackets, advanced in lockstep."""
 
 import math
 
@@ -8,26 +8,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_max(f, a, b, xtol: float = 1e-6):
-    """Maximize f on [a, b] by golden-section search; returns (x, f(x)).
+    """Maximize f on each bracket [a[i], b[i]] by golden-section search;
+    returns arrays x and f(x), one entry per bracket.
 
     Assumes a single interior maximum in each bracket; callers locate the
-    brackets with a coarse grid first.
-
-    With arrays a and b (one bracket per entry) f takes and returns arrays:
-    every bracket advances in lockstep, f is called once per step on the
-    brackets still open, and x and f(x) come back as arrays.  A scalar
-    bracket runs the same loop as a one-element array, with f applied to
-    each point alone, and comes back as two floats.
+    brackets with a coarse grid first.  f takes and returns arrays: every
+    bracket takes its own golden steps, and f is called once per step on the
+    brackets still open.
     """
-    if np.ndim(a) or np.ndim(b):
-        return _golden_max_many(f, a, b, xtol)
-    x, fx = _golden_max_many(lambda xs: [f(float(x)) for x in xs], [a], [b], xtol)
-    return float(x[0]), float(fx[0])
-
-
-def _golden_max_many(f, a, b, xtol: float):
-    """golden_max over arrays of brackets, each taking its own golden steps,
-    masked per bracket."""
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     x1 = b - _INVPHI * (b - a)
@@ -53,24 +41,34 @@ def _golden_max_many(f, a, b, xtol: float):
     return xm, fm
 
 
-def bisect_root(f, a: float, b: float, xtol: float):
-    """Root of f in [a, b] by plain bisection; f(a) and f(b) must differ in sign."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise ValueError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = m, fm
-        else:
-            b = m
+def bisect_root(f, a, b, xtol: float):
+    """Roots of f in the brackets [a[i], b[i]] by plain bisection, one per bracket.
+
+    f takes and returns arrays: it is called on all a, on all b, then once per
+    step on the midpoints of the brackets still open, so each bracket takes a
+    scalar bisection's midpoints and closes onto an end or midpoint where f = 0.
+    The first bracket where f(a) and f(b) do not differ in sign is named in a
+    ValueError.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa = np.array(f(a), dtype=float)
+    fb = np.array(f(b), dtype=float)
+    same = (fa != 0.0) & (fb != 0.0) & (np.signbit(fa) == np.signbit(fb))
+    if same.any():
+        i = np.argmax(same)
+        raise ValueError(f"no sign change on [{a[i]}, {b[i]}]: f(a)={fa[i]}, f(b)={fb[i]}")
+    b = np.where(fa == 0.0, a, b)
+    a = np.where(fb == 0.0, b, a)
+    live = np.flatnonzero(b - a > xtol)
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
+        fm = np.array(f(m), dtype=float)
+        zero = fm == 0.0
+        left = zero | (np.signbit(fm) == np.signbit(fa[live]))
+        a[live[left]], fa[live[left]] = m[left], fm[left]
+        b[live[zero | ~left]] = m[zero | ~left]
+        live = live[b[live] - a[live] > xtol]
     return 0.5 * (a + b)
 
 

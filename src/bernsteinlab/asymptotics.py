@@ -149,7 +149,7 @@ def find_alpha0(tol: float) -> float:
     """Smallest sign change of alpha -> R(alpha, alpha), bracketed in [2.4, 3]."""
     if not tol >= 1e-7:
         raise ValueError(f"tol must be >= 1e-7, got {tol}")
-    return bisect_root(lambda a: kernel_eval(KernelKind.R, a, a), 2.4, 3.0, xtol=tol)
+    return float(bisect_root(lambda a: kernel_values(KernelKind.R, a, a), [2.4], [3.0], tol)[0])
 
 
 def monotonicity_check(alpha: float, x_hi: float) -> bool:

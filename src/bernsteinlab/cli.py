@@ -77,6 +77,13 @@ def _csv_lines(rows) -> list:
     return lines
 
 
+def _json_scalar(value):
+    """json.dumps's default: a numpy scalar as the Python value it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
     if fmt == "csv":
         lines = [f"# bernsteinlab {__version__}"]
@@ -91,7 +98,7 @@ def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
             "columns": list(columns),
             "rows": [list(row) for row in rows],
         }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=1, default=_json_scalar) + "\n"
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     if out_path == "-":
@@ -272,8 +279,8 @@ def _identities():
 
     def s_increasing(alpha):
         xs = np.linspace(alpha / 2.0, 3.0 * alpha, 100)
-        vals = [kernel("S", alpha, x) for x in xs]
-        return min(np.diff(vals)), 0.0, all(b > a for a, b in zip(vals, vals[1:]))
+        steps = np.diff(kernels.kernel_values("S", alpha, xs))
+        return steps.min(), 0.0, bool((steps > 0.0).all())
 
     for a in (2.5, 4.0, 8.0):
         yield f"F1<=F<=F2[alpha={a}]", lambda a=a: f_bracket(a), None
@@ -608,9 +615,7 @@ def run_curve(kind: str, args) -> int:
         if args.c1 is None or args.c2 is None:
             raise ConfigError("curve limit_error requires --c1 and --c2")
         cache = nearbest.build_cache(alpha, x_max=max(xs) + 1.0)
-        rows = [
-            (x, nearbest.limit_error(alpha, args.c1, args.c2, x, cache=cache)) for x in xs
-        ]
+        rows = list(zip(xs, nearbest.limit_error(alpha, args.c1, args.c2, xs, cache=cache).tolist()))
         emit(("x", "limit_error"), rows, meta, args.format, args.out)
     else:
         raise ConfigError(f"unknown curve {kind!r}")

@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from . import specfun
-from ._search import golden_max
+from ._search import refine_grid_maxima
 from .quadrature import integrate_zero_to_inf
 
 __all__ = [
@@ -413,80 +413,58 @@ def beta_point(alpha: float) -> float:
     return math.pi * math.floor(alpha / math.pi) + 1.5 * math.pi
 
 
+def _certified_sup(name: str, alpha: float, f, grid, x_cut: float, xtol: float) -> SupNormReport:
+    """sup over [0, inf) of f(alpha, .) >= 0, which is bounded by C(alpha)/x.
+
+    f takes an array x, and grid(lo, hi) gives the scan points of (lo, hi].  The grid maxima of
+    (0, x_cut] are polished in one refine_grid_maxima call, and x_cut doubles,
+    scanning and polishing only the new part, until C(alpha)/x_cut < norm/2.
+    """
+    c = C_const(alpha)
+    maxima: list = []
+    lo = 0.0
+    for _ in range(40):
+        xs = grid(lo, x_cut)
+        x, v = refine_grid_maxima(lambda x: f(alpha, x), xs, f(alpha, xs), xtol)
+        maxima.extend(zip(x.tolist(), v.tolist()))
+        argmax, norm = max(maxima, key=lambda p: p[1])
+        if c / x_cut < 0.5 * norm:
+            return SupNormReport(norm, argmax, x_cut, c / x_cut, maxima)
+        lo, x_cut = x_cut, 2.0 * x_cut
+    raise RuntimeError(f"{name} horizon did not certify for alpha={alpha}")
+
+
 def sup_norm_H(alpha: float) -> SupNormReport:
     """sup over [0, inf) of |H(alpha, .)| = |sin(x)| * H1(alpha, x).
 
-    |H| vanishes at every multiple of pi, so each period [k pi, (k+1) pi]
-    is scanned on a coarse grid, and the maxima of all newly scanned periods
-    are polished together by one array golden section over batched
-    quadrature (no scalar kernel_eval).  The horizon starts at
-    max(alpha, beta(alpha)) + 10 pi and doubles until the tail bound
-    C(alpha)/X certifies that no larger lobe lies beyond.
+    |H| vanishes at every multiple of pi, so the grid holds _PERIOD_GRID
+    points inside each period [k pi, (k+1) pi], and the polish brackets one
+    lobe's maximum by its grid neighbours.  The horizon starts at
+    max(alpha, beta(alpha)) + 10 pi, rounded up to a multiple of pi.
     """
     _require_alpha(alpha, 0.0, "sup_norm_H")
-    c = C_const(alpha)
 
-    def absH(x):
-        return np.abs(np.sin(x)) * _J_values(alpha, x)
+    def grid(lo, hi):
+        ks = np.arange(round(lo / math.pi), round(hi / math.pi))[:, None]
+        return ((ks + np.arange(1, _PERIOD_GRID + 1) / (_PERIOD_GRID + 1.0)) * math.pi).ravel()
 
-    n_periods = math.ceil((max(alpha, beta_point(alpha)) + 10.0 * math.pi) / math.pi)
-    half_cell = math.pi / (_PERIOD_GRID + 1.0)
-    offs = np.arange(1, _PERIOD_GRID + 1) / (_PERIOD_GRID + 1.0)
-    maxima: list = []
-    scanned = 0
-    for _ in range(40):
-        if scanned < n_periods:
-            ks = np.arange(scanned, n_periods)
-            grid = (ks[:, None] + offs[None, :]) * math.pi
-            vals = absH(grid.ravel()).reshape(grid.shape)
-            centre = grid[np.arange(len(ks)), np.argmax(vals, axis=1)]
-            x, v = golden_max(
-                absH, np.maximum(centre - half_cell, 1e-12), centre + half_cell, xtol=1e-5
-            )
-            maxima.extend(zip(x.tolist(), v.tolist()))
-            scanned = n_periods
-        norm = max(v for _, v in maxima)
-        x_cut = scanned * math.pi
-        if c / x_cut < 0.5 * norm:
-            break
-        n_periods *= 2
-    else:
-        raise RuntimeError(f"sup_norm_H horizon did not certify for alpha={alpha}")
+    def abs_H(a, x):
+        return np.abs(np.sin(x)) * _J_values(a, x)
 
-    argmax, norm = max(maxima, key=lambda p: p[1])
-    return SupNormReport(norm, argmax, x_cut, c / x_cut, maxima)
+    x_cut = math.ceil((max(alpha, beta_point(alpha)) + 10.0 * math.pi) / math.pi) * math.pi
+    return _certified_sup("sup_norm_H", alpha, abs_H, grid, x_cut, xtol=1e-5)
 
 
 def sup_norm_H1(alpha: float) -> SupNormReport:
     """sup over [0, inf) of the envelope H1(alpha, .), for alpha > 1.
 
     For alpha <= 1 the envelope is unbounded (or attains its sup at 0) and
-    the domain is rejected.  One bracket over [0, alpha + 20 pi] suffices,
-    polished by golden section over batched quadrature (no scalar
-    kernel_eval); the tail is certified through H1 = H2/x <= C(alpha)/x,
-    doubling the horizon when needed.
+    the domain is rejected.  The horizon starts at alpha + 20 pi, scanned at
+    600 points, and each doubling adds 300.
     """
     _require_alpha(alpha, 1.0, "sup_norm_H1")
-    c = C_const(alpha)
-    x_cut = alpha + 20.0 * math.pi
-    xs = np.linspace(0.0, x_cut, 601)[1:]
-    vals = _J_values(alpha, xs)
-    maxima: list = []
-    for _ in range(40):
-        i = int(np.argmax(vals))
-        lo = xs[i - 1] if i > 0 else 1e-12
-        hi = xs[i + 1] if i < len(xs) - 1 else xs[-1]
-        x, v = golden_max(lambda x: _J_values(alpha, x), np.array([lo]), np.array([hi]), xtol=1e-6)
-        maxima.append((float(x[0]), float(v[0])))
-        norm = max(v for _, v in maxima)
-        if c / x_cut < 0.5 * norm:
-            break
-        ext = np.linspace(x_cut, 2.0 * x_cut, 301)[1:]
-        vals = np.concatenate([vals, _J_values(alpha, ext)])
-        xs = np.concatenate([xs, ext])
-        x_cut *= 2.0
-    else:
-        raise RuntimeError(f"sup_norm_H1 horizon did not certify for alpha={alpha}")
 
-    argmax, norm = max(maxima, key=lambda p: p[1])
-    return SupNormReport(norm, argmax, x_cut, c / x_cut, maxima)
+    def grid(lo, hi):
+        return np.linspace(lo, hi, 301 if lo else 601)[1:]
+
+    return _certified_sup("sup_norm_H1", alpha, _J_values, grid, alpha + 20.0 * math.pi, xtol=1e-6)

@@ -22,8 +22,10 @@ searches ask for without quadrature (Trefethen, Approximation Theory and
 Approximation Practice, SIAM 2013).  The pieces are pi wide above pi and
 graded by doubling from pi/100 below it, because H1 behaves like
 x^(alpha-1) at 0 for alpha < 1; degree 24 on each piece matches the
-batched quadrature to about 1e-15, relative.  Only x below pi/100 and
-calls without a cache still use quadrature; x = 0 is a closed-form limit.
+batched quadrature to about 1e-15, relative.  x = 0 is a closed-form
+limit; any other x the interpolants do not span (below pi/100, past the
+grid, or every x without a cache) takes both kernels from one batched
+quadrature call each.
 
 The correction term exists because both interpolation schemes reproduce
 |x|^alpha at x = 0 while the best approximation alternates there; c2
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import chebinterp, specfun
 from ._search import bisect_root, golden_max
-from .kernels import KernelKind, kernel_eval, kernel_values
+from .kernels import KernelKind, kernel_values
 
 __all__ = [
     "GridCache",
@@ -212,28 +214,29 @@ def _interpolated_error(cache: GridCache, c1: float, c2: float, x):
     return _error(cache.alpha, c1, c2, x, kern[..., 0], kern[..., 1], np.cos(x), np.sin(x))
 
 
-def limit_error(
-    alpha: float,
-    c1: float,
-    c2: float,
-    x: float,
-    cache: GridCache | None = None,
-) -> float:
+def limit_error(alpha: float, c1: float, c2: float, x, cache: GridCache | None = None):
     """Scaled limit error E(x) of the tuned combination; x = 0 gives the limit.
 
-    With a cache for this alpha, every x the cache's interpolants span
-    (pi/100 up to the end of its grid) takes A0 and H1 from them; any other
-    x, and every x without a cache, evaluates both kernels by quadrature.
+    x is a float or an array, and the result a float or an array of x's
+    shape.  With a cache for this alpha, every x the cache's interpolants
+    span (pi/100 up to the end of its grid) takes A0 and H1 from them; every
+    other x > 0 takes them from one kernel_values call each.
     """
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return -_prefactor(alpha) * c2
-    if cache is not None and cache.alpha == alpha and cache.breaks[0] <= x <= cache.breaks[-1]:
-        return float(_interpolated_error(cache, c1, c2, x))
-    a0 = kernel_eval(KernelKind.A0, alpha, x)
-    h1 = kernel_eval(KernelKind.H1, alpha, x)
-    return float(_error(alpha, c1, c2, x, a0, h1, math.cos(x), math.sin(x)))
+    xa = np.asarray(x, dtype=float)
+    ok = (0.0 <= xa) & (xa < math.inf)
+    if not ok.all():
+        raise ValueError(f"x must be finite and >= 0, got {xa.ravel()[np.argmin(ok.ravel())]}")
+    out = np.full(xa.shape, -_prefactor(alpha) * c2)
+    rest = xa > 0.0
+    if cache is not None and cache.alpha == alpha:
+        hit = rest & (cache.breaks[0] <= xa) & (xa <= cache.breaks[-1])
+        out[hit] = _interpolated_error(cache, c1, c2, xa[hit])
+        rest &= ~hit
+    if rest.any():
+        xs = xa[rest]
+        a0, h1 = (kernel_values(kind, alpha, xs) for kind in (KernelKind.A0, KernelKind.H1))
+        out[rest] = _error(alpha, c1, c2, xs, a0, h1, np.cos(xs), np.sin(xs))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _error_on_grid(cache: GridCache, c1: float, c2: float) -> np.ndarray:
@@ -339,20 +342,12 @@ def interp_points(
     if cache is None or cache.alpha != alpha:
         cache = build_cache(alpha, x_max=(j_max + 2.0) * math.pi)
 
-    def err(x):
-        return limit_error(alpha, c1, c2, x, cache=cache)
-
     vals = np.concatenate([[-_prefactor(alpha) * c2], _error_on_grid(cache, c1, c2)])
     xs = np.concatenate([[0.0], cache.xs])
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    roots = []
-    for i in sign_change[: j_max]:
-        roots.append(bisect_root(err, xs[i], xs[i + 1], xtol=1e-8))
-    if len(roots) < j_max:
-        raise RuntimeError(
-            f"only {len(roots)} roots of the limit error found below x={xs[-1]:.2f}"
-        )
-    return np.array(roots)
+    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[:j_max]  # sign changes
+    if len(i) < j_max:
+        raise RuntimeError(f"only {len(i)} roots of the limit error found below x={xs[-1]:.2f}")
+    return bisect_root(lambda x: limit_error(alpha, c1, c2, x, cache=cache), xs[i], xs[i + 1], 1e-8)
 
 
 def alternation_points(
@@ -371,16 +366,13 @@ def alternation_points(
 
 def _extrema(alpha: float, c1: float, c2: float, roots, cache: GridCache) -> list:
     """(0, E(0)) plus (y, E(y)) at the extremum of E between each pair of
-    consecutive roots."""
+    consecutive roots, all pairs polished in one golden section."""
 
     def err(x):
         return limit_error(alpha, c1, c2, x, cache=cache)
 
-    out = [(0.0, -_prefactor(alpha) * c2)]
-    for lo, hi in zip(roots[:-1], roots[1:]):
-        y, _ = golden_max(lambda x: abs(err(x)), lo, hi, xtol=1e-8)
-        out.append((y, err(y)))
-    return out
+    ys, _ = golden_max(lambda x: np.abs(err(x)), roots[:-1], roots[1:], xtol=1e-8)
+    return [(0.0, -_prefactor(alpha) * c2)] + list(zip(ys.tolist(), err(ys).tolist()))
 
 
 def p3_poly(alpha: float, n: int, c1: float, c2: float, x: float) -> float:

@@ -281,6 +281,21 @@ def test_emit_bytes_match_per_value_formatting(tmp_path):
         assert path.read_text() == expected
 
 
+def test_emit_writes_numpy_scalars_as_python_values(tmp_path):
+    # json.dumps refuses np.int64 and np.bool_ on its own; the CSV path
+    # formats them with str(), and neither output may depend on the types
+    numpy_row = (np.int64(7), np.float64(0.1), np.bool_(True), np.int64(-2**40), np.bool_(False))
+    python_row = (7, 0.1, True, -2**40, False)
+    columns, meta = ("a", "b", "c", "d", "e"), {"command": "test", "rel_tol": 1e-12}
+    for fmt in ("csv", "json"):
+        got, want = tmp_path / f"numpy.{fmt}", tmp_path / f"python.{fmt}"
+        cli.emit(columns, [numpy_row], meta, fmt, str(got))
+        cli.emit(columns, [python_row], meta, fmt, str(want))
+        assert got.read_bytes() == want.read_bytes()
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli.emit(columns, [(object(),) * 5], meta, "json", str(tmp_path / "bad.json"))
+
+
 def test_curve_H_envelope_dominates():
     code, out = run_main(["curve", "H", "--alpha", "1.8", "--x", "0:40:0.25"])
     assert code == 0
@@ -354,3 +369,15 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+
+
+def test_s_increasing_integrates_in_batches(monkeypatch):
+    # deterministic work gate: S on 100 x is one batch for each of the two F
+    # integrals of R, not one integral per x (200 per entry before)
+    calls = _count_half_line_integrals(monkeypatch)
+    checks = [c for c in cli.CHECKS if c[1].startswith("S increasing")]
+    assert len(checks) == 2
+    for check in checks:
+        calls.clear()
+        assert cli.evaluate(check)[2]
+        assert 0 < len(calls) <= 2

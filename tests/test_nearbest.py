@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bernsteinlab import nearbest
+from bernsteinlab import kernels, nearbest
 from bernsteinlab.chebinterp import build_nodes, interp_eval
 from bernsteinlab.nearbest import (
     GridCache,
@@ -133,10 +133,57 @@ def test_optimize_c_finds_the_roots_once(monkeypatch):
 
 
 @pytest.mark.parametrize("cached", [False, True])
-@pytest.mark.parametrize("x", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize(
+    "x",
+    [
+        math.inf,
+        math.nan,
+        -1.0,
+        np.array([2.0, -1.0, math.inf]),
+        np.array([[0.0, 1.0], [math.nan, -3.0]]),
+    ],
+)
 def test_limit_error_rejects_bad_x(x, cached, cache_half):
-    with pytest.raises(ValueError, match="x must be finite and >= 0"):
+    # the first bad x, in x's order, is named
+    bad = [v for v in np.ravel(x) if not 0.0 <= v < math.inf][0]
+    with pytest.raises(ValueError, match=f"x must be finite and >= 0, got {bad}"):
         limit_error(0.5, 0.2, 0.4, x, cache=cache_half if cached else None)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_limit_error_array_matches_float_calls(cached, cache_half):
+    # x = 0, x on and off the cache grid, and one x the interpolants do not
+    # span: below pi/100 with the cache, any x > 0 without.  With one such x
+    # per call its quadrature batch has one row, as a float call's has, so
+    # every entry keeps the float call's bits; the shape is x's
+    cache = cache_half if cached else None
+    if cached:
+        x = np.array([[0.0, PI / 300.0, 4.0], [float(cache_half.xs[123]), 17.3, 0.5]])
+    else:
+        x = np.array([[0.0], [4.0]])
+    got = limit_error(0.5, 0.33, 0.78, x, cache=cache)
+    assert got.shape == x.shape
+    for i in np.ndindex(x.shape):
+        assert got[i] == limit_error(0.5, 0.33, 0.78, float(x[i]), cache=cache)
+
+
+def test_limit_error_off_cache_points_share_one_batch(monkeypatch):
+    # several x off the interpolants take each kernel from one batch, whose
+    # rows converge together: float calls agree to the quadrature's tolerance
+    xs = np.array([PI / 300.0, 0.5, 2.0, 7.0, 30.0])
+    batches = []
+    kernel_values = nearbest.kernel_values
+
+    def counting_kernel_values(kind, alpha, x):
+        batches.append(np.size(x))
+        return kernel_values(kind, alpha, x)
+
+    monkeypatch.setattr(nearbest, "kernel_values", counting_kernel_values)
+    got = limit_error(0.1, 0.3, 0.8, xs)
+    assert batches == [len(xs), len(xs)]
+    for x, g in zip(xs, got):
+        ref = limit_error(0.1, 0.3, 0.8, float(x))
+        assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.0, 1.5, 1.9])
@@ -165,14 +212,51 @@ def test_interpolated_H1_matches_gauss_legendre_oracle():
 
 
 def test_optimize_c_makes_no_quadrature_call(monkeypatch):
-    # deterministic work gate: every kernel value the fit at alpha = 1 needs
-    # comes from the cache, inside the Nelder-Mead loop and out of it
-    calls = {"total": 0, "in_minimize": 0}
-    kernel_eval, minimize = nearbest.kernel_eval, nearbest.minimize
+    # deterministic work gate: once build_cache has run, every kernel value the
+    # fit at alpha = 1 needs comes from the cache, inside the Nelder-Mead loop
+    # and out of it
+    calls = {"integrals": 0, "at_cache": None, "in_minimize": 0}
+    integrate, build_cache, minimize = (
+        kernels.integrate_zero_to_inf,
+        nearbest.build_cache,
+        nearbest.minimize,
+    )
 
-    def counting_kernel_eval(*args):
+    def counting_integrate(f):
+        calls["integrals"] += 1
+        return integrate(f)
+
+    def marking_build_cache(*args, **kwargs):
+        cache = build_cache(*args, **kwargs)
+        calls["at_cache"] = calls["integrals"]
+        return cache
+
+    def counting_minimize(*args, **kwargs):
+        before = calls["integrals"]
+        out = minimize(*args, **kwargs)
+        calls["in_minimize"] += calls["integrals"] - before
+        return out
+
+    monkeypatch.setattr(kernels, "integrate_zero_to_inf", counting_integrate)
+    monkeypatch.setattr(nearbest, "build_cache", marking_build_cache)
+    monkeypatch.setattr(nearbest, "minimize", counting_minimize)
+    nearbest.optimize_c(1.0)
+    assert calls["at_cache"] > 0
+    assert calls["integrals"] == calls["at_cache"]
+    assert calls["in_minimize"] == 0
+
+
+def test_optimize_c_searches_roots_and_extrema_in_lockstep(monkeypatch):
+    # deterministic work gate: the roots are one bisection and the extrema one
+    # golden section over arrays of brackets, so a fit makes a few dozen
+    # limit_error calls outside the Nelder-Mead objective, not one search per
+    # bracket (713 for `table interp_points --alpha 1 --jmax 10` before)
+    calls = {"total": 0, "in_minimize": 0}
+    limit_error_, minimize = nearbest.limit_error, nearbest.minimize
+
+    def counting_limit_error(*args, **kwargs):
         calls["total"] += 1
-        return kernel_eval(*args)
+        return limit_error_(*args, **kwargs)
 
     def counting_minimize(*args, **kwargs):
         before = calls["total"]
@@ -180,10 +264,10 @@ def test_optimize_c_makes_no_quadrature_call(monkeypatch):
         calls["in_minimize"] += calls["total"] - before
         return out
 
-    monkeypatch.setattr(nearbest, "kernel_eval", counting_kernel_eval)
+    monkeypatch.setattr(nearbest, "limit_error", counting_limit_error)
     monkeypatch.setattr(nearbest, "minimize", counting_minimize)
     nearbest.optimize_c(1.0)
-    assert calls == {"total": 0, "in_minimize": 0}
+    assert 0 < calls["total"] - calls["in_minimize"] <= 70
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():

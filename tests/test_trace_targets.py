@@ -28,7 +28,7 @@ def test_every_trace_target_exists_and_unwraps():
     finally:
         tracer.uninstall()
     assert not hasattr(bernsteinlab.kernels.kernel_eval, "__wrapped__")
-    assert not hasattr(bernsteinlab.nearbest.kernel_eval, "__wrapped__")
+    assert not hasattr(bernsteinlab.asymptotics.kernel_eval, "__wrapped__")
 
 
 def test_half_line_integral_is_counted_once(monkeypatch):
