@@ -416,9 +416,9 @@ def beta_point(alpha: float) -> float:
 def _certified_sup(name: str, alpha: float, f, grid, x_cut: float, xtol: float) -> SupNormReport:
     """sup over [0, inf) of f(alpha, .) >= 0, which is bounded by C(alpha)/x.
 
-    f takes an array x, and grid(lo, hi) gives the scan points of (lo, hi].  The grid maxima of
-    (0, x_cut] are polished in one refine_grid_maxima call, and x_cut doubles,
-    scanning and polishing only the new part, until C(alpha)/x_cut < norm/2.
+    f(alpha, x) takes an array x; grid(lo, hi) gives the scan points of (lo, hi].
+    The grid maxima of (0, x_cut] are polished in one refine_grid_maxima call,
+    then x_cut doubles, scanning only the new part, until C(alpha)/x_cut < norm/2.
     """
     c = C_const(alpha)
     maxima: list = []

@@ -23,9 +23,8 @@ Approximation Practice, SIAM 2013).  The pieces are pi wide above pi and
 graded by doubling from pi/100 below it, because H1 behaves like
 x^(alpha-1) at 0 for alpha < 1; degree 24 on each piece matches the
 batched quadrature to about 1e-15, relative.  x = 0 is a closed-form
-limit; any other x the interpolants do not span (below pi/100, past the
-grid, or every x without a cache) takes both kernels from one batched
-quadrature call each.
+limit, and the x the interpolants do not span (below pi/100, past the
+grid, or any x without a cache) are integrated, in one batch per kernel.
 
 The correction term exists because both interpolation schemes reproduce
 |x|^alpha at x = 0 while the best approximation alternates there; c2
@@ -219,8 +218,10 @@ def limit_error(alpha: float, c1: float, c2: float, x, cache: GridCache | None =
 
     x is a float or an array, and the result a float or an array of x's
     shape.  With a cache for this alpha, every x the cache's interpolants
-    span (pi/100 up to the end of its grid) takes A0 and H1 from them; every
-    other x > 0 takes them from one kernel_values call each.
+    span (pi/100 up to the end of its grid) takes A0 and H1 from them.  The
+    other x > 0 share one kernel_values call per kernel, whose rows converge
+    together: with more than one such x, an entry can differ from a float
+    call's in the last bits, within the quadrature's tolerance.
     """
     xa = np.asarray(x, dtype=float)
     ok = (0.0 <= xa) & (xa < math.inf)

@@ -130,10 +130,10 @@ def test_bisect_root_brackets_match_scalar_runs():
     roots = rng.choice([-2.0, 0.5, 1.25], 30)
     a = list(roots - rng.uniform(1e-3, 0.4, 30))
     b = list(roots + rng.uniform(1e-3, 0.2, 30))
-    # a root at the left end and at the right end; a first midpoint on the
-    # root; a bracket already narrower than xtol
-    a += [0.5, 1.0, 0.0, 1.25 - 2e-14]
-    b += [0.9, 1.25, 1.0, 1.25 + 1e-14]
+    # a root at the left end, at the right end and at both (the left one is
+    # taken); a first midpoint on the root; a bracket already narrower than xtol
+    a += [0.5, 1.0, 0.5, 0.0, 1.25 - 2e-14]
+    b += [0.9, 1.25, 1.25, 1.0, 1.25 + 1e-14]
     calls = []
 
     def f(x):
@@ -146,11 +146,11 @@ def test_bisect_root_brackets_match_scalar_runs():
         want = [_reference_bisect_root(_g, lo, hi, xtol) for lo, hi in zip(a, b)]
         assert got.shape == (len(a),)
         assert got.tolist() == want
-        assert got[-4:-1].tolist() == [0.5, 1.25, 0.5]
+        assert got[-5:-1].tolist() == [0.5, 1.25, 0.5, 0.5]
         # both ends once, then once per step on the brackets still open
         assert calls[:2] == [len(a), len(a)]
         assert len(calls) <= 2 + math.ceil(math.log2(0.6 / xtol))
-        assert calls[2] == len(a) - 2 - 1  # the two roots at an end and the narrow bracket
+        assert calls[2] == len(a) - 3 - 1  # the three roots at an end and the narrow bracket
         assert calls[3] == calls[2] - 1  # the midpoint root is done
 
 
