@@ -7,7 +7,7 @@ import numpy as np
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f, a, b, xtol: float = 1e-6):
+def golden_max(f, a, b, xtol: float):
     """Maximize f on each bracket [a[i], b[i]] by golden-section search;
     returns arrays x and f(x), one entry per bracket.
 
@@ -72,7 +72,7 @@ def bisect_root(f, a, b, xtol: float):
     return 0.5 * (a + b)
 
 
-def refine_grid_maxima(f, xs, values, xtol: float = 1e-6):
+def refine_grid_maxima(f, xs, values, xtol: float):
     """Polish every local maximum of sampled values with golden sections.
 
     xs must be increasing and f takes and returns arrays.  Every grid local

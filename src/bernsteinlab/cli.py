@@ -21,7 +21,7 @@ from math import pi
 import numpy as np
 
 from . import __version__, asymptotics, chebinterp, entire, kernels, nearbest, specfun
-from .quadrature import REL_TOL, integrate_finite, integrate_zero_to_inf
+from .quadrature import REL_TOL, QuadratureError, integrate_finite, integrate_zero_to_inf
 
 
 class ConfigError(Exception):
@@ -666,7 +666,7 @@ def main(argv=None) -> int:
                 return run_table(args.name, args)
             if args.command == "curve":
                 return run_curve(args.kind, args)
-        except ValueError as exc:  # a library domain error: a bad --alpha or --x
+        except (ValueError, QuadratureError, OverflowError) as exc:  # a domain error
             raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,15 +16,15 @@ The constants (c1, c2) are fitted by minimizing sup |E| over (0, X]:
 the three terms are linear in (c1, c2), so the kernels are precomputed once
 per alpha (GridCache) and each objective evaluation is a few vector
 operations plus golden-section polish of the top lobes.  The cache holds
-A0 and H1 on the scan grid (step pi/100 up to 40 pi) and piecewise
-Chebyshev interpolants of both, which give every off-grid value the
-searches ask for without quadrature (Trefethen, Approximation Theory and
-Approximation Practice, SIAM 2013).  The pieces are pi wide above pi and
-graded by doubling from pi/100 below it, because H1 behaves like
-x^(alpha-1) at 0 for alpha < 1; degree 24 on each piece matches the
-batched quadrature to about 1e-15, relative.  x = 0 is a closed-form
-limit, and the x the interpolants do not span (below pi/100, past the
-grid, or any x without a cache) are integrated, in one batch per kernel.
+A0 and H1 only as piecewise Chebyshev interpolants, which give the scan
+grid (step pi/100 up to 40 pi) and every off-grid value the searches ask
+for without quadrature (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013).  The pieces are pi wide above pi and graded by
+doubling from pi/100 below it, because H1 behaves like x^(alpha-1) at 0
+for alpha < 1; degree 24 on each piece matches the batched quadrature to
+about 1e-15, relative.  x = 0 is a closed-form limit, and the x the
+interpolants do not span (below pi/100, past the grid, or any x without a
+cache) are integrated, in one batch per kernel.
 
 The correction term exists because both interpolation schemes reproduce
 |x|^alpha at x = 0 while the best approximation alternates there; c2
@@ -61,6 +61,7 @@ _DEGREE = 24  # of the Chebyshev interpolant on each piece
 _CHEB_ANGLES = math.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)  # first kind, on [-1, 1]
 _BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
+_BLOCK = 512  # grid points interpolated per call, bounding the temporaries
 
 
 class OptimizeError(RuntimeError):
@@ -76,17 +77,15 @@ class GridCache:
     """A0 and H1 for one alpha, reusable across (c1, c2) because the scaled
     limit error is linear in both constants.
 
-    a0_vals and h1_vals hold the kernels on the scan grid xs.  node_vals
-    holds them at the _DEGREE + 1 Chebyshev points of the first kind of each
-    piece [breaks[k], breaks[k+1]] (node_vals[k, 0] for A0, node_vals[k, 1]
-    for H1), which define their interpolants there.  The pieces must cover
-    xs.
+    node_vals holds the kernels at the _DEGREE + 1 Chebyshev points of the
+    first kind of each piece [breaks[k], breaks[k+1]] (node_vals[k, 0] for
+    A0, node_vals[k, 1] for H1), which define their interpolants there.
+    These are the cache's only kernel values: on the scan grid xs, which
+    the pieces must cover, the kernels come from the interpolants too.
     """
 
     alpha: float
     xs: np.ndarray
-    a0_vals: np.ndarray
-    h1_vals: np.ndarray
     breaks: np.ndarray
     node_vals: np.ndarray
 
@@ -111,6 +110,13 @@ class GridCache:
     def trig(self) -> tuple:
         """cos and sin on xs, which every grid scan of E needs."""
         return np.cos(self.xs), np.sin(self.xs)
+
+    @cached_property
+    def grid_kernels(self) -> np.ndarray:
+        """A0 and H1 on xs from the interpolants, as two contiguous rows."""
+        blocks = range(0, len(self.xs), _BLOCK)
+        vals = [_interpolated_kernels(self, self.xs[i : i + _BLOCK]) for i in blocks]
+        return np.concatenate(vals).T.copy()
 
 
 @dataclass(frozen=True)
@@ -156,10 +162,10 @@ def _piece_breaks(x_lo: float, x_hi: float) -> np.ndarray:
 
 
 def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
-    """A0 and H1 on the scan grid (step, 2*step, ..., x_max], step pi/100,
-    and their piecewise Chebyshev interpolants over the same span.  An
-    x_max that leaves fewer than two grid points is refused before any
-    kernel is evaluated."""
+    """The scan grid (step, 2*step, ..., x_max], step pi/100, and piecewise
+    Chebyshev interpolants of A0 and H1 over it, from one kernel_values call
+    per kernel at the pieces' Chebyshev points.  An x_max that leaves fewer
+    than two grid points is refused before any kernel is evaluated."""
     xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP) if x_max < math.inf else np.empty(0)
     if len(xs) < 2:
         raise ValueError(
@@ -172,14 +178,7 @@ def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
         kernel_values(kind, alpha, nodes).reshape(len(lo), _DEGREE + 1)
         for kind in (KernelKind.A0, KernelKind.H1)
     ]
-    return GridCache(
-        alpha,
-        xs,
-        kernel_values(KernelKind.A0, alpha, xs),
-        kernel_values(KernelKind.H1, alpha, xs),
-        breaks,
-        np.stack(node_vals, axis=1),
-    )
+    return GridCache(alpha, xs, breaks, np.stack(node_vals, axis=1))
 
 
 def _prefactor(alpha: float) -> float:
@@ -241,8 +240,7 @@ def limit_error(alpha: float, c1: float, c2: float, x, cache: GridCache | None =
 
 
 def _error_on_grid(cache: GridCache, c1: float, c2: float) -> np.ndarray:
-    cos_xs, sin_xs = cache.trig
-    return _error(cache.alpha, c1, c2, cache.xs, cache.a0_vals, cache.h1_vals, cos_xs, sin_xs)
+    return _error(cache.alpha, c1, c2, cache.xs, *cache.grid_kernels, *cache.trig)
 
 
 def _polished_sup(cache: GridCache, c1: float, c2: float) -> float:

@@ -25,6 +25,8 @@ the one (0, inf) entry; it raises rather than return an unconverged value.
 The batch rules build an interval's nodes once per level, read-only.  A NaN
 integrand is a QuadratureError, an infinite one an OverflowError, naming the
 node; each level scans the integrand only when a row sum is not finite.
+A row whose sum overflows although every integrand value is finite never
+converges, so integrate_zero_to_inf raises a QuadratureError for it.
 """
 
 import functools
@@ -75,10 +77,6 @@ class QuadResult:
 # node tables, cached per refinement level (independent of the interval)
 # ---------------------------------------------------------------------------
 
-_TS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_ES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _level_ts(level: int) -> np.ndarray:
     """Positive t-grid points that are new at this level (t=0 handled apart)."""
     h = _LEVEL0_H / 2**level
@@ -87,39 +85,33 @@ def _level_ts(level: int) -> np.ndarray:
     return np.arange(h, _T_MAX, 2.0 * h)
 
 
+@functools.cache
 def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """(offset, weight) pairs for t > 0, as fractions of the interval length.
 
     A node at +t sits at b - (b-a)*offset, its mirror at a + (b-a)*offset;
     both carry the same weight.
     """
-    got = _TS_CACHE.get(level)
-    if got is None:
-        ts = _level_ts(level)
-        u = 0.5 * np.pi * np.sinh(ts)
-        with np.errstate(over="ignore"):
-            offset = 1.0 / (1.0 + np.exp(2.0 * u))
-        sech = 2.0 * np.exp(-u) / (1.0 + np.exp(-2.0 * u))
-        w = 0.25 * np.pi * np.cosh(ts) * sech * sech
-        keep = offset > _MIN_OFFSET
-        got = (offset[keep], w[keep])
-        _TS_CACHE[level] = got
-    return got
+    ts = _level_ts(level)
+    u = 0.5 * np.pi * np.sinh(ts)
+    with np.errstate(over="ignore"):
+        offset = 1.0 / (1.0 + np.exp(2.0 * u))
+    sech = 2.0 * np.exp(-u) / (1.0 + np.exp(-2.0 * u))
+    w = 0.25 * np.pi * np.cosh(ts) * sech * sech
+    keep = offset > _MIN_OFFSET
+    return offset[keep], w[keep]
 
 
+@functools.cache
 def _exp_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """(exp(u), weight) pairs covering both signs of t (node at a + exp(u))."""
-    got = _ES_CACHE.get(level)
-    if got is None:
-        pos = _level_ts(level)
-        ts = np.concatenate([[0.0], pos, -pos]) if level == 0 else np.concatenate([pos, -pos])
-        u = 0.5 * np.pi * np.sinh(ts)
-        keep = (u > -700.0) & (u < 708.0)
-        eu = np.exp(u[keep])
-        w = 0.5 * np.pi * np.cosh(ts[keep]) * eu
-        got = (eu, w)
-        _ES_CACHE[level] = got
-    return got
+    pos = _level_ts(level)
+    ts = np.concatenate([[0.0], pos, -pos]) if level == 0 else np.concatenate([pos, -pos])
+    u = 0.5 * np.pi * np.sinh(ts)
+    keep = (u > -700.0) & (u < 708.0)
+    eu = np.exp(u[keep])
+    w = 0.5 * np.pi * np.cosh(ts[keep]) * eu
+    return eu, w
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +146,8 @@ def _run_levels(make_xw, f):
             if level >= 2:
                 err = np.abs(value - prev)
                 tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
-                if (err <= tol).all():
+                # a row sum that overflowed makes tol inf, which an inf err would meet
+                if (err <= tol).all() and np.isfinite(value).all():
                     return value, err, level + 1, True
             prev = value
     return value, err, MAX_LEVELS, False

@@ -30,6 +30,8 @@ _BERNOULLI = (
     43867.0 / 798.0,
     -174611.0 / 330.0,
 )
+_ZETA_TERMS = 24  # partial-sum length of zeta
+_ALTERNATING_TERMS = 48  # terms of the alternating-sum acceleration
 
 
 def gamma(x: float) -> float:
@@ -47,7 +49,7 @@ def gamma(x: float) -> float:
         raise OverflowError(f"gamma({x}) overflows double precision") from exc
 
 
-def zeta(alpha: float, terms: int = 24) -> float:
+def zeta(alpha: float) -> float:
     """Riemann zeta for alpha > 1 by Euler-Maclaurin summation.
 
     A 24-term partial sum plus the integral tail and ten Bernoulli
@@ -56,7 +58,7 @@ def zeta(alpha: float, terms: int = 24) -> float:
     """
     if not alpha > 1.0:
         raise ValueError(f"zeta requires alpha > 1, got {alpha}")
-    n = float(terms)
+    n = float(_ZETA_TERMS)
     ns = np.arange(1.0, n)
     out = float(np.sum(ns**-alpha)) + n ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * n**-alpha
     # correction terms B_2k/(2k)! * (alpha)_{2k-1} * n^{-alpha-2k+1}
@@ -83,21 +85,22 @@ def chebyshev_T(n: int, x: float) -> float:
     return math.cos(n * math.acos(x))
 
 
-def _alternating_sum(f, terms: int = 48) -> float:
+def _alternating_sum(f) -> float:
     """sum_{k>=0} (-1)^k f(k) by Cohen-Rodriguez Villegas-Zagier acceleration.
 
-    Rigorous for totally monotone f; the error decays like (3+sqrt(8))^-terms,
-    so 48 terms are far below double-precision roundoff.
+    Rigorous for totally monotone f; the error decays like (3+sqrt(8))^-n in
+    the number n of terms, so n = _ALTERNATING_TERMS = 48 is far below
+    double-precision roundoff.
     """
-    d = (3.0 + math.sqrt(8.0)) ** terms
+    d = (3.0 + math.sqrt(8.0)) ** _ALTERNATING_TERMS
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
     c = -d
     s = 0.0
-    for k in range(terms):
+    for k in range(_ALTERNATING_TERMS):
         c = b - c
         s += c * f(k)
-        b *= (k + terms) * (k - terms) / ((k + 0.5) * (k + 1.0))
+        b *= (k + _ALTERNATING_TERMS) * (k - _ALTERNATING_TERMS) / ((k + 0.5) * (k + 1.0))
     return s / d
 
 

@@ -98,6 +98,14 @@ def test_bad_range_exit_2(capsys):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
 
+def test_quadrature_failure_exits_2(capsys):
+    # C(170) and C(172) are past what the half-line quadrature can sum in
+    # double precision: one error line each, not a traceback
+    for alpha in ("170", "172"):
+        argv = ["table", "envelope", "--alpha", alpha]
+        assert _exits_2_with_one_error_line(argv, capsys), argv
+
+
 def test_parse_range():
     assert cli.parse_range("1.5") == [1.5]
     grid = cli.parse_range("0.1:0.5:0.1")

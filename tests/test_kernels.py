@@ -18,7 +18,7 @@ from bernsteinlab.kernels import (
     sup_norm_H,
     sup_norm_H1,
 )
-from bernsteinlab.quadrature import integrate_zero_to_inf
+from bernsteinlab.quadrature import QuadratureError, integrate_zero_to_inf
 
 import oracles
 
@@ -53,6 +53,23 @@ def test_constants_domain():
         C_const(0.0)
     with pytest.raises(ValueError):
         D_const(-1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: C_const(170.0),
+        lambda: C_const(171.0),
+        lambda: D_const(172.0),
+        lambda: sup_norm_H1(170.0),
+    ],
+    ids=["C_const-170", "C_const-171", "D_const-172", "sup_norm_H1-170"],
+)
+def test_overflowed_row_sum_raises_not_inf(call):
+    # C(170) ~ 1.45e307 is a double and so is every integrand value, but the
+    # quadrature's row sums overflow: that is an error, not an inf result
+    with pytest.raises(QuadratureError, match="did not converge: value=inf"):
+        call()
 
 
 # ---------------------------------------------------------------------------

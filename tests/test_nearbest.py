@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -74,8 +75,8 @@ def test_limit_error_linear_decomposition(cache_half):
     c1, c2 = 0.31, 0.9
     xs = cache_half.xs[::50]
     pref = (2.0 / PI) * math.sin(PI * 0.25)
-    b1 = np.cos(xs) * cache_half.a0_vals[::50]
-    b2 = np.sin(xs) * cache_half.h1_vals[::50]
+    b1 = np.cos(xs) * cache_half.grid_kernels[0, ::50]
+    b2 = np.sin(xs) * cache_half.grid_kernels[1, ::50]
     b3 = np.sin(xs) / xs
     combined = pref * (c1 * b1 + (1.0 - c1) * b2 - c2 * b3)
     for x, ref in zip(xs, combined):
@@ -88,20 +89,20 @@ def _node_vals(pieces):
 
 def test_grid_cache_step_invariant():
     with pytest.raises(ValueError):
-        GridCache(1.0, np.array([0.1, 0.6]), np.zeros(2), np.zeros(2), np.array([0.1, 0.6]), _node_vals(1))
+        GridCache(1.0, np.array([0.1, 0.6]), np.array([0.1, 0.6]), _node_vals(1))
 
 
 def test_grid_cache_refuses_interpolants_not_covering_grid():
     xs = np.array([0.1, 0.15, 0.2])
-    GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.2]), _node_vals(1))
+    GridCache(1.0, xs, np.array([0.1, 0.2]), _node_vals(1))
     with pytest.raises(ValueError, match="cover"):
-        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.19]), _node_vals(1))
+        GridCache(1.0, xs, np.array([0.1, 0.19]), _node_vals(1))
     with pytest.raises(ValueError, match="cover"):
-        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.11, 0.2]), _node_vals(1))
+        GridCache(1.0, xs, np.array([0.11, 0.2]), _node_vals(1))
     with pytest.raises(ValueError, match="increasing"):
-        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.2, 0.2]), _node_vals(2))
+        GridCache(1.0, xs, np.array([0.1, 0.2, 0.2]), _node_vals(2))
     with pytest.raises(ValueError, match="pieces"):
-        GridCache(1.0, xs, np.zeros(3), np.zeros(3), np.array([0.1, 0.15, 0.2]), _node_vals(1))
+        GridCache(1.0, xs, np.array([0.1, 0.15, 0.2]), _node_vals(1))
 
 
 @pytest.mark.parametrize("x_max", [0.02, 1.5 * PI / 100.0, 0.0, -1.0, math.nan, math.inf])
@@ -110,6 +111,32 @@ def test_build_cache_rejects_x_max_leaving_no_grid(x_max, monkeypatch):
     monkeypatch.setattr(nearbest, "kernel_values", None)
     with pytest.raises(ValueError, match="x_max"):
         build_cache(1.0, x_max=x_max)
+
+
+def test_build_cache_evaluates_kernels_only_at_interpolation_nodes(monkeypatch):
+    # deterministic work gate: one kernel_values call per kernel, at the 25
+    # Chebyshev points of each of the 46 pieces; the scan grid's 4,000 points
+    # take their kernels from the interpolants
+    batches = []
+    kernel_values = nearbest.kernel_values
+
+    def counting_kernel_values(kind, alpha, x):
+        batches.append(np.size(x))
+        return kernel_values(kind, alpha, x)
+
+    monkeypatch.setattr(nearbest, "kernel_values", counting_kernel_values)
+    cache = build_cache(1.0)
+    assert len(cache.xs) == 4000 and len(cache.breaks) == 47
+    assert batches == [1150, 1150]
+    # and the cache holds no kernel values besides the interpolants' own
+    assert [f.name for f in dataclasses.fields(GridCache)] == ["alpha", "xs", "breaks", "node_vals"]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 1.9])
+def test_grid_kernels_are_the_interpolants(alpha):
+    # evaluated in blocks, yet bit-equal to one call over the whole grid
+    cache = build_cache(alpha)
+    assert np.array_equal(cache.grid_kernels, nearbest._interpolated_kernels(cache, cache.xs).T)
 
 
 def test_build_cache_smallest_grid():
