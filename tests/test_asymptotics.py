@@ -30,11 +30,29 @@ def test_watson_table_k1_upper():
     assert abs(w.a[3] - (-49.0 / 270.0)) <= 1e-16
 
 
+def test_watson_lower_branch_sign_flip():
+    for k in (0, 1):
+        up = watson_coeffs(k, "upper")
+        lo = watson_coeffs(k, "lower")
+        assert all(lo.a[i] == ((-1.0) ** i) * up.a[i] for i in range(6))
+        assert lo.a[1] == -up.a[1]
+
+
 def test_watson_validation():
     with pytest.raises(ValueError):
         watson_coeffs(2, "upper")
     with pytest.raises(ValueError):
         watson_coeffs(0, "middle")
+
+
+def test_even_expansion_coefficients_derive_from_table():
+    # combining both branches keeps only even indices; Gamma((2j+1)/2) a_2j
+    # terms reproduce the closed expansion coefficients exactly
+    for k, expect in ((0, (0.5, -5.0 / 24.0, 61.0 / 576.0)), (1, (0.5, -5.0 / 24.0, 205.0 / 576.0))):
+        a = watson_coeffs(k, "upper").a
+        for j, target in enumerate(expect):
+            derived = 2.0 * math.gamma(j + 0.5) * a[2 * j] / math.sqrt(2.0 * math.pi)
+            assert abs(derived - target) <= 1e-15
 
 
 def test_odd_coefficients_cancel_across_branches():
@@ -88,6 +106,19 @@ def test_remainder_constant_stable():
         ks.append(abs(q - G_asympt(alpha, "G_aa", 2)) / q * alpha**3)
     mean = sum(ks) / len(ks)
     assert all(0.5 * mean <= k <= 1.5 * mean for k in ks)
+
+
+def test_shifted_kernel_gap_positive():
+    for alpha in (20.0, 50.0):
+        gap = kernel_eval("G", alpha + 1.0, alpha) - (1.0 + alpha**-3) * kernel_eval(
+            "G", alpha, alpha
+        )
+        assert gap > 0.0
+
+
+def test_R_diagonal_signs():
+    assert kernel_eval("R", 2.4, 2.4) < 0.0
+    assert kernel_eval("R", 3.0, 3.0) > 0.0
 
 
 def test_find_alpha0_tol_domain():
@@ -150,3 +181,12 @@ def test_norm_ratio_limit_window():
     for alpha in (10.0, 20.0):
         r = norm_ratio_limit(alpha)
         assert 1.0 - 1.0 / math.sqrt(alpha) - 0.02 <= r <= 1.0 + 2.0 / math.sqrt(alpha) + 0.02
+
+
+def test_envelope_lobe_ratio_trend():
+    deviations = []
+    for alpha in (20.0, 40.0, 80.0):
+        r = kernel_eval("H1", alpha, alpha + 1.5 * math.pi) / kernel_eval("H1", alpha, alpha)
+        deviations.append(abs(r - 1.0))
+    assert deviations[0] <= 0.25
+    assert deviations[0] >= deviations[1] >= deviations[2]
