@@ -34,7 +34,7 @@ class ConfigError(Exception):
 
 
 def parse_range(spec: str) -> list:
-    """'a' -> [a]; 'a:b:step' -> inclusive grid a, a+step, ..., <= b."""
+    """'a' -> [a]; 'a:b:step' -> inclusive grid a, a+step, ..., <= b, of at most 10^6 points."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise ConfigError(f"cannot parse range {spec!r} (want 'a' or 'a:b:step')")
@@ -49,7 +49,10 @@ def parse_range(spec: str) -> list:
     a, b, step = values
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {spec!r}: need a <= b and step > 0")
-    count = int(math.floor((b - a) / step + 0.5)) + 1
+    span = (b - a) / step + 0.5  # checked before anything is built; it can be inf
+    if not span < 1e6:
+        raise ConfigError(f"bad range {spec!r}: more than 10^6 points")
+    count = int(span) + 1
     return [a + k * step for k in range(count) if a + k * step <= b + 1e-9 * step]
 
 
@@ -121,6 +124,16 @@ def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
 # CHECKS at import computes nothing.
 
 
+def _each(name: str, values, fn, tol) -> list:
+    """One entry per value v: name with v in its {}, fn(v) deferred, and tol."""
+    return [(name.format(v), functools.partial(fn, v), tol) for v in values]
+
+
+def _worst_rel(pairs) -> float:
+    """The largest relative gap |value - ref| / |ref| over (value, ref) pairs."""
+    return max(abs(value - ref) / abs(ref) for value, ref in pairs)
+
+
 def _identities():
     """Properties 1-2 of the kernels, closed forms and special functions."""
     x_grid = (0.1, 1.0, 5.0, 20.0)
@@ -132,12 +145,8 @@ def _identities():
 
     def prop1_residual(alpha, kind, power):
         # worst relative gap in kind(alpha, x) = x^power F(alpha, x) over x_grid
-        worst = 0.0
-        for x in x_grid:
-            f = kernel("F", alpha, x)
-            lhs, rhs = kernel(kind, alpha, x), x**power * f
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        return worst
+        pairs = ((kernel(kind, alpha, x), x**power * kernel("F", alpha, x)) for x in x_grid)
+        return _worst_rel(pairs)
 
     for a in (0.5, 1.0, 2.5, 5.0):
         yield f"prop1a[alpha={a}] H1=x^a F", lambda a=a: prop1_residual(a, "H1", a), 1e-9
@@ -156,33 +165,32 @@ def _identities():
         c = kernels.C_const(p)
         return abs(c - alpha ** (p + 1.0) * integrate_zero_to_inf(g).value[0]) / c
 
-    for a in (0.5, 1.0, 2.5, 5.0):
-        yield f"prop1e[alpha={a}] C rescaling", lambda a=a: c_rescaling(a, a), 1e-9
-    for a in (2.5, 5.0):
-        yield f"prop1f[alpha={a}] C(a-1) rescaling", lambda a=a: c_rescaling(a, a - 1), 1e-9
+    yield from _each(
+        "prop1e[alpha={}] C rescaling", (0.5, 1.0, 2.5, 5.0), lambda a: c_rescaling(a, a), 1e-9
+    )
+    yield from _each(
+        "prop1f[alpha={}] C(a-1) rescaling", (2.5, 5.0), lambda a: c_rescaling(a, a - 1), 1e-9
+    )
 
     def prop2a(alpha):
-        worst = 0.0
-        for c in (0.5, 2.0):
-            val = integrate_finite(
-                lambda x: np.exp((alpha - 1.0) * np.log(x) - alpha * x) * (1.0 - x), 0.0, c
-            ).value
-            ref = c**alpha * math.exp(-alpha * c) / alpha
-            worst = max(worst, abs(val - ref) / ref)
-        return worst
+        def f(x):
+            return np.exp((alpha - 1.0) * np.log(x) - alpha * x) * (1.0 - x)
+
+        return _worst_rel(
+            (integrate_finite(f, 0.0, c).value, c**alpha * math.exp(-alpha * c) / alpha)
+            for c in (0.5, 2.0)
+        )
 
     def gamma_moments(alpha, s, powers):
         # worst relative gap in int_0^inf x^p e^(-alpha x) dx = Gamma(s)/alpha^s
         # over p in powers: it holds for p = s - 1, and for p = s when s = alpha
         ref = specfun.gamma(s) / alpha**s
-        worst = 0.0
-        for p in powers:
-            val = integrate_zero_to_inf(lambda x, p=p: np.exp(p * np.log(x) - alpha * x)).value[0]
-            worst = max(worst, abs(val - ref) / ref)
-        return worst
+        return _worst_rel(
+            (integrate_zero_to_inf(lambda x, p=p: np.exp(p * np.log(x) - alpha * x)).value[0], ref)
+            for p in powers
+        )
 
-    for a in (0.5, 1.0, 3.0):
-        yield f"prop2a[alpha={a}] incomplete-gamma identity", lambda a=a: prop2a(a), 1e-9
+    yield from _each("prop2a[alpha={}] incomplete-gamma identity", (0.5, 1.0, 3.0), prop2a, 1e-9)
     for a in (1.5, 2.0, 5.0):
         yield (
             f"prop2b[alpha={a}] Gamma(a-1)/a^(a-1)",
@@ -263,10 +271,8 @@ def _identities():
         hi = 1.0 + 2.0**-alpha + 2.0 ** (1.0 - alpha) / (alpha - 1.0)
         return z, hi, 1.0 < z < hi
 
-    for a in (1.0, 2.0, 5.0, 20.0):
-        yield f"prop2d[alpha={a}] Gamma > Stirling", lambda a=a: stirling(a), None
-    for a in (1.5, 2.0, 5.0, 10.0):
-        yield f"zeta bounds[alpha={a}]", lambda a=a: zeta_bounds(a), None
+    yield from _each("prop2d[alpha={}] Gamma > Stirling", (1.0, 2.0, 5.0, 20.0), stirling, None)
+    yield from _each("zeta bounds[alpha={}]", (1.5, 2.0, 5.0, 10.0), zeta_bounds, None)
 
     def f_bracket(alpha):
         ok = True
@@ -282,10 +288,8 @@ def _identities():
         steps = np.diff(kernels.kernel_values("S", alpha, xs))
         return steps.min(), 0.0, bool((steps > 0.0).all())
 
-    for a in (2.5, 4.0, 8.0):
-        yield f"F1<=F<=F2[alpha={a}]", lambda a=a: f_bracket(a), None
-    for a in (3.0, 6.0):
-        yield f"S increasing[alpha={a}]", lambda a=a: s_increasing(a), None
+    yield from _each("F1<=F<=F2[alpha={}]", (2.5, 4.0, 8.0), f_bracket, None)
+    yield from _each("S increasing[alpha={}]", (3.0, 6.0), s_increasing, None)
 
 
 def _limits():
@@ -300,27 +304,27 @@ def _limits():
         # an entire interpolant of |x|^alpha, checked at its nodes xs
         return max(abs(fn(alpha, x) - x**alpha) for x in xs)
 
-    for a in (0.5, 1.0, 1.9, 3.1, 5.3):
-        yield (
-            f"series=integral [alpha={a}]",
-            lambda a=a: max(
-                abs(entire.H_alpha_series(a, x) - entire.H_alpha_integral(a, x))
-                for x in (0.3, 2.0, 7.0, 15.0)
-            ),
-            1e-6,
-        )
-    for a in (0.5, 1.3):
-        yield (
-            f"H_alpha interpolates (k pi)^alpha [alpha={a}]",
-            lambda a=a: node_gap(entire.H_alpha_integral, a, [k * pi for k in range(1, 7)]),
-            1e-9,
-        )
-    for a in (0.5, 1.0):
-        yield (
-            f"G_alpha interpolates ((k+1/2) pi)^alpha [alpha={a}]",
-            lambda a=a: node_gap(entire.G_alpha, a, [(k + 0.5) * pi for k in range(0, 5)]),
-            1e-9,
-        )
+    yield from _each(
+        "series=integral [alpha={}]",
+        (0.5, 1.0, 1.9, 3.1, 5.3),
+        lambda a: max(
+            abs(entire.H_alpha_series(a, x) - entire.H_alpha_integral(a, x))
+            for x in (0.3, 2.0, 7.0, 15.0)
+        ),
+        1e-6,
+    )
+    yield from _each(
+        "H_alpha interpolates (k pi)^alpha [alpha={}]",
+        (0.5, 1.3),
+        lambda a: node_gap(entire.H_alpha_integral, a, [k * pi for k in range(1, 7)]),
+        1e-9,
+    )
+    yield from _each(
+        "G_alpha interpolates ((k+1/2) pi)^alpha [alpha={}]",
+        (0.5, 1.0),
+        lambda a: node_gap(entire.G_alpha, a, [(k + 0.5) * pi for k in range(0, 5)]),
+        1e-9,
+    )
     yield "G_alpha(0)=0", lambda: abs(entire.G_alpha(1.0, 0.0)), 0.0
 
     def beta_bracket(alpha):
@@ -333,10 +337,8 @@ def _limits():
         rhs = kernels.kernel_eval("H1", alpha, beta)
         return abs(lhs - rhs) / rhs
 
-    for a in (3.9, 8.4, pi):
-        yield f"beta in (a+pi/2, a+3pi/2] [alpha={a}]", lambda a=a: beta_bracket(a), None
-    for a in (3.9, 8.4):
-        yield f"|H(a,beta)| = H1(a,beta) [alpha={a}]", lambda a=a: beta_touch(a), 1e-9
+    yield from _each("beta in (a+pi/2, a+3pi/2] [alpha={}]", (3.9, 8.4, pi), beta_bracket, None)
+    yield from _each("|H(a,beta)| = H1(a,beta) [alpha={}]", (3.9, 8.4), beta_touch, 1e-9)
 
     def growth_proxy():
         alpha = 1.5
@@ -400,14 +402,10 @@ def _asymptotics():
         ok = all(lo.a[i] == ((-1.0) ** i) * up.a[i] for i in range(6))
         return float(ok), 1.0, ok
 
-    for a in (2.0, 4.0, 8.0, 16.0):
-        yield f"envelope chain [alpha={a}]", lambda a=a: envelope_chain(a), None
-    for a in (3.0, 10.0):
-        yield f"H1 decreasing on [a, a+6pi] [alpha={a}]", lambda a=a: h1_decreasing(a), None
-    for a in (10.0, 20.0):
-        yield f"norm ratio in envelope window [alpha={a}]", lambda a=a: norm_ratio(a), None
-    for k in (0, 1):
-        yield f"Watson branch symmetry [k={k}]", lambda k=k: watson_symmetry(k), None
+    yield from _each("envelope chain [alpha={}]", (2.0, 4.0, 8.0, 16.0), envelope_chain, None)
+    yield from _each("H1 decreasing on [a, a+6pi] [alpha={}]", (3.0, 10.0), h1_decreasing, None)
+    yield from _each("norm ratio in envelope window [alpha={}]", (10.0, 20.0), norm_ratio, None)
+    yield from _each("Watson branch symmetry [k={}]", (0, 1), watson_symmetry, None)
 
     def g_order2_gap(alpha, variant, karg):
         q = kernels.kernel_eval("G", *karg)
@@ -435,8 +433,7 @@ def _asymptotics():
                 3.0 / a**3,
             )
     yield "G(a+1,a)-G(a,a) ~ sqrt(2pi/a)e^-a/(4a^2) [alpha=40]", g_shift_difference, 0.2
-    for a in (20.0, 50.0):
-        yield f"G(a+1,a) > (1+a^-3) G(a,a) [alpha={a}]", lambda a=a: g_shift_gap(a), None
+    yield from _each("G(a+1,a) > (1+a^-3) G(a,a) [alpha={}]", (20.0, 50.0), g_shift_gap, None)
     yield "G(a,a+c)/G(a,a) -> e^-c [alpha=30, c=1.5]", g_offset_ratio, 0.1
 
     def lobe_ratio_trend():
@@ -520,9 +517,11 @@ def _convergence_row(item):
 
 
 def _pool_map(fn, items, jobs: int):
-    if jobs <= 1:
+    # a pool starts all of its workers at once, so it gets no more than there are items
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

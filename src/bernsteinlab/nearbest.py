@@ -12,10 +12,13 @@ and its scaled limit error (what the large-n error looks like at scale 2n) is
                                     + (1 - c1) sin(x) H1(alpha, x)
                                     - c2 sin(x)/x ]
 
-The constants (c1, c2) are fitted by minimizing sup |E| over (0, X]:
-the three terms are linear in (c1, c2), so the kernels are precomputed once
-per alpha (GridCache) and each objective evaluation is a few vector
-operations plus golden-section polish of the top lobes.  The cache holds
+The constants (c1, c2) are fitted by minimizing sup |E| over (0, inf), the
+largest of |E(0)|, the lobes on (0, X] and the amplitude |p c1| D(alpha),
+p = (2/pi) sin(pi alpha/2), that the lobes tend to as x -> inf, where
+A0 -> D(alpha) and H1 ~ C(alpha)/x.  The three terms are linear in (c1, c2),
+so the kernels are precomputed once per alpha (GridCache) and each objective
+evaluation is a few vector operations plus a golden-section polish of every
+grid lobe within 5% of the top.  The cache holds
 A0 and H1 only as piecewise Chebyshev interpolants, which give the scan
 grid (step pi/100 up to 40 pi) and every off-grid value the searches ask
 for without quadrature (Trefethen, Approximation Theory and Approximation
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import chebinterp, specfun
 from ._search import bisect_root, golden_max
-from .kernels import KernelKind, kernel_values
+from .kernels import D_const, KernelKind, kernel_values
 
 __all__ = [
     "GridCache",
@@ -56,7 +59,6 @@ __all__ = [
 _X_MAX = 40.0 * math.pi
 _STEP = math.pi / 100.0  # also the root-scan step
 _MAX_GRID_STEP = math.pi / 40.0
-_MAX_LOBES = 8  # top grid lobes polished per objective evaluation
 _DEGREE = 24  # of the Chebyshev interpolant on each piece
 _CHEB_ANGLES = math.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)  # first kind, on [-1, 1]
@@ -65,11 +67,7 @@ _BLOCK = 512  # grid points interpolated per call, bounding the temporaries
 
 
 class OptimizeError(RuntimeError):
-    """Minimax descent failure; carries the best (c1, c2, objective) so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Minimax descent failure; the message names the best (c1, c2, sup) so far."""
 
 
 @dataclass(frozen=True)
@@ -243,24 +241,26 @@ def _error_on_grid(cache: GridCache, c1: float, c2: float) -> np.ndarray:
     return _error(cache.alpha, c1, c2, cache.xs, *cache.grid_kernels, *cache.trig)
 
 
-def _polished_sup(cache: GridCache, c1: float, c2: float) -> float:
-    """sup |E| over (0, X]: grid scan plus golden polish of the top lobes,
-    all polished at once on the interpolants."""
+def _scan(cache: GridCache, c1: float, c2: float, tail: float) -> tuple:
+    """|E| on the scan grid, and the sup it reads: the largest of the grid
+    maximum (ends included), |E(0)| = |p c2| and the amplitude tail |c1|
+    that the lobes of E tend to as x -> inf (tail = |p| D(alpha))."""
     a = np.abs(_error_on_grid(cache, c1, c2))
-    interior = (a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:])
-    idx = np.flatnonzero(interior) + 1
-    if len(idx) == 0:
-        idx = np.array([int(np.argmax(a))])
-    order = idx[np.argsort(a[idx])[::-1]]
-    top = a[order[0]]
-    lobes = order[:_MAX_LOBES]
-    lobes = lobes[a[lobes] >= 0.95 * top]
-    lo = cache.xs[np.maximum(lobes - 1, 0)]
-    hi = cache.xs[np.minimum(lobes + 1, len(cache.xs) - 1)]
+    return a, max(a.max(), abs(_prefactor(cache.alpha) * c2), tail * abs(c1))
+
+
+def _polished_sup(cache: GridCache, c1: float, c2: float, tail: float) -> float:
+    """sup |E| over (0, inf): the _scan sup, raised by a golden polish on the
+    interpolants of every interior grid lobe within 5% of it, all at once."""
+    a, top = _scan(cache, c1, c2, tail)
+    lobes = np.flatnonzero((a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:]) & (a[1:-1] >= 0.95 * top)) + 1
     _, v = golden_max(
-        lambda x: np.abs(_interpolated_error(cache, c1, c2, x)), lo, hi, xtol=1e-6
+        lambda x: np.abs(_interpolated_error(cache, c1, c2, x)),
+        cache.xs[lobes - 1],
+        cache.xs[lobes + 1],
+        xtol=1e-6,
     )
-    return max(top, abs(_prefactor(cache.alpha) * c2), v.max())
+    return float(np.max(v, initial=top))
 
 
 def minimize(*args, **kwargs):
@@ -270,33 +270,31 @@ def minimize(*args, **kwargs):
 
 
 def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSolution:
-    """Fit (c1, c2) minimizing the sup of |E| and assemble the full solution.
+    """Fit (c1, c2) minimizing the sup of |E| over (0, inf) and assemble the
+    full solution.
 
-    Valid for 0 < alpha < 2.  A 41x41 grid over [0, 0.6] x [0, 5] seeds a
+    Valid for 0 < alpha < 2.  D(alpha), which the x -> inf lobe amplitude
+    needs, is integrated once, before the cache is built.  The best _scan
+    sup on a 41x41 grid over [0, 0.6] x [0, 5] seeds a
     Nelder-Mead descent (the objective is piecewise smooth because the
     arg-sup jumps between lobes, so derivative-free descent is the right
     tool); tolerance 1e-4 on the constants.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"optimize_c requires 0 < alpha < 2, got {alpha}")
+    tail = abs(_prefactor(alpha)) * D_const(alpha)
     cache = build_cache(alpha)
-    pref = _prefactor(alpha)
-
-    def j_grid(c1, c2):
-        return max(np.abs(_error_on_grid(cache, c1, c2)).max(), abs(pref * c2))
-
-    best = (math.inf, 0.0, 0.0)
-    for c1 in np.linspace(0.0, 0.6, 41):
-        for c2 in np.linspace(0.0, 5.0, 41):
-            v = j_grid(c1, c2)
-            if v < best[0]:
-                best = (v, c1, c2)
+    best = min(
+        (_scan(cache, c1, c2, tail)[1], c1, c2)
+        for c1 in np.linspace(0.0, 0.6, 41)
+        for c2 in np.linspace(0.0, 5.0, 41)
+    )
 
     def objective(c):
         c1, c2 = c
         if not (-0.2 <= c1 <= 0.9 and -0.5 <= c2 <= 6.5):
             return best[0] + 10.0
-        return _polished_sup(cache, c1, c2)
+        return _polished_sup(cache, c1, c2, tail)
 
     res = minimize(
         objective,
@@ -306,8 +304,8 @@ def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSo
     )
     if not res.success:
         raise OptimizeError(
-            f"simplex descent did not converge for alpha={alpha}: {res.message}",
-            best=(float(res.x[0]), float(res.x[1]), float(res.fun)),
+            f"simplex descent did not converge for alpha={alpha}: {res.message}; "
+            f"best (c1, c2, sup) = ({res.x[0]}, {res.x[1]}, {res.fun})"
         )
     c1, c2 = float(res.x[0]), float(res.x[1])
     minimax = float(res.fun)

@@ -7,6 +7,7 @@ discretization of the minimax problem.
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import linprog
@@ -26,6 +27,23 @@ def midpoint_singular_power_sinh(exponent: float = 0.1, panels: int = 1_000_000)
     t = u**p
     g = p * u ** (exponent * p + p - 1.0) / np.sinh(t)
     return float(np.sum(g)) / panels
+
+
+def C_closed_mp(alpha: float) -> float:
+    """C(alpha) = int_0^inf t^alpha/sinh(t) dt = 2 Gamma(alpha+1) (1 - 2^-(alpha+1)) zeta(alpha+1),
+    in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        return float(2 * mpmath.gamma(a + 1) * (1 - mpmath.mpf(2) ** (-a - 1)) * mpmath.zeta(a + 1))
+
+
+def D_closed_mp(alpha: float) -> float:
+    """D(alpha) = int_0^inf t^(alpha-1)/cosh(t) dt = 2 Gamma(alpha) beta(alpha), with
+    beta the Dirichlet beta function (the L-series of the character mod 4), in
+    mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        return float(2 * mpmath.gamma(a) * mpmath.dirichlet(a, [0, 1, 0, -1]))
 
 
 def midpoint_power_cosh(alpha: float, panels: int = 1_000_000, upper: float = 60.0) -> float:

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -96,6 +98,38 @@ def test_bad_range_exit_2(capsys):
         ["curve", "R_diag", "--alpha", "inf"],
     ):
         assert _exits_2_with_one_error_line(argv, capsys), argv
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "H", "--alpha", "1", "--x", "1:2:1e-300"],  # about 1e300 points
+        ["table", "envelope", "--alpha", "0:1e308:1e-308"],  # an infinite count
+    ],
+    ids=["curve-H-1e300-points", "envelope-infinite-count"],
+)
+def test_unbounded_range_exits_2_before_building_it(argv):
+    # refused by the point count, before a list is built: one error line, in
+    # well under a second.  The CLI runs in a subprocess capped at 1 GiB, so
+    # a range that is built anyway ends in a MemoryError, not a full machine
+    code = (
+        "import sys, time; from bernsteinlab import cli; start = time.perf_counter(); "
+        "code = cli.main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: bad range") and len(proc.stderr.splitlines()) == 1
+    assert float(proc.stdout) < 1.0
 
 
 def test_quadrature_failure_exits_2(capsys):
@@ -359,6 +393,39 @@ def test_table_c_constants_row():
     row = [float(v) for v in out.strip().splitlines()[-1].split(",")]
     assert abs(row[1] - 0.33) <= 0.03
     assert abs(row[2] - 0.78) <= 0.03
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in
+    this process, starting none."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs,items,workers",
+    [(3, 1, []), (3, 2, [2]), (2, 5, [2]), (1, 4, [])],
+    ids=["jobs3-items1", "jobs3-items2", "jobs2-items5", "jobs1-items4"],
+)
+def test_jobs_pool_starts_no_more_workers_than_items(jobs, items, workers, monkeypatch):
+    # the pool starts all of its workers at the first submit, so --jobs 3
+    # over one alpha must not start 3 processes
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    assert cli._pool_map(abs, [-k for k in range(items)], jobs) == list(range(items))
+    assert _RecordingPool.started == workers
 
 
 def test_jobs_pool_is_deterministic(tmp_path):

@@ -314,6 +314,50 @@ def test_optimize_matches_published_constants(alpha, nb_solution):
     assert sol.minimax <= 1.1 * DELTA_INF[alpha]
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0])
+def test_minimax_bounds_a_dense_scan(alpha, nb_solution):
+    # every lobe of |E| on (0, 40 pi] counts, not only the top few grid lobes:
+    # 400,001 points on the fit's interpolants, in blocks; near
+    # equioscillation about 80 lobes lie within 1e-5 of each other
+    sol = nb_solution(alpha)
+    xs = np.linspace(PI / 100.0, 40.0 * PI, 400_001)
+    dense = max(
+        np.abs(nearbest._interpolated_error(sol.cache, sol.c1, sol.c2, xs[i : i + 16384])).max()
+        for i in range(0, len(xs), 16384)
+    )
+    assert sol.minimax >= dense * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3])
+def test_minimax_bounds_the_far_lobes(alpha, nb_solution):
+    # as x -> inf, A0 -> D(alpha) and H1 ~ C(alpha)/x, so the lobes of E tend
+    # to the amplitude |p c1| D(alpha) (D in closed form, in mpmath), which
+    # at alpha <= 0.3 is above every lobe on (0, 40 pi]
+    sol = nb_solution(alpha)
+    p = (2.0 / PI) * math.sin(0.5 * PI * alpha)
+    assert sol.minimax >= abs(p * sol.c1) * oracles.D_closed_mp(alpha) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3])
+def test_far_lobes_approach_their_amplitude_from_below(alpha, nb_solution):
+    # the squared lobe amplitude is (c1 D)^2 + (B0^2 - 2 c1^2 D(alpha) D(alpha+2))/x^2
+    # + O(x^-4), with B0 = (1 - c1) C(alpha) - c2: its 1/x^2 term is negative
+    sol = nb_solution(alpha)
+    b0 = (1.0 - sol.c1) * oracles.C_closed_mp(alpha) - sol.c2
+    d = oracles.D_closed_mp(alpha)
+    assert b0**2 < 2.0 * sol.c1**2 * d * oracles.D_closed_mp(alpha + 2.0)
+
+
+def test_optimize_error_names_the_best_point(monkeypatch):
+    # a descent that does not converge reports where it stopped in its message
+    class Unconverged:
+        success, message, x, fun = False, "too many evaluations", np.array([0.25, 0.5]), 0.3
+
+    monkeypatch.setattr(nearbest, "minimize", lambda *args, **kwargs: Unconverged)
+    with pytest.raises(nearbest.OptimizeError, match=r"best \(c1, c2, sup\) = \(0.25, 0.5, 0.3\)"):
+        nearbest.optimize_c(1.0)
+
+
 def test_optimize_domain():
     with pytest.raises(ValueError):
         nearbest.optimize_c(2.5)
