@@ -100,10 +100,6 @@ def test_bad_range_exit_2(capsys):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -125,7 +121,7 @@ def test_unbounded_range_exits_2_before_building_it(argv):
         capture_output=True,
         text=True,
         timeout=60,
-        preexec_fn=_limit_memory,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: bad range") and len(proc.stderr.splitlines()) == 1
