@@ -656,6 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads -1:1:0.5 or -1e-1 as an option
+        if argv[i] in ("--alpha", "--x", "--c1", "--c2") and argv[i + 1].startswith("-"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":

@@ -15,11 +15,12 @@ and its scaled limit error (what the large-n error looks like at scale 2n) is
 The constants (c1, c2) are fitted by minimizing sup |E| over (0, inf), the
 largest of |E(0)|, the lobes on (0, X] and the amplitude |p c1| D(alpha),
 p = (2/pi) sin(pi alpha/2), that the lobes tend to as x -> inf, where
-A0 -> D(alpha) and H1 ~ C(alpha)/x.  The three terms are linear in (c1, c2),
-so the kernels are precomputed once per alpha (GridCache) and each objective
-evaluation is a few vector operations plus a golden-section polish of every
-grid lobe within 5% of the top.  The cache holds
-A0 and H1 only as piecewise Chebyshev interpolants, which give the scan
+A0 -> D(alpha) and H1 ~ C(alpha)/x.  The three terms are affine in (c1, c2),
+so that sup is convex in them and one descent from a fixed start finds its
+minimum, with no seed search.  The kernels are precomputed once per alpha
+(GridCache), and each objective evaluation is a few vector operations plus a
+golden-section polish of every grid lobe within 5% of the top.  The cache
+holds A0 and H1 only as piecewise Chebyshev interpolants, which give the scan
 grid (step pi/100 up to 40 pi) and every off-grid value the searches ask
 for without quadrature (Trefethen, Approximation Theory and Approximation
 Practice, SIAM 2013).  The pieces are pi wide above pi and graded by
@@ -64,6 +65,7 @@ _CHEB_ANGLES = math.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)  # first kind, on [-1, 1]
 _BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
 _BLOCK = 512  # grid points interpolated per call, bounding the temporaries
+_START = (0.5, 0.5)  # (c1, c2) where every fit's descent starts
 
 
 class OptimizeError(RuntimeError):
@@ -163,11 +165,12 @@ def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
     """The scan grid (step, 2*step, ..., x_max], step pi/100, and piecewise
     Chebyshev interpolants of A0 and H1 over it, from one kernel_values call
     per kernel at the pieces' Chebyshev points.  An x_max that leaves fewer
-    than two grid points is refused before any kernel is evaluated."""
-    xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP) if x_max < math.inf else np.empty(0)
+    than two grid points, or more than 10^6 (x_max above 10^4 pi), is
+    refused before any kernel is evaluated."""
+    xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP) if x_max <= 1e4 * math.pi else np.empty(0)
     if len(xs) < 2:
         raise ValueError(
-            f"x_max must be finite and above 1.5 pi/100 (two grid points), got {x_max}"
+            f"x_max must be in (1.5 pi/100, 10^4 pi] (2 to 10^6 grid points), got {x_max}"
         )
     breaks = _piece_breaks(xs[0], xs[-1])
     lo, hi = breaks[:-1, None], breaks[1:, None]
@@ -181,6 +184,12 @@ def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
 
 def _prefactor(alpha: float) -> float:
     return (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
+
+
+def _check_constants(c1: float, c2: float) -> None:
+    for name, c in (("c1", c1), ("c2", c2)):
+        if not math.isfinite(c):
+            raise ValueError(f"{name} must be finite, got {c}")
 
 
 def _error(alpha: float, c1: float, c2: float, x, a0, h1, cos_x, sin_x):
@@ -220,6 +229,7 @@ def limit_error(alpha: float, c1: float, c2: float, x, cache: GridCache | None =
     together: with more than one such x, an entry can differ from a float
     call's in the last bits, within the quadrature's tolerance.
     """
+    _check_constants(c1, c2)
     xa = np.asarray(x, dtype=float)
     ok = (0.0 <= xa) & (xa < math.inf)
     if not ok.all():
@@ -241,18 +251,13 @@ def _error_on_grid(cache: GridCache, c1: float, c2: float) -> np.ndarray:
     return _error(cache.alpha, c1, c2, cache.xs, *cache.grid_kernels, *cache.trig)
 
 
-def _scan(cache: GridCache, c1: float, c2: float, tail: float) -> tuple:
-    """|E| on the scan grid, and the sup it reads: the largest of the grid
-    maximum (ends included), |E(0)| = |p c2| and the amplitude tail |c1|
-    that the lobes of E tend to as x -> inf (tail = |p| D(alpha))."""
-    a = np.abs(_error_on_grid(cache, c1, c2))
-    return a, max(a.max(), abs(_prefactor(cache.alpha) * c2), tail * abs(c1))
-
-
 def _polished_sup(cache: GridCache, c1: float, c2: float, tail: float) -> float:
-    """sup |E| over (0, inf): the _scan sup, raised by a golden polish on the
-    interpolants of every interior grid lobe within 5% of it, all at once."""
-    a, top = _scan(cache, c1, c2, tail)
+    """sup |E| over (0, inf): the largest of the grid maximum of |E| (ends
+    included), |E(0)| = |p c2| and the amplitude tail |c1| that the lobes of
+    E tend to as x -> inf (tail = |p| D(alpha)), raised by a golden polish on
+    the interpolants of every interior grid lobe within 5% of it, all at once."""
+    a = np.abs(_error_on_grid(cache, c1, c2))
+    top = max(a.max(), abs(_prefactor(cache.alpha) * c2), tail * abs(c1))
     lobes = np.flatnonzero((a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:]) & (a[1:-1] >= 0.95 * top)) + 1
     _, v = golden_max(
         lambda x: np.abs(_interpolated_error(cache, c1, c2, x)),
@@ -274,31 +279,21 @@ def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSo
     full solution.
 
     Valid for 0 < alpha < 2.  D(alpha), which the x -> inf lobe amplitude
-    needs, is integrated once, before the cache is built.  The best _scan
-    sup on a 41x41 grid over [0, 0.6] x [0, 5] seeds a
-    Nelder-Mead descent (the objective is piecewise smooth because the
-    arg-sup jumps between lobes, so derivative-free descent is the right
-    tool); tolerance 1e-4 on the constants.
+    needs, is integrated once, before the cache is built.  For each x, E is
+    affine in (c1, c2), so |E| is convex in them, and so is the sup over x
+    with the rows |p c2| (x = 0) and |p c1| D(alpha) (x -> inf): every local
+    minimum is the global one, and a Nelder-Mead descent from the fixed
+    start _START needs no seed search and no box.  The objective is
+    piecewise smooth, because the arg-sup jumps between lobes, so the
+    descent is derivative-free; tolerance 1e-4 on the constants.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"optimize_c requires 0 < alpha < 2, got {alpha}")
     tail = abs(_prefactor(alpha)) * D_const(alpha)
     cache = build_cache(alpha)
-    best = min(
-        (_scan(cache, c1, c2, tail)[1], c1, c2)
-        for c1 in np.linspace(0.0, 0.6, 41)
-        for c2 in np.linspace(0.0, 5.0, 41)
-    )
-
-    def objective(c):
-        c1, c2 = c
-        if not (-0.2 <= c1 <= 0.9 and -0.5 <= c2 <= 6.5):
-            return best[0] + 10.0
-        return _polished_sup(cache, c1, c2, tail)
-
     res = minimize(
-        objective,
-        [best[1], best[2]],
+        lambda c: _polished_sup(cache, c[0], c[1], tail),
+        _START,
         method="Nelder-Mead",
         options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400, "maxfev": 600},
     )
@@ -314,15 +309,7 @@ def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSo
     alts = _extrema(alpha, c1, c2, roots, cache)
     mags = [abs(e) for _, e in alts]
     return NearBestSolution(
-        alpha,
-        c1,
-        c2,
-        minimax,
-        roots[:10],
-        alts,
-        max(mags) - min(mags),
-        reference_delta,
-        cache,
+        alpha, c1, c2, minimax, roots[:10], alts, max(mags) - min(mags), reference_delta, cache
     )
 
 
@@ -334,6 +321,7 @@ def interp_points(
     cache: GridCache | None = None,
 ) -> np.ndarray:
     """First j_max positive roots of E, bisected to 1e-8 from a pi/100 scan."""
+    _check_constants(c1, c2)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if cache is None or cache.alpha != alpha:
@@ -356,6 +344,7 @@ def alternation_points(
 ) -> list:
     """(y_j, signed error) for j = 0..j_max: y_0 = 0 plus the extremum of E
     between each pair of consecutive interpolation points."""
+    _check_constants(c1, c2)
     if cache is None or cache.alpha != alpha:
         cache = build_cache(alpha, x_max=(j_max + 3.0) * math.pi)
     return _extrema(alpha, c1, c2, interp_points(alpha, c1, c2, j_max + 1, cache=cache), cache)
@@ -378,6 +367,7 @@ def p3_poly(alpha: float, n: int, c1: float, c2: float, x: float) -> float:
     The Chebyshev correction T_{2n+1}(x)/((2n+1) x) is continued through
     x = 0 by its limit T'_{2n+1}(0)/(2n+1) = (-1)^n.
     """
+    _check_constants(c1, c2)
     if n < 1:
         raise ValueError("n must be >= 1")
     if 2 * n <= alpha:

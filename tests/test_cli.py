@@ -76,6 +76,9 @@ def test_missing_required_params_exit_2(capsys):
         ["table", "c_constants", "--alpha", "2.5"],  # optimize_c needs alpha < 2
         ["table", "interp_points", "--alpha", "1", "--jmax", "0"],
         ["curve", "H", "--alpha", "-1"],
+        # c1 and c2 must be finite: a NaN once printed nan rows and exit 0
+        ["curve", "limit_error", "--alpha", "1", "--c1", "nan", "--c2", "0.45", "--x", "0:2:1"],
+        ["curve", "limit_error", "--alpha", "1", "--c1", "0.26", "--c2", "inf", "--x", "0:2:1"],
     ):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
@@ -100,6 +103,22 @@ def test_bad_range_exit_2(capsys):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
 
+def _capped_main(argv):
+    """cli.main(argv) in a subprocess capped at 1 GiB of address space; it
+    prints the seconds main took."""
+    code = (
+        "import sys, time; from bernsteinlab import cli; start = time.perf_counter(); "
+        "code = cli.main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -112,20 +131,46 @@ def test_unbounded_range_exits_2_before_building_it(argv):
     # refused by the point count, before a list is built: one error line, in
     # well under a second.  The CLI runs in a subprocess capped at 1 GiB, so
     # a range that is built anyway ends in a MemoryError, not a full machine
-    code = (
-        "import sys, time; from bernsteinlab import cli; start = time.perf_counter(); "
-        "code = cli.main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-    )
+    proc = _capped_main(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: bad range") and len(proc.stderr.splitlines()) == 1
     assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 10^5 x values, whose cache would span 3.2M interpolant pieces
+        ["curve", "limit_error", "--alpha", "1", "--c1", "0.26", "--c2", "0.45", "--x", "0:1e7:100"],
+        # a root search past the fit's cache, on a grid of 1e10 points
+        ["table", "interp_points", "--alpha", "1", "--jmax", "100000000"],
+    ],
+    ids=["limit-error-1e7-span", "interp-points-1e8-roots"],
+)
+def test_unbounded_cache_exits_2_before_building_it(argv):
+    # build_cache refuses a grid of more than 10^6 points by its x_max; the
+    # interp_points row runs its fit first, so no time bound here
+    proc = _capped_main(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: x_max") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "kind,options",
+    [
+        ("H_alpha", ["--x", "-1:1:0.5"]),
+        ("G_alpha", ["--x", "-1:1:0.5"]),
+        ("limit_error", ["--x", "0:2:1", "--c1", "-1e-1", "--c2", "-5e-1"]),
+    ],
+    ids=["H_alpha", "G_alpha", "limit_error"],
+)
+def test_negative_value_needs_no_equals_sign(kind, options):
+    # argparse reads -1:1:0.5 or -1e-1 as an option unless main joins it to
+    # its option: both forms print the same bytes
+    head = ["curve", kind, "--alpha", "1"]
+    joined = [f"{opt}={value}" for opt, value in zip(options[::2], options[1::2])]
+    out = run_main(head + options)
+    assert out == run_main(head + joined) and out[0] == 0
 
 
 def test_quadrature_failure_exits_2(capsys):

@@ -113,6 +113,22 @@ def test_build_cache_rejects_x_max_leaving_no_grid(x_max, monkeypatch):
         build_cache(1.0, x_max=x_max)
 
 
+@pytest.mark.parametrize("x_max", [math.nextafter(1e4 * PI, math.inf), 1e7 + 1.0, 1e8 * PI])
+def test_build_cache_rejects_x_max_past_a_million_grid_points(x_max, monkeypatch):
+    # the pi/100 grid would hold more than 10^6 points: refused by name
+    # before any array is built or kernel evaluated
+    monkeypatch.setattr(nearbest, "kernel_values", None)
+    with pytest.raises(ValueError, match="x_max"):
+        build_cache(1.0, x_max=x_max)
+
+
+def test_build_cache_takes_a_million_grid_points(monkeypatch):
+    # the bound is inclusive: `table interp_points --jmax 9998` asks for
+    # (9998 + 2) pi; the kernels are stubbed, only the grid is checked
+    monkeypatch.setattr(nearbest, "kernel_values", lambda kind, alpha, x: np.zeros_like(x))
+    assert len(build_cache(1.0, x_max=(9998 + 2.0) * PI).xs) == 1_000_000
+
+
 def test_build_cache_evaluates_kernels_only_at_interpolation_nodes(monkeypatch):
     # deterministic work gate: one kernel_values call per kernel, at the 25
     # Chebyshev points of each of the 46 pieces; the scan grid's 4,000 points
@@ -358,6 +374,33 @@ def test_optimize_error_names_the_best_point(monkeypatch):
         nearbest.optimize_c(1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.9])
+def test_polished_sup_is_midpoint_convex(alpha):
+    # E is affine in (c1, c2) at each x, so the sup the fit minimizes is
+    # convex in them: every local minimum is global, and the descent needs
+    # no seed search.  Pairs drawn from the box the seed search once needed
+    cache = build_cache(alpha)
+    tail = (2.0 / PI) * math.sin(0.5 * PI * alpha) * kernels.D_const(alpha)
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        a, b = rng.uniform((-0.2, -0.5), (0.9, 6.5), size=(2, 2))
+        ends = [nearbest._polished_sup(cache, *c, tail) for c in (a, b)]
+        mid = nearbest._polished_sup(cache, *(0.5 * (a + b)), tail)
+        assert mid <= 0.5 * (ends[0] + ends[1]) * (1.0 + 1e-12), (a, b)
+
+
+@pytest.mark.parametrize("start", [(0.3, 2.5), (1.0, 1.0)])
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_fit_does_not_depend_on_its_start(alpha, start, nb_solution, monkeypatch):
+    # the objective is convex, so a descent from another start ends at the
+    # shipped fit's minimum, to the descent's own tolerances
+    shipped = nb_solution(alpha)
+    monkeypatch.setattr(nearbest, "_START", start)
+    sol = nearbest.optimize_c(alpha)
+    assert abs(sol.c1 - shipped.c1) <= 1e-5 and abs(sol.c2 - shipped.c2) <= 1e-5
+    assert abs(sol.minimax - shipped.minimax) <= 1e-9 * shipped.minimax
+
+
 def test_optimize_domain():
     with pytest.raises(ValueError):
         nearbest.optimize_c(2.5)
@@ -469,3 +512,24 @@ def test_p3_domain():
         p3_poly(1.0, 0, 0.2, 0.4, 0.5)
     with pytest.raises(ValueError):
         p3_poly(5.0, 2, 0.2, 0.4, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c1, c2: limit_error(1.0, c1, c2, 2.0),
+        lambda c1, c2: interp_points(1.0, c1, c2, 3),
+        lambda c1, c2: alternation_points(1.0, c1, c2, 3),
+        lambda c1, c2: p3_poly(1.0, 8, c1, c2, 0.3),
+    ],
+    ids=["limit_error", "interp_points", "alternation_points", "p3_poly"],
+)
+@pytest.mark.parametrize(
+    "c1,c2,bad", [(math.nan, 0.45, "c1"), (0.26, math.inf, "c2"), (-math.inf, math.nan, "c1")]
+)
+def test_non_finite_constants_are_named(call, c1, c2, bad, monkeypatch):
+    # the first constant that is not finite is named, before any kernel is
+    # evaluated, where a NaN or a "0 roots found" once came back
+    monkeypatch.setattr(nearbest, "kernel_values", None)
+    with pytest.raises(ValueError, match=f"{bad} must be finite"):
+        call(c1, c2)
