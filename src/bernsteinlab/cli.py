@@ -534,17 +534,15 @@ def run_table(name: str, args) -> int:
     elif name == "interp_points":
         if not args.alpha:
             raise ConfigError("table interp_points requires --alpha")
-        if args.jmax < 1:  # checked before any fit runs
-            raise ConfigError(f"--jmax must be >= 1, got {args.jmax}")
+        if not 1 <= args.jmax <= nearbest.MAX_ROOTS:  # checked before any fit runs
+            raise ConfigError(f"--jmax must be in [1, {nearbest.MAX_ROOTS}], got {args.jmax}")
         rows = []
         for alpha in parse_range(args.alpha):
             sol = nearbest.optimize_c(alpha)
             if args.jmax <= len(sol.interp_points):  # the fit holds these roots
                 pts = sol.interp_points[: args.jmax]
             else:
-                # the fit's cache serves if it reaches as far as interp_points would build one
-                cache = sol.cache if (args.jmax + 2.0) * pi <= sol.cache.xs[-1] else None
-                pts = nearbest.interp_points(alpha, sol.c1, sol.c2, args.jmax, cache=cache)
+                pts = nearbest.interp_points(alpha, sol.c1, sol.c2, args.jmax, cache=sol.cache)
             rows += [(alpha, j + 1, x) for j, x in enumerate(pts)]
         emit(("alpha", "j", "x_j_star"), rows, meta, args.format, args.out)
     elif name == "convergence":
@@ -613,6 +611,8 @@ def run_curve(kind: str, args) -> int:
     elif kind == "limit_error":
         if args.c1 is None or args.c2 is None:
             raise ConfigError("curve limit_error requires --c1 and --c2")
+        if max(xs) + 1.0 > nearbest.X_LIMIT:  # the cache's x_max, refused before it is built
+            raise ConfigError(f"--x must be <= {nearbest.X_LIMIT - 1.0!r}, got up to {max(xs)!r}")
         cache = nearbest.build_cache(alpha, x_max=max(xs) + 1.0)
         rows = list(zip(xs, nearbest.limit_error(alpha, args.c1, args.c2, xs, cache=cache).tolist()))
         emit(("x", "limit_error"), rows, meta, args.format, args.out)

@@ -19,8 +19,8 @@ Euler transform to a fixed 1e-8, and a shortfall raises.
 
 Both functions are even; negative arguments are reflected.  The integral
 forms take x as a float or as an array, whose kernel values come from one
-kernel_values batch.  beta_point, the lobe abscissa, lives in kernels and is
-re-exported here.
+kernel_values call on |x|, which gives H and A0 their limit 0 at x = 0.
+beta_point, the lobe abscissa, lives in kernels and is re-exported here.
 """
 
 import math
@@ -54,22 +54,13 @@ def _by_entry(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _vanishing_at_zero(kind: KernelKind, alpha: float, x: np.ndarray) -> np.ndarray:
-    """kind(alpha, x) at every x >= 0 of an array, for a kind that is 0 at
-    x = 0 (H, A0): one kernel_values call over the other x."""
-    out = np.zeros(x.shape)
-    rest = x != 0.0
-    out[rest] = kernel_values(kind, alpha, x[rest])
-    return out
-
-
 def H_alpha_integral(alpha: float, x):
     """H_alpha(x) through the error-kernel quadrature; x a float, or an array
     evaluated in one batch."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
-    h = _vanishing_at_zero(KernelKind.H, alpha, xs)
+    h = kernel_values(KernelKind.H, alpha, xs)
     scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
     out = _by_entry(lambda v: v**alpha, xs) - scale * h
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -151,7 +142,7 @@ def G_alpha(alpha: float, x):
     if alpha == 2.0 * round(alpha / 2.0):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
     xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
-    a0 = _vanishing_at_zero(KernelKind.A0, alpha, xs)
+    a0 = kernel_values(KernelKind.A0, alpha, xs)
     scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
     out = _by_entry(lambda v: v**alpha, xs) - scale * _by_entry(math.cos, xs) * a0
     return float(out[0]) if np.ndim(x) == 0 else out

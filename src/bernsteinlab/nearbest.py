@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 _X_MAX = 40.0 * math.pi
+# the farthest x_max build_cache takes (10^6 grid points), and the most roots
+# interp_points finds within it, (j_max + 2) pi being the reach it needs
+X_LIMIT = 1e4 * math.pi
+MAX_ROOTS = round(X_LIMIT / math.pi) - 2
 _STEP = math.pi / 100.0  # also the root-scan step
 _MAX_GRID_STEP = math.pi / 40.0
 _DEGREE = 24  # of the Chebyshev interpolant on each piece
@@ -167,7 +171,7 @@ def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
     per kernel at the pieces' Chebyshev points.  An x_max that leaves fewer
     than two grid points, or more than 10^6 (x_max above 10^4 pi), is
     refused before any kernel is evaluated."""
-    xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP) if x_max <= 1e4 * math.pi else np.empty(0)
+    xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP) if x_max <= X_LIMIT else np.empty(0)
     if len(xs) < 2:
         raise ValueError(
             f"x_max must be in (1.5 pi/100, 10^4 pi] (2 to 10^6 grid points), got {x_max}"
@@ -320,12 +324,12 @@ def interp_points(
     j_max: int,
     cache: GridCache | None = None,
 ) -> np.ndarray:
-    """First j_max positive roots of E, bisected to 1e-8 from a pi/100 scan."""
+    """First j_max positive roots of E, bisected to 1e-8 from a pi/100 scan of
+    the grid of _cache_reaching(alpha, j_max, cache)."""
     _check_constants(c1, c2)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    if cache is None or cache.alpha != alpha:
-        cache = build_cache(alpha, x_max=(j_max + 2.0) * math.pi)
+    if not 1 <= j_max <= MAX_ROOTS:
+        raise ValueError(f"j_max must be in [1, {MAX_ROOTS}], got {j_max}")
+    cache = _cache_reaching(alpha, j_max, cache)
 
     vals = np.concatenate([[-_prefactor(alpha) * c2], _error_on_grid(cache, c1, c2)])
     xs = np.concatenate([[0.0], cache.xs])
@@ -333,6 +337,15 @@ def interp_points(
     if len(i) < j_max:
         raise RuntimeError(f"only {len(i)} roots of the limit error found below x={xs[-1]:.2f}")
     return bisect_root(lambda x: limit_error(alpha, c1, c2, x, cache=cache), xs[i], xs[i + 1], 1e-8)
+
+
+def _cache_reaching(alpha: float, j_max: int, cache: GridCache | None) -> GridCache:
+    """cache if it is for alpha and its grid reaches (j_max + 2) pi, where the
+    search for j_max roots scans; else a new cache to there."""
+    x_max = (j_max + 2.0) * math.pi
+    if cache is not None and cache.alpha == alpha and x_max <= cache.xs[-1]:
+        return cache
+    return build_cache(alpha, x_max=x_max)
 
 
 def alternation_points(
@@ -345,8 +358,7 @@ def alternation_points(
     """(y_j, signed error) for j = 0..j_max: y_0 = 0 plus the extremum of E
     between each pair of consecutive interpolation points."""
     _check_constants(c1, c2)
-    if cache is None or cache.alpha != alpha:
-        cache = build_cache(alpha, x_max=(j_max + 3.0) * math.pi)
+    cache = _cache_reaching(alpha, j_max + 1, cache)
     return _extrema(alpha, c1, c2, interp_points(alpha, c1, c2, j_max + 1, cache=cache), cache)
 
 

@@ -22,11 +22,13 @@ t**(alpha-1) are handled at full accuracy for alpha down to roughly 0.05.
 
 Every rule works to the fixed tolerances below.  integrate_zero_to_inf is
 the one (0, inf) entry; it raises rather than return an unconverged value.
-The batch rules build an interval's nodes once per level, read-only.  A NaN
-integrand is a QuadratureError, an infinite one an OverflowError, naming the
-node; each level scans the integrand only when a row sum is not finite.
-A row whose sum overflows although every integrand value is finite never
-converges, so integrate_zero_to_inf raises a QuadratureError for it.
+Every rule, scalar or batch, reads one node table per interval and level,
+built once and kept read-only, so an integrand that writes to its nodes
+fails instead of corrupting them.  A NaN integrand is a QuadratureError, an
+infinite one an OverflowError, naming the node; each level scans the
+integrand only when a row sum is not finite.  A row whose sum overflows
+although every integrand value is finite never converges, so
+integrate_zero_to_inf raises a QuadratureError for it.
 """
 
 import functools
@@ -153,38 +155,19 @@ def _run_levels(make_xw, f):
     return value, err, MAX_LEVELS, False
 
 
-def _finite_xw(a: float, b: float):
-    span = b - a
-    mid = 0.5 * (a + b)
-
-    def make(level: int):
-        off, w = _tanh_sinh_nodes(level)
-        xs_hi = b - span * off
-        xs_lo = a + span * off
-        if level == 0:
-            xs = np.concatenate([[mid], xs_lo, xs_hi])
-            ws = span * np.concatenate([[0.25 * np.pi], w, w])
-        else:
-            xs = np.concatenate([xs_lo, xs_hi])
-            ws = span * np.concatenate([w, w])
-        return xs, ws
-
-    return make
-
-
-def _semi_xw(a: float):
-    def make(level: int):
-        eu, w = _exp_sinh_nodes(level)
-        return a + eu, w
-
-    return make
-
-
 @functools.cache
-def _batch_xw(a: float, b: float | None, level: int):
-    """One level's (xs, ws) of (a, b), or of (a, inf) when b is None, for the
-    batch rules: built once per interval and level, and kept read-only."""
-    xs, ws = (_semi_xw(a) if b is None else _finite_xw(a, b))(level)
+def _xw(a: float, b: float | None, level: int):
+    """One level's (xs, ws) of (a, b), or of (a, inf) when b is None: built
+    once per interval and level, and kept read-only for every rule."""
+    if b is None:
+        eu, ws = _exp_sinh_nodes(level)
+        xs = a + eu
+    else:
+        # level 0 adds the midpoint, t = 0, ahead of the mirrored pairs
+        span, (off, w) = b - a, _tanh_sinh_nodes(level)
+        mid = ([0.5 * (a + b)], [0.25 * np.pi]) if level == 0 else ([], [])
+        xs = np.concatenate([mid[0], a + span * off, b - span * off])
+        ws = span * np.concatenate([mid[1], w, w])
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
@@ -192,17 +175,17 @@ def _batch_xw(a: float, b: float | None, level: int):
 def integrate_finite(f: Callable, a: float, b: float) -> QuadResult:
     """Integrate f over (a, b) with the tanh-sinh rule.
 
-    f must accept a numpy array of abscissas.  Endpoint singularities of
-    integrable algebraic order converge without special treatment; NaN from
-    the integrand is a hard error naming the abscissa, inf an OverflowError.
-    If the tolerance is not met within MAX_LEVELS the result is returned
-    with converged=False and the caller decides.
+    f must accept a read-only numpy array of abscissas.  Endpoint
+    singularities of integrable algebraic order converge without special
+    treatment; NaN from the integrand is a hard error naming the abscissa,
+    inf an OverflowError.  If the tolerance is not met within MAX_LEVELS the
+    result is returned with converged=False and the caller decides.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
     if a > b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    value, err, levels, ok = _run_levels(_finite_xw(a, b), f)
+    value, err, levels, ok = _run_levels(functools.partial(_xw, a, b), f)
     return QuadResult(float(value[0]), float(err[0]), levels, ok)
 
 
@@ -212,7 +195,7 @@ def integrate_semi_infinite(f: Callable, a: float) -> QuadResult:
     Assumes f decays at least exponentially (true of every kernel here:
     they all contain 1/sinh, 1/cosh, or exp(-x t)).
     """
-    value, err, levels, ok = _run_levels(_semi_xw(a), f)
+    value, err, levels, ok = _run_levels(functools.partial(_xw, a, None), f)
     return QuadResult(float(value[0]), float(err[0]), levels, ok)
 
 
@@ -245,9 +228,9 @@ def integrate_finite_batch(fmat: Callable, a: float, b: float):
     """Like integrate_finite for fmat returning an (m, n) matrix of integrands,
     refined until every row meets the tolerance.  Returns (values, errors,
     levels used, converged), values and errors of shape (m,)."""
-    return _run_levels(functools.partial(_batch_xw, a, b), fmat)
+    return _run_levels(functools.partial(_xw, a, b), fmat)
 
 
 def integrate_semi_infinite_batch(fmat: Callable, a: float):
     """Batch counterpart of integrate_semi_infinite."""
-    return _run_levels(functools.partial(_batch_xw, a, None), fmat)
+    return _run_levels(functools.partial(_xw, a, None), fmat)

@@ -85,12 +85,16 @@ def test_missing_required_params_exit_2(capsys):
 
 def test_bad_jmax_exits_2_before_any_fit(capsys, monkeypatch):
     def no_fit(*args, **kwargs):
-        raise AssertionError("optimize_c ran before --jmax was checked")
+        raise AssertionError("a fit or a cache ran before --jmax was checked")
 
     monkeypatch.setattr(cli.nearbest, "optimize_c", no_fit)
-    for jmax in ("0", "-3"):
+    monkeypatch.setattr(cli.nearbest, "build_cache", no_fit)
+    # 9999 roots would need a cache past build_cache's bound, (9999 + 2) pi > 10^4 pi
+    for jmax in ("0", "-3", "9999", "100000000"):
         argv = ["table", "interp_points", "--alpha", "1", "--jmax", jmax]
-        assert _exits_2_with_one_error_line(argv, capsys), argv
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: --jmax must be in [1, 9998], got {jmax}\n"
 
 
 def test_bad_range_exit_2(capsys):
@@ -138,21 +142,28 @@ def test_unbounded_range_exits_2_before_building_it(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,error",
     [
         # 10^5 x values, whose cache would span 3.2M interpolant pieces
-        ["curve", "limit_error", "--alpha", "1", "--c1", "0.26", "--c2", "0.45", "--x", "0:1e7:100"],
+        (
+            ["curve", "limit_error", "--alpha", "1", "--c1", "0.26", "--c2", "0.45", "--x", "0:1e7:100"],
+            f"error: --x must be <= {1e4 * math.pi - 1.0!r}, got up to 10000000.0\n",
+        ),
         # a root search past the fit's cache, on a grid of 1e10 points
-        ["table", "interp_points", "--alpha", "1", "--jmax", "100000000"],
+        (
+            ["table", "interp_points", "--alpha", "1", "--jmax", "100000000"],
+            "error: --jmax must be in [1, 9998], got 100000000\n",
+        ),
     ],
     ids=["limit-error-1e7-span", "interp-points-1e8-roots"],
 )
-def test_unbounded_cache_exits_2_before_building_it(argv):
-    # build_cache refuses a grid of more than 10^6 points by its x_max; the
-    # interp_points row runs its fit first, so no time bound here
+def test_unbounded_cache_exits_2_before_building_it(argv, error):
+    # a cache past 10^6 grid points is refused by the option that asks for
+    # it, in the user's own numbers, before any fit or cache: well under a second
     proc = _capped_main(argv)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: x_max") and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr == error
+    assert float(proc.stdout) < 1.0
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,28 @@ def test_kernel_domains():
             kernel_values("H1", 1.0, np.array([1.0, x]))
 
 
+def test_kernel_values_takes_the_limits_at_zero():
+    xs = np.array([0.0, 0.5, 0.0, 3.0])
+    for kind in ("H", "H2", "A0"):
+        got = kernel_values(kind, 1.5, xs)
+        assert got[0] == got[2] == 0.0
+        # the x > 0 entries are the bits of a call without the zeros
+        assert np.array_equal(got[[1, 3]], kernel_values(kind, 1.5, xs[[1, 3]]))
+    for alpha in (1.0, 2.5):
+        got = kernel_values("H1", alpha, xs)
+        assert got[0] == got[2] == kernel_eval("H1", alpha, 0.0)
+        assert np.array_equal(got[[1, 3]], kernel_values("H1", alpha, xs[[1, 3]]))
+    # an array alpha takes its limits row by row
+    alphas = np.array([1.0, 0.5, 2.5, 1.0])
+    got = kernel_values("H1", alphas, xs)
+    assert got[0] == PI / 2.0 and got[2] == 0.0
+    assert np.array_equal(got[[1, 3]], kernel_values("H1", alphas[[1, 3]], xs[[1, 3]]))
+    with pytest.raises(ValueError, match="diverges"):
+        kernel_values("H1", np.array([1.0, 0.5]), np.array([0.0, 0.0]))
+    with pytest.raises(ValueError, match="kernel F requires x > 0"):
+        kernel_values("F", 1.5, xs)
+
+
 def test_kernel_values_matches_scalar():
     # one point is the same code bit for bit; a batch refines until its last
     # row converges, so it agrees to the quadrature tolerance
@@ -228,15 +250,12 @@ _REFERENCE_MATS = {
 
 
 def _node_rows():
-    """Each level's nodes on both sides of the split, as fresh writeable
-    arrays (what the scalar rules pass) and as the batch rules' cached
-    read-only tables, whose factors kernels keeps."""
+    """Each level's nodes on both sides of the split: the cached read-only
+    tables every rule reads, whose factors kernels keeps."""
     split = quadrature.SPLIT_POINT
     for level in range(quadrature.MAX_LEVELS):
-        yield quadrature._finite_xw(0.0, split)(level)[0]
-        yield quadrature._semi_xw(split)(level)[0]
-        yield quadrature._batch_xw(0.0, split, level)[0]
-        yield quadrature._batch_xw(split, None, level)[0]
+        yield quadrature._xw(0.0, split, level)[0]
+        yield quadrature._xw(split, None, level)[0]
 
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_MATS))
@@ -251,19 +270,16 @@ def test_in_place_integrands_are_bit_equal(name):
             for alpha in alphas:
                 got, ref = build(alpha, x, t), _REFERENCE_MATS[name](alpha, x, t)
                 assert got.shape == ref.shape == (len(x), len(t))
-                assert np.array_equal(got, ref), (alpha, len(t), t.flags.writeable)
+                assert np.array_equal(got, ref), (alpha, len(t))
 
 
 def test_node_factors_are_kept_for_read_only_tables_only():
     # the deepest exp-sinh nodes overflow t * t, as under the quadrature
     with np.errstate(over="ignore", under="ignore"):
-        cached = quadrature._batch_xw(quadrature.SPLIT_POINT, None, 3)[0]
-        fresh = quadrature._semi_xw(quadrature.SPLIT_POINT)(3)[0]
+        cached = quadrature._xw(quadrature.SPLIT_POINT, None, 3)[0]
         assert kernels._nodes(cached) is kernels._nodes(cached)
-        assert kernels._nodes(fresh) is not kernels._nodes(fresh)
         row = kernels._pow_over_sinh(2.5, cached)
         assert kernels._pow_over_sinh(2.5, cached) is row and not row.flags.writeable
-        assert kernels._pow_over_sinh(2.5, fresh) is not kernels._pow_over_sinh(2.5, fresh)
         # a new alpha replaces the row; the old alpha is computed again, equal
         assert kernels._pow_over_sinh(3.0, cached) is not row
         assert np.array_equal(kernels._pow_over_sinh(2.5, cached), row)

@@ -431,9 +431,28 @@ def test_interp_points_brackets():
             assert (j - 1.5) * PI <= x <= (j - 0.5) * PI
 
 
-def test_too_many_roots_requested(cache_half):
-    with pytest.raises(RuntimeError, match="roots"):
-        interp_points(0.5, 0.33, 0.78, 60, cache=cache_half)
+def test_too_many_roots_requested(cache_half, monkeypatch):
+    # more roots than the largest cache holds are refused by name, before any
+    # cache is built
+    monkeypatch.setattr(nearbest, "build_cache", None)
+    with pytest.raises(ValueError, match=r"j_max must be in \[1, 9998\], got 9999$"):
+        interp_points(0.5, 0.33, 0.78, nearbest.MAX_ROOTS + 1, cache=cache_half)
+    # a grid with fewer sign changes than the roots asked for raises: E = 0
+    # everywhere, from kernels that vanish and c2 = 0, has none
+    flat = dataclasses.replace(cache_half, node_vals=np.zeros_like(cache_half.node_vals))
+    with pytest.raises(RuntimeError, match="only 0 roots"):
+        interp_points(0.5, 0.33, 0.0, 5, cache=flat)
+
+
+def test_short_cache_for_the_right_alpha_is_not_reused():
+    # the default cache spans 40 pi and holds 41 roots; a search for more
+    # builds its own grid, as it does without a cache
+    cache = build_cache(1.0)
+    c1, c2 = 0.2458, 0.4456
+    want = interp_points(1.0, c1, c2, 50)
+    assert len(want) == 50
+    assert np.array_equal(interp_points(1.0, c1, c2, 50, cache=cache), want)
+    assert alternation_points(1.0, c1, c2, 45, cache=cache) == alternation_points(1.0, c1, c2, 45)
 
 
 def test_alternation_points_structure(cache_half):

@@ -169,12 +169,14 @@ def test_finite_rows_whose_sums_overflow_do_not_converge():
         lambda f: quadrature.integrate_finite_batch(f, 0.0, quadrature.SPLIT_POINT)[:2],
         lambda f: quadrature.integrate_semi_infinite_batch(f, quadrature.SPLIT_POINT)[:2],
         lambda f: (lambda r: (r.value, r.err_estimate))(integrate_zero_to_inf(f)),
+        lambda f: (lambda r: (r.value, r.err_estimate))(integrate_finite(f, 0.0, 1.0)),
+        lambda f: (lambda r: (r.value, r.err_estimate))(integrate_semi_infinite(f, 1.0)),
     ],
-    ids=["finite_part", "semi_infinite_part", "zero_to_inf"],
+    ids=["finite_part", "semi_infinite_part", "zero_to_inf", "finite", "semi_infinite"],
 )
 def test_fixed_part_nodes_are_read_only(integrate):
-    # the nodes of (0, SPLIT_POINT) and (SPLIT_POINT, inf) are built once and
-    # shared, so an integrand that writes to them must fail, not corrupt them
+    # every rule's nodes are built once per interval and level and shared, so
+    # an integrand that writes to them must fail, not corrupt them
     def f(t):
         return np.exp(-t) / (1.0 + t * t)
 

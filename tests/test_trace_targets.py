@@ -4,6 +4,7 @@ benchmark run (`perfbench/run.py --trace 1`) fail, so the names are checked
 here, with the rest of the suite."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import bernsteinlab
@@ -56,5 +57,14 @@ def test_half_line_integral_is_counted_once(monkeypatch):
             assert added["quadrature.calls"] == 2
             assert added["quadrature.rows"] == 2
             assert added["quadrature.nodes"] == seen["nodes"] > 0
+        # kernel_eval is one point of kernel_values' body, not a traced call of
+        # it, and its limits at x = 0 need no quadrature
+        before = tracer.counts.copy()
+        assert kernels.kernel_eval("H1", 1.0, 0.0) == math.pi / 2.0
+        assert (tracer.counts - before)["quadrature.calls"] == 0
+        kernels.kernel_eval("H", 2.5, 1.0)
+        added = tracer.counts - before
+        assert added["kernels.kernel_eval.calls"] == 2
+        assert added["kernels.kernel_values.points"] == 0
     finally:
         tracer.uninstall()
