@@ -25,6 +25,7 @@ import numpy as np
 from .kernels import (
     C_const,
     KernelKind,
+    _require_alpha,
     kernel_eval,
     kernel_values,
     sup_norm_H,
@@ -91,14 +92,13 @@ def G_asympt(alpha: float, variant: str, order: int = 2, c: float = 0.0) -> floa
     0..2 available), and 'G_aac' is G(alpha, alpha+c) with only the leading
     term e^-c / 2 known (order must be 0).
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha, 0.0, "G_asympt")
     if order < 0:
         raise ValueError("order must be >= 0")
     pref = math.sqrt(2.0 * math.pi / alpha) * math.exp(-alpha)
     if variant == "G_aac":
-        if c < 0.0:
-            raise ValueError("c must be >= 0")
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"c must be finite and >= 0, got {c}")
         if order > 0:
             raise ValueError("G_aac expansion is only available at order 0")
         return pref * 0.5 * math.exp(-c)
@@ -158,10 +158,9 @@ def monotonicity_check(alpha: float, x_hi: float) -> bool:
     Guaranteed by theory for alpha above the R sign change (~2.543); the
     check runs and reports for any alpha > 0.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"monotonicity_check requires finite alpha > 0, got {alpha}")
-    if not x_hi > alpha:
-        raise ValueError("x_hi must exceed alpha")
+    _require_alpha(alpha, 0.0, "monotonicity_check")
+    if not alpha < x_hi < math.inf:
+        raise ValueError(f"x_hi must be finite and exceed alpha, got {x_hi}")
     xs = np.linspace(alpha, x_hi, _MONOTONE_POINTS)
     vals = kernel_values(KernelKind.H1, alpha, xs)
     return bool((np.diff(vals) < 0.0).all())

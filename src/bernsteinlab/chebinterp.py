@@ -14,6 +14,7 @@ standard product-formula update, rescaled by a common factor).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ def _mirrored_first_kind(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_nodes(scheme: str, n: int) -> NodeSystem:
     """Build the P1 or P2 node system of order 2n (n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if scheme == "P2":
         nodes, weights = _mirrored_first_kind(2 * n + 1)
         return NodeSystem(scheme, n, nodes, weights)

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .kernels import KernelKind, beta_point, kernel_values
+from .kernels import KernelKind, _require_alpha, beta_point, kernel_values
 
 __all__ = [
     "H_alpha_integral",
@@ -57,8 +57,7 @@ def _by_entry(f, x: np.ndarray) -> np.ndarray:
 def H_alpha_integral(alpha: float, x):
     """H_alpha(x) through the error-kernel quadrature; x a float, or an array
     evaluated in one batch."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha, 0.0, "H_alpha_integral")
     xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     h = kernel_values(KernelKind.H, alpha, xs)
     scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
@@ -91,11 +90,12 @@ def H_alpha_series(alpha: float, x: float) -> float:
     is evaluated jointly with sin x, so the removable singularity never
     produces 0/0; the alternating tail is summed by _euler_tail.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha, 0.0, "H_alpha_series")
     if alpha == 2.0 * round(alpha / 2.0):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
     x = abs(x)
+    if not x < math.inf:
+        raise ValueError(f"H_alpha_series requires finite x, got {x}")
     if x == 0.0:
         return 0.0
     big_n = int(math.floor(alpha / 2.0))
@@ -137,8 +137,7 @@ def H_alpha_series(alpha: float, x: float) -> float:
 def G_alpha(alpha: float, x):
     """G_alpha(x) = |x|^alpha - (2/pi) sin(pi alpha/2) cos(x) A0(alpha, x); x a
     float, or an array evaluated in one batch."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha, 0.0, "G_alpha")
     if alpha == 2.0 * round(alpha / 2.0):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
     xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))

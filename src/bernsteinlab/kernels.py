@@ -345,8 +345,7 @@ def kernel_eval(kind, alpha: float, x: float) -> float:
 
 def delta_1_closed(alpha: float) -> float:
     """L1 constant: |sin(pi a/2)|/pi * 8 Gamma(a+1) * sum (-1)^n (1+2n)^-(a+2)."""
-    if not alpha > -1.0:
-        raise ValueError(f"delta_1_closed requires alpha > -1, got {alpha}")
+    _require_alpha(alpha, -1.0, "delta_1_closed")
     return (
         abs(math.sin(0.5 * math.pi * alpha))
         / math.pi
@@ -358,8 +357,7 @@ def delta_1_closed(alpha: float) -> float:
 
 def delta_2_closed(alpha: float) -> float:
     """L2 constant: |sin(pi a/2)|/pi * 2 Gamma(a+1) * sqrt(pi/(2a+1))."""
-    if not alpha > -0.5:
-        raise ValueError(f"delta_2_closed requires alpha > -1/2, got {alpha}")
+    _require_alpha(alpha, -0.5, "delta_2_closed")
     return (
         abs(math.sin(0.5 * math.pi * alpha))
         / math.pi

@@ -36,6 +36,7 @@ controls the error value E(0) = -(2/pi) sin(pi alpha/2) c2.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import chebinterp, specfun
 from ._search import bisect_root, golden_max
-from .kernels import D_const, KernelKind, kernel_values
+from .kernels import D_const, KernelKind, _require_alpha, kernel_values
 
 __all__ = [
     "GridCache",
@@ -233,6 +234,7 @@ def limit_error(alpha: float, c1: float, c2: float, x, cache: GridCache | None =
     together: with more than one such x, an entry can differ from a float
     call's in the last bits, within the quadrature's tolerance.
     """
+    _require_alpha(alpha, 0.0, "limit_error")
     _check_constants(c1, c2)
     xa = np.asarray(x, dtype=float)
     ok = (0.0 <= xa) & (xa < math.inf)
@@ -327,8 +329,8 @@ def interp_points(
     """First j_max positive roots of E, bisected to 1e-8 from a pi/100 scan of
     the grid of _cache_reaching(alpha, j_max, cache)."""
     _check_constants(c1, c2)
-    if not 1 <= j_max <= MAX_ROOTS:
-        raise ValueError(f"j_max must be in [1, {MAX_ROOTS}], got {j_max}")
+    if not isinstance(j_max, numbers.Integral) or not 1 <= j_max <= MAX_ROOTS:
+        raise ValueError(f"j_max must be an integer in [1, {MAX_ROOTS}], got {j_max!r}")
     cache = _cache_reaching(alpha, j_max, cache)
 
     vals = np.concatenate([[-_prefactor(alpha) * c2], _error_on_grid(cache, c1, c2)])
@@ -358,6 +360,8 @@ def alternation_points(
     """(y_j, signed error) for j = 0..j_max: y_0 = 0 plus the extremum of E
     between each pair of consecutive interpolation points."""
     _check_constants(c1, c2)
+    if not isinstance(j_max, numbers.Integral) or not 0 <= j_max < MAX_ROOTS:
+        raise ValueError(f"j_max must be an integer in [0, {MAX_ROOTS - 1}], got {j_max!r}")
     cache = _cache_reaching(alpha, j_max + 1, cache)
     return _extrema(alpha, c1, c2, interp_points(alpha, c1, c2, j_max + 1, cache=cache), cache)
 
@@ -380,8 +384,8 @@ def p3_poly(alpha: float, n: int, c1: float, c2: float, x: float) -> float:
     x = 0 by its limit T'_{2n+1}(0)/(2n+1) = (-1)^n.
     """
     _check_constants(c1, c2)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if 2 * n <= alpha:
         raise ValueError("need 2n > alpha")
     p1 = chebinterp.interp_eval(chebinterp.build_nodes("P1", n), alpha, x)

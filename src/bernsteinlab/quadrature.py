@@ -23,8 +23,8 @@ t**(alpha-1) are handled at full accuracy for alpha down to roughly 0.05.
 Every rule works to the fixed tolerances below.  integrate_zero_to_inf is
 the one (0, inf) entry; it raises rather than return an unconverged value.
 Every rule, scalar or batch, reads one node table per interval and level,
-built once and kept read-only, so an integrand that writes to its nodes
-fails instead of corrupting them.  A NaN integrand is a QuadratureError, an
+built from the t-grid in one cached step (_xw) and kept read-only, so an
+integrand that writes to its nodes fails instead of corrupting them.  A NaN integrand is a QuadratureError, an
 infinite one an OverflowError, naming the node; each level scans the
 integrand only when a row sum is not finite.  A row whose sum overflows
 although every integrand value is finite never converges, so
@@ -75,45 +75,35 @@ class QuadResult:
     converged: bool
 
 
-# ---------------------------------------------------------------------------
-# node tables, cached per refinement level (independent of the interval)
-# ---------------------------------------------------------------------------
-
-def _level_ts(level: int) -> np.ndarray:
-    """Positive t-grid points that are new at this level (t=0 handled apart)."""
+@functools.cache
+def _xw(a: float, b: float | None, level: int):
+    """One level's (xs, ws) of (a, b) by tanh-sinh, or of (a, inf) by exp-sinh
+    when b is None, built in one step from the t-grid points new at this
+    level and kept read-only for every rule."""
     h = _LEVEL0_H / 2**level
-    if level == 0:
-        return np.arange(h, _T_MAX, h)
-    return np.arange(h, _T_MAX, 2.0 * h)
-
-
-@functools.cache
-def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(offset, weight) pairs for t > 0, as fractions of the interval length.
-
-    A node at +t sits at b - (b-a)*offset, its mirror at a + (b-a)*offset;
-    both carry the same weight.
-    """
-    ts = _level_ts(level)
-    u = 0.5 * np.pi * np.sinh(ts)
-    with np.errstate(over="ignore"):
-        offset = 1.0 / (1.0 + np.exp(2.0 * u))
-    sech = 2.0 * np.exp(-u) / (1.0 + np.exp(-2.0 * u))
-    w = 0.25 * np.pi * np.cosh(ts) * sech * sech
-    keep = offset > _MIN_OFFSET
-    return offset[keep], w[keep]
-
-
-@functools.cache
-def _exp_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(u), weight) pairs covering both signs of t (node at a + exp(u))."""
-    pos = _level_ts(level)
-    ts = np.concatenate([[0.0], pos, -pos]) if level == 0 else np.concatenate([pos, -pos])
-    u = 0.5 * np.pi * np.sinh(ts)
-    keep = (u > -700.0) & (u < 708.0)
-    eu = np.exp(u[keep])
-    w = 0.5 * np.pi * np.cosh(ts[keep]) * eu
-    return eu, w
+    ts = np.arange(h, _T_MAX, h if level == 0 else 2.0 * h)
+    if b is None:
+        # both signs of t; level 0 adds t = 0.  Node at a + exp(u).
+        ts = np.concatenate([[0.0] if level == 0 else [], ts, -ts])
+        u = 0.5 * np.pi * np.sinh(ts)
+        keep = (u > -700.0) & (u < 708.0)
+        eu = np.exp(u[keep])
+        xs, ws = a + eu, 0.5 * np.pi * np.cosh(ts[keep]) * eu
+    else:
+        # the node at +t sits at b - (b-a)*offset, its mirror at a + (b-a)*offset
+        u = 0.5 * np.pi * np.sinh(ts)
+        with np.errstate(over="ignore"):
+            offset = 1.0 / (1.0 + np.exp(2.0 * u))
+        sech = 2.0 * np.exp(-u) / (1.0 + np.exp(-2.0 * u))
+        w = 0.25 * np.pi * np.cosh(ts) * sech * sech
+        keep = offset > _MIN_OFFSET
+        span, off, w = b - a, offset[keep], w[keep]
+        # level 0 adds the midpoint, t = 0, ahead of the mirrored pairs
+        mid = ([0.5 * (a + b)], [0.25 * np.pi]) if level == 0 else ([], [])
+        xs = np.concatenate([mid[0], a + span * off, b - span * off])
+        ws = span * np.concatenate([mid[1], w, w])
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +111,10 @@ def _exp_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _run_levels(make_xw, f):
-    """Shared trapezoidal refinement loop.
+def _run_levels(a: float, b: float | None, f):
+    """Shared trapezoidal refinement loop over (a, b), or (a, inf) when b is None.
 
-    make_xw(level) yields the nodes/weights new at that level; the running
+    _xw(a, b, level) holds the nodes/weights new at that level; the running
     value obeys I_l = I_{l-1}/2 + h_l * (new contributions).  Returns
     per-row (values, errors, levels used, converged), so that batched
     integrands (f returning an (m, n) matrix) work unchanged.
@@ -134,7 +124,7 @@ def _run_levels(make_xw, f):
     # the deepest nodes; only a non-finite *result* is an error
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         for level in range(MAX_LEVELS):
-            xs, ws = make_xw(level)
+            xs, ws = _xw(a, b, level)
             fx = np.atleast_2d(f(xs))
             contrib = fx @ ws
             # weights are positive: a non-finite entry makes its row sum so
@@ -155,23 +145,6 @@ def _run_levels(make_xw, f):
     return value, err, MAX_LEVELS, False
 
 
-@functools.cache
-def _xw(a: float, b: float | None, level: int):
-    """One level's (xs, ws) of (a, b), or of (a, inf) when b is None: built
-    once per interval and level, and kept read-only for every rule."""
-    if b is None:
-        eu, ws = _exp_sinh_nodes(level)
-        xs = a + eu
-    else:
-        # level 0 adds the midpoint, t = 0, ahead of the mirrored pairs
-        span, (off, w) = b - a, _tanh_sinh_nodes(level)
-        mid = ([0.5 * (a + b)], [0.25 * np.pi]) if level == 0 else ([], [])
-        xs = np.concatenate([mid[0], a + span * off, b - span * off])
-        ws = span * np.concatenate([mid[1], w, w])
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
-
-
 def integrate_finite(f: Callable, a: float, b: float) -> QuadResult:
     """Integrate f over (a, b) with the tanh-sinh rule.
 
@@ -185,7 +158,7 @@ def integrate_finite(f: Callable, a: float, b: float) -> QuadResult:
         return QuadResult(0.0, 0.0, 0, True)
     if a > b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    value, err, levels, ok = _run_levels(functools.partial(_xw, a, b), f)
+    value, err, levels, ok = _run_levels(a, b, f)
     return QuadResult(float(value[0]), float(err[0]), levels, ok)
 
 
@@ -195,7 +168,7 @@ def integrate_semi_infinite(f: Callable, a: float) -> QuadResult:
     Assumes f decays at least exponentially (true of every kernel here:
     they all contain 1/sinh, 1/cosh, or exp(-x t)).
     """
-    value, err, levels, ok = _run_levels(functools.partial(_xw, a, None), f)
+    value, err, levels, ok = _run_levels(a, None, f)
     return QuadResult(float(value[0]), float(err[0]), levels, ok)
 
 
@@ -228,9 +201,9 @@ def integrate_finite_batch(fmat: Callable, a: float, b: float):
     """Like integrate_finite for fmat returning an (m, n) matrix of integrands,
     refined until every row meets the tolerance.  Returns (values, errors,
     levels used, converged), values and errors of shape (m,)."""
-    return _run_levels(functools.partial(_xw, a, b), fmat)
+    return _run_levels(a, b, fmat)
 
 
 def integrate_semi_infinite_batch(fmat: Callable, a: float):
     """Batch counterpart of integrate_semi_infinite."""
-    return _run_levels(functools.partial(_xw, a, None), fmat)
+    return _run_levels(a, None, fmat)

@@ -43,6 +43,8 @@ def gamma(x: float) -> float:
     """
     if not x > 0.0:
         raise ValueError(f"gamma requires x > 0, got {x}")
+    if x == math.inf:
+        raise OverflowError(f"gamma({x}) overflows double precision")
     try:
         return math.gamma(x)
     except OverflowError as exc:

@@ -95,6 +95,8 @@ def test_G_asympt_order_errors():
         G_asympt(10.0, "G_aac", 1, c=1.0)
     with pytest.raises(ValueError):
         G_asympt(10.0, "G_xx", 0)
+    with pytest.raises(ValueError, match="c must be finite and >= 0, got nan"):
+        G_asympt(10.0, "G_aac", 0, c=math.nan)
 
 
 def test_remainder_constant_stable():
@@ -134,6 +136,9 @@ def test_envelope_decreasing_beyond_alpha(alpha):
 def test_monotonicity_check_runs_below_threshold():
     # below the guaranteed range the check still runs and reports a boolean
     assert monotonicity_check(1.5, 10.0) in (True, False)
+    # an infinite end is named, not passed on as a grid of NaNs
+    with pytest.raises(ValueError, match="x_hi must be finite and exceed alpha, got inf"):
+        monotonicity_check(1.0, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -143,6 +148,7 @@ def test_monotonicity_check_runs_below_threshold():
         (lambda: monotonicity_check(math.inf, math.inf), "monotonicity_check"),
         (lambda: envelope_bounds(math.inf), "envelope_bounds"),
         (lambda: norm_ratio_limit(math.inf), "norm_ratio_limit"),
+        (lambda: G_asympt(math.inf, "G_aa"), "G_asympt"),
     ],
 )
 def test_non_finite_alpha_is_named(call, name):

@@ -37,6 +37,10 @@ def test_build_nodes_validation():
         build_nodes("P3", 4)
     with pytest.raises(ValueError):
         build_nodes("P2", 0)
+    # a count that is not an integer is named; numpy integers pass
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 2\.5$"):
+        build_nodes("P1", 2.5)
+    assert np.array_equal(build_nodes("P1", np.int64(3)).nodes, build_nodes("P1", 3).nodes)
 
 
 @pytest.mark.parametrize("scheme,n", [("P1", 3), ("P2", 3)])

@@ -50,6 +50,12 @@ def test_series_rejects_even_integer_alpha():
         H_alpha_series(2.0, 1.0)
     with pytest.raises(ValueError):
         H_alpha_series(4.0, 1.0)
+    # a non-finite alpha or x is named at entry
+    with pytest.raises(ValueError, match="^H_alpha_series requires finite alpha"):
+        H_alpha_series(math.inf, 1.0)
+    for x in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^H_alpha_series requires finite x"):
+            H_alpha_series(1.0, x)
 
 
 def test_even_reflection():
@@ -72,6 +78,8 @@ def test_array_x_is_one_batch_of_the_scalar_values(fn, alpha):
     assert got[0, 0] == 0.0
     with pytest.raises(ValueError, match="finite x"):
         fn(alpha, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match=f"^{fn.__name__} requires finite alpha"):
+        fn(math.inf, xs)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.1])

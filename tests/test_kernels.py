@@ -456,3 +456,6 @@ def test_delta_domains():
         delta_1_closed(-1.0)
     with pytest.raises(ValueError):
         delta_2_closed(-0.5)
+    for delta in (delta_1_closed, delta_2_closed):
+        with pytest.raises(ValueError, match=rf"^{delta.__name__} requires finite alpha.*got inf"):
+            delta(math.inf)

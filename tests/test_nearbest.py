@@ -435,8 +435,18 @@ def test_too_many_roots_requested(cache_half, monkeypatch):
     # more roots than the largest cache holds are refused by name, before any
     # cache is built
     monkeypatch.setattr(nearbest, "build_cache", None)
-    with pytest.raises(ValueError, match=r"j_max must be in \[1, 9998\], got 9999$"):
+    with pytest.raises(ValueError, match=r"j_max must be an integer in \[1, 9998\], got 9999$"):
         interp_points(0.5, 0.33, 0.78, nearbest.MAX_ROOTS + 1, cache=cache_half)
+    # alternation_points needs j_max + 1 roots and names the j_max it was given
+    for j_max in (nearbest.MAX_ROOTS, -1):
+        with pytest.raises(ValueError, match=rf"j_max must be an integer in \[0, 9997\], got {j_max}$"):
+            alternation_points(0.5, 0.33, 0.78, j_max, cache=cache_half)
+    for find in (interp_points, alternation_points):
+        with pytest.raises(ValueError, match=r"j_max must be an integer in .*, got 2\.5$"):
+            find(0.5, 0.33, 0.78, 2.5, cache=cache_half)
+    assert alternation_points(0.5, 0.33, 0.78, 0, cache=cache_half) == [
+        (0.0, limit_error(0.5, 0.33, 0.78, 0.0))
+    ]
     # a grid with fewer sign changes than the roots asked for raises: E = 0
     # everywhere, from kernels that vanish and c2 = 0, has none
     flat = dataclasses.replace(cache_half, node_vals=np.zeros_like(cache_half.node_vals))
@@ -531,6 +541,8 @@ def test_p3_domain():
         p3_poly(1.0, 0, 0.2, 0.4, 0.5)
     with pytest.raises(ValueError):
         p3_poly(5.0, 2, 0.2, 0.4, 0.5)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 2\.5$"):
+        p3_poly(1.0, 2.5, 0.3, 0.4, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -552,3 +564,13 @@ def test_non_finite_constants_are_named(call, c1, c2, bad, monkeypatch):
     monkeypatch.setattr(nearbest, "kernel_values", None)
     with pytest.raises(ValueError, match=f"{bad} must be finite"):
         call(c1, c2)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("x", [0.0, 2.0])
+@pytest.mark.parametrize("cached", [False, True])
+def test_limit_error_names_a_bad_alpha(alpha, x, cached, cache_half):
+    # x = 0 takes -p c2 without a kernel, so alpha is checked at entry, where a
+    # NaN or a value for a negative alpha once came back
+    with pytest.raises(ValueError, match="^limit_error requires finite alpha"):
+        limit_error(alpha, 0.3, 0.4, x, cache=cache_half if cached else None)

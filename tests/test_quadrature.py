@@ -189,3 +189,13 @@ def test_fixed_part_nodes_are_read_only(integrate):
         integrate(writer)
     again = integrate(f)
     assert np.array_equal(value, again[0]) and np.array_equal(err, again[1])
+
+
+@pytest.mark.parametrize("level", range(quadrature.MAX_LEVELS))
+def test_every_interval_reads_one_t_grid(level):
+    # each table maps the same t-points of its level, so doubling (0, 1)
+    # doubles every node and weight exactly, and the exp-sinh weights do not
+    # depend on the finite endpoint
+    unit, double = quadrature._xw(0.0, 1.0, level), quadrature._xw(0.0, 2.0, level)
+    assert np.array_equal(double[0], 2.0 * unit[0]) and np.array_equal(double[1], 2.0 * unit[1])
+    assert np.array_equal(quadrature._xw(0.0, None, level)[1], quadrature._xw(1.0, None, level)[1])

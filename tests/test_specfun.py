@@ -29,6 +29,8 @@ def test_gamma_domain_and_overflow():
         specfun.gamma(-2.5)
     with pytest.raises(OverflowError):
         specfun.gamma(200.0)
+    with pytest.raises(OverflowError, match=r"gamma\(inf\)"):
+        specfun.gamma(math.inf)
 
 
 def test_zeta_classical_values():

@@ -38,12 +38,12 @@ def test_half_line_integral_is_counted_once(monkeypatch):
     seen = {"nodes": 0}
     run_levels = quadrature._run_levels
 
-    def counting_run_levels(make_xw, f):
+    def counting_run_levels(a, b, f):
         def counted(t):
             seen["nodes"] += len(t)
             return f(t)
 
-        return run_levels(make_xw, counted)
+        return run_levels(a, b, counted)
 
     monkeypatch.setattr(quadrature, "_run_levels", counting_run_levels)
     tracer = _tracer_module().Tracer()
