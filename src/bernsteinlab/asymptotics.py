@@ -14,10 +14,12 @@ every odd-index coefficient, so the half-integer powers cancel in the sum
 and G(alpha+k, alpha) = sqrt(2 pi/alpha) e^-alpha (1/2 - (5/24)/alpha + ...).
 
 The a_n are hard-coded closed forms verified numerically against quadrature
-rather than recomputed symbolically.
+rather than recomputed symbolically.  G_asympt reads them from
+watson_coeffs, so that one table feeds both.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +47,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-# even-power coefficients of the combined two-branch expansions
-_AA_COEFFS = (0.5, -5.0 / 24.0, 61.0 / 576.0)  # G(alpha, alpha)
-_A1A_COEFFS = (0.5, -5.0 / 24.0, 205.0 / 576.0)  # G(alpha+1, alpha)
 
 _MONOTONE_POINTS = 200  # grid size of monotonicity_check
 
@@ -93,8 +91,8 @@ def G_asympt(alpha: float, variant: str, order: int = 2, c: float = 0.0) -> floa
     term e^-c / 2 known (order must be 0).
     """
     _require_alpha(alpha, 0.0, "G_asympt")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
     pref = math.sqrt(2.0 * math.pi / alpha) * math.exp(-alpha)
     if variant == "G_aac":
         if not 0.0 <= c < math.inf:
@@ -103,12 +101,15 @@ def G_asympt(alpha: float, variant: str, order: int = 2, c: float = 0.0) -> floa
             raise ValueError("G_aac expansion is only available at order 0")
         return pref * 0.5 * math.exp(-c)
     try:
-        coeffs = {"G_aa": _AA_COEFFS, "G_a1a": _A1A_COEFFS}[variant]
+        even = watson_coeffs({"G_aa": 0, "G_a1a": 1}[variant], "upper").a[::2]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
-    if order >= len(coeffs):
+    if order >= len(even):
         raise ValueError(f"order {order} beyond available coefficients for {variant}")
-    return pref * sum(coeffs[i] * alpha**-i for i in range(order + 1))
+    # the two branches double each even term Gamma(j+1/2) a_2j alpha^-j
+    root = math.sqrt(2.0 * math.pi)
+    coeffs = [2.0 * math.gamma(j + 0.5) * even[j] / root for j in range(order + 1)]
+    return pref * sum(c * alpha**-j for j, c in enumerate(coeffs))
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,12 @@ def parse_range(spec: str) -> list:
 
 def parse_int_list(spec: str) -> list:
     try:
-        return [int(p) for p in spec.split(",") if p]
+        values = [int(p) for p in spec.split(",") if p]
     except ValueError as exc:
         raise ConfigError(f"cannot parse integer list {spec!r}") from exc
+    if not values:
+        raise ConfigError(f"integer list {spec!r} holds no integer")
+    return values
 
 
 # ---------------------------------------------------------------------------

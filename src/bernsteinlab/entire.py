@@ -12,10 +12,10 @@ Two families arise as scaled limits of the Chebyshev interpolation schemes:
       G_alpha(x) = |x|^alpha - (2/pi) sin(pi alpha/2) cos(x) A0(alpha, x)
 
 The series' polynomial part uses the closed form
-C(a) = 2 (1 - 2^-(a+1)) Gamma(a+1) zeta(a+1), so the series path shares no
-quadrature with the integral path and the two serve as independent oracles
-for each other.  The series' alternating tail is summed by an iterated
-Euler transform to a fixed 1e-8, and a shortfall raises.
+C(a) = Gamma(a+1) odd_zeta(a+1), so the series shares no quadrature with the
+integral and the two serve as independent oracles for each other.  Its
+alternating tail goes through specfun's accelerator, exact to roundoff there
+because past x/pi each term is a sum of completely monotone powers of k.
 
 Both functions are even; negative arguments are reflected.  The integral
 forms take x as a float or as an array, whose kernel values come from one
@@ -38,12 +38,11 @@ __all__ = [
 ]
 
 _POLE_WINDOW = 1e-4  # |x - k pi| below this evaluates the pole term jointly
-_EULER_TOL = 1e-8  # accuracy demanded of the accelerated series tail
 
 
-def _C_closed(a: float) -> float:
-    """C(a) = int t^a/sinh t dt via 2 (1-2^-(a+1)) Gamma(a+1) zeta(a+1)."""
-    return 2.0 * (1.0 - 2.0 ** -(a + 1.0)) * specfun.gamma(a + 1.0) * specfun.zeta(a + 1.0)
+def _prefactor(alpha: float) -> float:
+    """p(alpha) = (2/pi) sin(pi alpha/2), the weight of every error kernel."""
+    return (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
 
 
 def _by_entry(f, x: np.ndarray) -> np.ndarray:
@@ -60,27 +59,8 @@ def H_alpha_integral(alpha: float, x):
     _require_alpha(alpha, 0.0, "H_alpha_integral")
     xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     h = kernel_values(KernelKind.H, alpha, xs)
-    scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
-    out = _by_entry(lambda v: v**alpha, xs) - scale * h
+    out = _by_entry(lambda v: v**alpha, xs) - _prefactor(alpha) * h
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def _euler_tail(h, k0: int) -> float:
-    """sum_{k>k0} (-1)^k h(k) by iterated averaging of partial sums."""
-    m = 60
-    ks = np.arange(k0 + 1, k0 + 1 + m)
-    terms = np.where(ks % 2 == 0, 1.0, -1.0) * h(ks.astype(float))
-    row = np.cumsum(terms)
-    prev = row[-1]
-    while len(row) > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        prev, est = row[-1], prev
-    if abs(row[0] - est) > _EULER_TOL:
-        raise RuntimeError(
-            f"series tail acceleration reached {abs(row[0] - est):.3e}, "
-            f"short of {_EULER_TOL:.3e}"
-        )
-    return float(row[0])
 
 
 def H_alpha_series(alpha: float, x: float) -> float:
@@ -88,7 +68,7 @@ def H_alpha_series(alpha: float, x: float) -> float:
 
     alpha must not be an even integer.  Near x = k pi the k-th term's pole
     is evaluated jointly with sin x, so the removable singularity never
-    produces 0/0; the alternating tail is summed by _euler_tail.
+    produces 0/0; the alternating tail is summed by specfun._alternating_sum.
     """
     _require_alpha(alpha, 0.0, "H_alpha_series")
     if alpha == 2.0 * round(alpha / 2.0):
@@ -104,8 +84,7 @@ def H_alpha_series(alpha: float, x: float) -> float:
     poly = 0.0
     for n in range(big_n):
         a = alpha - 2.0 * n - 2.0
-        poly += math.sin(0.5 * math.pi * a) * _C_closed(a) * x ** (2 * n + 1)
-    poly *= 2.0 / math.pi
+        poly += _prefactor(a) * specfun.gamma(a + 1) * specfun.odd_zeta(a + 1) * x ** (2 * n + 1)
 
     def h(k):
         kp = k * math.pi
@@ -122,7 +101,9 @@ def H_alpha_series(alpha: float, x: float) -> float:
             continue
         direct += (-1.0) ** k * h(float(k))
 
-    tail = _euler_tail(h, k0)
+    # for k > x/pi, -h(k) = sum_m x^(2m) (k pi)^(sigma-2-2m) is completely monotone
+    # (sigma < 2), so CVZ errs below 2|h(k0+1)|/(3+sqrt 8)^48 ~ 1e-36; k0+1 >= x/pi+4
+    tail = (-1.0) ** (k0 + 1) * specfun._alternating_sum(lambda j: h(k0 + 1 + j))
 
     value = math.sin(x) * (poly + 2.0 * x ** (2 * big_n + 1) * (direct + tail))
     if joint_pole:
@@ -142,6 +123,5 @@ def G_alpha(alpha: float, x):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
     xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     a0 = kernel_values(KernelKind.A0, alpha, xs)
-    scale = (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
-    out = _by_entry(lambda v: v**alpha, xs) - scale * _by_entry(math.cos, xs) * a0
+    out = _by_entry(lambda v: v**alpha, xs) - _prefactor(alpha) * _by_entry(math.cos, xs) * a0
     return float(out[0]) if np.ndim(x) == 0 else out

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import chebinterp, specfun
 from ._search import bisect_root, golden_max
+from .entire import _prefactor
 from .kernels import D_const, KernelKind, _require_alpha, kernel_values
 
 __all__ = [
@@ -185,10 +186,6 @@ def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
         for kind in (KernelKind.A0, KernelKind.H1)
     ]
     return GridCache(alpha, xs, breaks, np.stack(node_vals, axis=1))
-
-
-def _prefactor(alpha: float) -> float:
-    return (2.0 / math.pi) * math.sin(0.5 * math.pi * alpha)
 
 
 def _check_constants(c1: float, c2: float) -> None:

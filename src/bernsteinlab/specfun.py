@@ -92,7 +92,8 @@ def _alternating_sum(f) -> float:
 
     Rigorous for totally monotone f; the error decays like (3+sqrt(8))^-n in
     the number n of terms, so n = _ALTERNATING_TERMS = 48 is far below
-    double-precision roundoff.
+    double-precision roundoff.  It serves both alternating series: the
+    Dirichlet beta sum below and the tail of entire.H_alpha_series.
     """
     d = (3.0 + math.sqrt(8.0)) ** _ALTERNATING_TERMS
     d = 0.5 * (d + 1.0 / d)

@@ -37,6 +37,31 @@ def C_closed_mp(alpha: float) -> float:
         return float(2 * mpmath.gamma(a + 1) * (1 - mpmath.mpf(2) ** (-a - 1)) * mpmath.zeta(a + 1))
 
 
+def H_alpha_series_mp(alpha: float, x: float) -> float:
+    """The interpolation series of H_alpha(x), summed in mpmath at 40 digits:
+    sin x [(2/pi) sum_{n<N} sin(pi a/2) C(a) x^(2n+1), a = alpha-2n-2,
+           + 2 x^(2N+1) sum_{k>=1} (-1)^k (k pi)^sigma / (x^2 - (k pi)^2)]
+    with N = floor(alpha/2), sigma = alpha - 2N, and the tail past x/pi + 3
+    by mpmath's nsum (Richardson and Shanks extrapolation)."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        big_n = int(mpmath.floor(a / 2))
+        sigma = a - 2 * big_n
+        poly = 0
+        for n in range(big_n):
+            b = a - 2 * n - 2
+            c = 2 * mpmath.gamma(b + 1) * (1 - mpmath.mpf(2) ** (-b - 1)) * mpmath.zeta(b + 1)
+            poly += 2 / mpmath.pi * mpmath.sin(mpmath.pi * b / 2) * c * x ** (2 * n + 1)
+
+        def term(k):
+            kp = k * mpmath.pi
+            return (-1) ** int(k) * kp**sigma / (x * x - kp * kp)
+
+        k0 = int(mpmath.ceil(x / mpmath.pi)) + 3
+        series = mpmath.fsum(term(k) for k in range(1, k0 + 1)) + mpmath.nsum(term, [k0 + 1, mpmath.inf])
+        return float(mpmath.sin(x) * (poly + 2 * x ** (2 * big_n + 1) * series))
+
+
 def D_closed_mp(alpha: float) -> float:
     """D(alpha) = int_0^inf t^(alpha-1)/cosh(t) dt = 2 Gamma(alpha) beta(alpha), with
     beta the Dirichlet beta function (the L-series of the character mod 4), in

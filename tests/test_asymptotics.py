@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bernsteinlab.asymptotics import (
@@ -97,6 +98,11 @@ def test_G_asympt_order_errors():
         G_asympt(10.0, "G_xx", 0)
     with pytest.raises(ValueError, match="c must be finite and >= 0, got nan"):
         G_asympt(10.0, "G_aac", 0, c=math.nan)
+    # a float order once failed inside range() with a TypeError
+    for order in (1.5, math.nan, -1):
+        with pytest.raises(ValueError, match=f"order must be an integer >= 0, got {order}"):
+            G_asympt(10.0, "G_aa", order)
+    assert G_asympt(10.0, "G_aa", np.int64(2)) == G_asympt(10.0, "G_aa", 2)
 
 
 def test_remainder_constant_stable():

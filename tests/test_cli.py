@@ -79,6 +79,10 @@ def test_missing_required_params_exit_2(capsys):
         # c1 and c2 must be finite: a NaN once printed nan rows and exit 0
         ["curve", "limit_error", "--alpha", "1", "--c1", "nan", "--c2", "0.45", "--x", "0:2:1"],
         ["curve", "limit_error", "--alpha", "1", "--c1", "0.26", "--c2", "inf", "--x", "0:2:1"],
+        # a list that holds no integer once printed an empty table and exit 0
+        ["table", "convergence", "--alpha", "1", "--n", ","],
+        ["table", "interp_points"],
+        ["table", "envelope"],
     ):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
@@ -103,6 +107,11 @@ def test_bad_range_exit_2(capsys):
         ["table", "envelope", "--alpha", "nan"],
         ["curve", "H1", "--alpha", "1", "--x", "0:inf:1"],
         ["curve", "R_diag", "--alpha", "inf"],
+        ["table", "envelope", "--alpha", "1:2"],
+        ["table", "envelope", "--alpha", "abc"],
+        ["table", "envelope", "--alpha", "0:1:1e-7"],  # more than 10^6 points
+        ["table", "convergence", "--alpha", "1", "--n", "8,x"],
+        ["curve", "H", "--alpha", "1:2:0.5"],  # a curve takes one alpha
     ):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
@@ -197,6 +206,9 @@ def test_parse_range():
     grid = cli.parse_range("0.1:0.5:0.1")
     assert len(grid) == 5
     assert abs(grid[-1] - 0.5) <= 1e-12
+    assert cli.parse_int_list("8,16,") == [8, 16]
+    with pytest.raises(cli.ConfigError, match="^integer list ',' holds no integer$"):
+        cli.parse_int_list(",")
 
 
 def test_table_envelope_csv_shape():
@@ -244,6 +256,29 @@ def test_table_interp_points_builds_one_cache_per_alpha(monkeypatch):
     code, _ = run_main(["table", "interp_points", "--alpha", "1", "--jmax", "10"])
     assert code == 0
     assert builds == [(1.0,)]
+
+
+def test_table_interp_points_past_the_fits_roots(monkeypatch):
+    # past the fit's 11 roots the search runs on the fit's cache while that
+    # reaches (jmax + 2) pi, its 40 pi at jmax 38, and on one more cache past
+    # it; either way the first 10 rows are the --jmax 10 rows
+    builds = []
+    build_cache = cli.nearbest.build_cache
+
+    def counting_build_cache(*args, **kwargs):
+        builds.append(args)
+        return build_cache(*args, **kwargs)
+
+    monkeypatch.setattr(cli.nearbest, "build_cache", counting_build_cache)
+    first = None
+    for jmax, caches in ((10, 1), (38, 1), (39, 2)):
+        builds.clear()
+        code, out = run_main(["table", "interp_points", "--alpha", "1", "--jmax", str(jmax)])
+        assert code == 0 and len(builds) == caches, jmax
+        rows = out.splitlines()[4:]  # after 3 comment lines and the header
+        assert len(rows) == jmax
+        first = first or rows[:10]
+        assert rows[:10] == first
 
 
 def test_table_interp_points_takes_the_fits_roots(monkeypatch):
@@ -397,6 +432,16 @@ def test_curve_H_envelope_dominates():
     for r in rows:
         _, h, h1 = (float(v) for v in r.split(","))
         assert abs(h) <= h1 * (1.0 + 1e-12)
+
+
+def test_curve_H1_rows_are_kernel_values():
+    code, out = run_main(["curve", "H1", "--alpha", "1.8", "--x", "0:2:0.5"])
+    assert code == 0
+    lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
+    assert lines[0] == "x,H1"
+    grid = np.array([0.5, 1.0, 1.5, 2.0])  # x = 0 is left out, as in curve H
+    rows = [tuple(float(v) for v in l.split(",")) for l in lines[1:]]
+    assert rows == list(zip(grid.tolist(), cli.kernels.kernel_values("H1", 1.8, grid).tolist()))
 
 
 def test_curve_limit_error_near_best_level():

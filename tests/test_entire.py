@@ -11,6 +11,7 @@ from bernsteinlab.entire import (
     beta_point,
 )
 from bernsteinlab.kernels import C_const, kernel_eval
+from oracles import H_alpha_series_mp
 
 PI = math.pi
 
@@ -26,6 +27,15 @@ def test_series_matches_integral(alpha):
         a = H_alpha_integral(alpha, x)
         b = H_alpha_series(alpha, x)
         assert abs(a - b) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.3, 3.1, 5.3])
+def test_series_matches_the_40_digit_series(alpha):
+    # the same series summed in mpmath: checks the accelerated tail and the
+    # odd_zeta form of C(a) far below the integral's quadrature tolerance
+    for x in (2.0, 15.0, 100.0):
+        ref = H_alpha_series_mp(alpha, x)
+        assert abs(H_alpha_series(alpha, x) - ref) <= 1e-13 * abs(ref)
 
 
 def test_series_branch_boundaries():
@@ -50,6 +60,8 @@ def test_series_rejects_even_integer_alpha():
         H_alpha_series(2.0, 1.0)
     with pytest.raises(ValueError):
         H_alpha_series(4.0, 1.0)
+    with pytest.raises(ValueError, match="alpha must not be an even integer, got 2.0"):
+        G_alpha(2.0, 1.0)
     # a non-finite alpha or x is named at entry
     with pytest.raises(ValueError, match="^H_alpha_series requires finite alpha"):
         H_alpha_series(math.inf, 1.0)

@@ -4,12 +4,13 @@ benchmark run (`perfbench/run.py --trace 1`) fail, so the names are checked
 here, with the rest of the suite."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import bernsteinlab
 import bernsteinlab.cli  # the tracer also wraps the CLI entry points
-from bernsteinlab import kernels, quadrature
+from bernsteinlab import asymptotics, kernels, quadrature, remez
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,6 +31,28 @@ def test_every_trace_target_exists_and_unwraps():
         tracer.uninstall()
     assert not hasattr(bernsteinlab.kernels.kernel_eval, "__wrapped__")
     assert not hasattr(bernsteinlab.asymptotics.kernel_eval, "__wrapped__")
+
+
+def test_benchmark_values_serialize_as_floats():
+    # the benchmark's library ops json.dumps these values (perfbench/workloads.py);
+    # a changed return type would break an op that no other test runs
+    rep = kernels.sup_norm_H(4.0)
+    best = remez.best_poly(1.0, 8)
+    scalars = [
+        remez.bernstein_extrapolate(1.0, [4, 8, 16]),
+        asymptotics.find_alpha0(1e-6),
+        rep.norm,
+        rep.argmax,
+        rep.truncation_X,
+        best.E_n,
+        best.y_hi,
+    ]
+    for value in scalars:
+        back = json.loads(json.dumps(value))
+        assert type(back) is float and back == value
+    for array in (best.coeffs, best.reference.points, best.reference.signs):
+        values = json.loads(json.dumps(array.tolist()))
+        assert values == array.tolist() and all(type(v) is float for v in values)
 
 
 def test_half_line_integral_is_counted_once(monkeypatch):
