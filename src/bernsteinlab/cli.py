@@ -667,6 +667,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return run_verify(args.suite, args.tol)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         try:
             if args.command == "table":
                 return run_table(args.name, args)

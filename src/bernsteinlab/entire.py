@@ -14,8 +14,11 @@ Two families arise as scaled limits of the Chebyshev interpolation schemes:
 The series' polynomial part uses the closed form
 C(a) = Gamma(a+1) odd_zeta(a+1), so the series shares no quadrature with the
 integral and the two serve as independent oracles for each other.  Its
-alternating tail goes through specfun's accelerator, exact to roundoff there
-because past x/pi each term is a sum of completely monotone powers of k.
+terms up to k = x/pi + 3 are summed directly, with each x - k pi formed from
+a split of pi into a 24-bit head and a tail, so the rounding of k pi does not
+grow with x.  The alternating tail goes through specfun's accelerator, exact
+to roundoff there because past x/pi each term is a sum of completely monotone
+powers of k.
 
 Both functions are even; negative arguments are reflected.  The integral
 forms take x as a float or as an array, whose kernel values come from one
@@ -38,6 +41,9 @@ __all__ = [
 ]
 
 _POLE_WINDOW = 1e-4  # |x - k pi| below this evaluates the pole term jointly
+# pi = _PI_HI + _PI_LO (Cody-Waite): _PI_HI has 24 bits, so k _PI_HI is exact for k < 2^29
+_PI_HI = float(np.float32(math.pi))
+_PI_LO = -8.742278000372485e-08  # pi - _PI_HI, rounded
 
 
 def _prefactor(alpha: float) -> float:
@@ -87,12 +93,13 @@ def H_alpha_series(alpha: float, x: float) -> float:
         poly += _prefactor(a) * specfun.gamma(a + 1) * specfun.odd_zeta(a + 1) * x ** (2 * n + 1)
 
     def h(k):
+        # x - k pi from the split of pi leaves out the rounding of k pi
         kp = k * math.pi
-        return kp**sigma / (x * x - kp * kp)
+        return kp**sigma / (((x - k * _PI_HI) - k * _PI_LO) * (x + kp))
 
     # terms k = 1..k0 directly, with the near-pole term (if any) held out
     k_star = int(round(x / math.pi))
-    d = x - k_star * math.pi
+    d = (x - k_star * _PI_HI) - k_star * _PI_LO
     joint_pole = k_star >= 1 and abs(d) < _POLE_WINDOW
     k0 = max(int(math.ceil(x / math.pi)) + 3, 8)
     direct = 0.0

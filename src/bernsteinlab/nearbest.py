@@ -127,16 +127,15 @@ class GridCache:
 
 @dataclass(frozen=True)
 class NearBestSolution:
-    """Fitted (c1, c2) with the achieved sup error and point systems."""
+    """Fitted (c1, c2) with the achieved sup error and the first ten roots
+    x_j of E.  The alternation points of the fit are
+    alternation_points(alpha, c1, c2, 10, cache=cache)."""
 
     alpha: float
     c1: float
     c2: float
     minimax: float
     interp_points: np.ndarray
-    alternation_points: list
-    equioscillation_spread: float
-    reference_delta: float | None = None
     # the fit's kernel cache, for further root or error evaluations at alpha
     cache: GridCache | None = field(default=None, compare=False, repr=False)
 
@@ -147,14 +146,6 @@ class NearBestSolution:
         for j, x in enumerate(xs, start=1):
             if j >= 2 and not ((j - 1.5) * math.pi <= x <= (j - 0.5) * math.pi):
                 raise ValueError(f"x_{j} = {x} outside [(j-3/2) pi, (j-1/2) pi]")
-        for j, (y, _) in enumerate(self.alternation_points):
-            if j >= 1 and not ((j - 1.0) * math.pi <= y <= j * math.pi):
-                raise ValueError(f"y_{j} = {y} outside [(j-1) pi, j pi]")
-        if self.reference_delta is not None and not self.minimax >= self.reference_delta:
-            raise ValueError(
-                f"near-best sup {self.minimax} beats the best-approximation "
-                f"constant {self.reference_delta}; search is broken"
-            )
 
 
 def _piece_breaks(x_lo: float, x_hi: float) -> np.ndarray:
@@ -277,9 +268,9 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSolution:
-    """Fit (c1, c2) minimizing the sup of |E| over (0, inf) and assemble the
-    full solution.
+def optimize_c(alpha: float) -> NearBestSolution:
+    """Fit (c1, c2) minimizing the sup of |E| over (0, inf), and find the
+    first ten roots of E at them.
 
     Valid for 0 < alpha < 2.  D(alpha), which the x -> inf lobe amplitude
     needs, is integrated once, before the cache is built.  For each x, E is
@@ -306,14 +297,8 @@ def optimize_c(alpha: float, reference_delta: float | None = None) -> NearBestSo
             f"best (c1, c2, sup) = ({res.x[0]}, {res.x[1]}, {res.fun})"
         )
     c1, c2 = float(res.x[0]), float(res.x[1])
-    minimax = float(res.fun)
-
-    roots = interp_points(alpha, c1, c2, 11, cache=cache)
-    alts = _extrema(alpha, c1, c2, roots, cache)
-    mags = [abs(e) for _, e in alts]
-    return NearBestSolution(
-        alpha, c1, c2, minimax, roots[:10], alts, max(mags) - min(mags), reference_delta, cache
-    )
+    roots = interp_points(alpha, c1, c2, 10, cache=cache)
+    return NearBestSolution(alpha, c1, c2, float(res.fun), roots, cache)
 
 
 def interp_points(
@@ -355,17 +340,13 @@ def alternation_points(
     cache: GridCache | None = None,
 ) -> list:
     """(y_j, signed error) for j = 0..j_max: y_0 = 0 plus the extremum of E
-    between each pair of consecutive interpolation points."""
+    between each pair of consecutive interpolation points, all pairs
+    polished in one golden section to 1e-8."""
     _check_constants(c1, c2)
     if not isinstance(j_max, numbers.Integral) or not 0 <= j_max < MAX_ROOTS:
         raise ValueError(f"j_max must be an integer in [0, {MAX_ROOTS - 1}], got {j_max!r}")
     cache = _cache_reaching(alpha, j_max + 1, cache)
-    return _extrema(alpha, c1, c2, interp_points(alpha, c1, c2, j_max + 1, cache=cache), cache)
-
-
-def _extrema(alpha: float, c1: float, c2: float, roots, cache: GridCache) -> list:
-    """(0, E(0)) plus (y, E(y)) at the extremum of E between each pair of
-    consecutive roots, all pairs polished in one golden section."""
+    roots = interp_points(alpha, c1, c2, j_max + 1, cache=cache)
 
     def err(x):
         return limit_error(alpha, c1, c2, x, cache=cache)

@@ -6,6 +6,7 @@ the rest of the package needs.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -58,8 +59,8 @@ def zeta(alpha: float) -> float:
     corrections keeps the absolute error below 1e-15 uniformly in alpha > 1,
     including just above the pole at 1.
     """
-    if not alpha > 1.0:
-        raise ValueError(f"zeta requires alpha > 1, got {alpha}")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"zeta requires a finite alpha > 1, got {alpha}")
     n = float(_ZETA_TERMS)
     ns = np.arange(1.0, n)
     out = float(np.sum(ns**-alpha)) + n ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * n**-alpha
@@ -80,9 +81,9 @@ def odd_zeta(alpha: float) -> float:
 
 def chebyshev_T(n: int, x: float) -> float:
     """Chebyshev polynomial of the first kind, T_n(x) = cos(n arccos x)."""
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
-    if abs(x) > 1.0:
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"chebyshev_T requires an integer n >= 0, got {n!r}")
+    if not abs(x) <= 1.0:
         raise ValueError(f"chebyshev_T requires |x| <= 1, got {x}")
     return math.cos(n * math.acos(x))
 

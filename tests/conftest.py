@@ -53,6 +53,6 @@ def scaled_err():
 def nb_solution():
     @functools.lru_cache(maxsize=None)
     def get(alpha: float) -> bl.NearBestSolution:
-        return bl.optimize_c(alpha, reference_delta=DELTA_INF.get(alpha))
+        return bl.optimize_c(alpha)
 
     return get

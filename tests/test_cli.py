@@ -112,6 +112,9 @@ def test_bad_range_exit_2(capsys):
         ["table", "envelope", "--alpha", "0:1:1e-7"],  # more than 10^6 points
         ["table", "convergence", "--alpha", "1", "--n", "8,x"],
         ["curve", "H", "--alpha", "1:2:0.5"],  # a curve takes one alpha
+        # --jobs below 1 once ran the fits serially and exited 0
+        ["table", "c_constants", "--alpha", "1", "--jobs", "0"],
+        ["table", "c_constants", "--alpha", "1", "--jobs", "-3"],
     ):
         assert _exits_2_with_one_error_line(argv, capsys), argv
 
@@ -282,7 +285,7 @@ def test_table_interp_points_past_the_fits_roots(monkeypatch):
 
 
 def test_table_interp_points_takes_the_fits_roots(monkeypatch):
-    # the fit finds 11 roots once, inside optimize_c; jmax 10 bisects none again
+    # the fit finds 10 roots once, inside optimize_c; jmax 10 bisects none again
     j_maxes = []
     interp_points = cli.nearbest.interp_points
 
@@ -293,7 +296,7 @@ def test_table_interp_points_takes_the_fits_roots(monkeypatch):
     monkeypatch.setattr(cli.nearbest, "interp_points", counting_interp_points)
     code, out = run_main(["table", "interp_points", "--alpha", "1", "--jmax", "10"])
     assert code == 0
-    assert j_maxes == [11]
+    assert j_maxes == [10]
     assert len(out.strip().splitlines()) == 4 + 10  # 3 comment lines, the header, 10 rows
 
 

@@ -38,6 +38,14 @@ def test_series_matches_the_40_digit_series(alpha):
         assert abs(H_alpha_series(alpha, x) - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("x", [1e4 + 0.3, 1e5])
+def test_series_matches_the_40_digit_series_far_out(x):
+    # thousands of direct terms, whose denominators x - k pi would carry the
+    # rounding of k pi, up to ulp(x), without the split of pi
+    ref = H_alpha_series_mp(1.3, x)
+    assert abs(H_alpha_series(1.3, x) - ref) <= 1e-13 * abs(ref)
+
+
 def test_series_branch_boundaries():
     # alpha = 3.1 exercises the one-term polynomial part, 5.3 the two-term one
     assert abs(H_alpha_series(3.1, 5.0) - H_alpha_integral(3.1, 5.0)) <= 1e-6

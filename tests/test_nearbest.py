@@ -161,7 +161,7 @@ def test_build_cache_smallest_grid():
 
 
 def test_optimize_c_finds_the_roots_once(monkeypatch):
-    # the alternation points come from the same roots as the interpolation points
+    # one search for the ten roots that `table interp_points` prints
     calls = []
     find_roots = nearbest.interp_points
 
@@ -171,8 +171,8 @@ def test_optimize_c_finds_the_roots_once(monkeypatch):
 
     monkeypatch.setattr(nearbest, "interp_points", counting_interp_points)
     sol = nearbest.optimize_c(1.0)
-    assert calls == [11]
-    assert len(sol.alternation_points) == 11
+    assert calls == [10]
+    assert len(sol.interp_points) == 10
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -290,10 +290,10 @@ def test_optimize_c_makes_no_quadrature_call(monkeypatch):
 
 
 def test_optimize_c_searches_roots_and_extrema_in_lockstep(monkeypatch):
-    # deterministic work gate: the roots are one bisection and the extrema one
-    # golden section over arrays of brackets, so a fit makes a few dozen
-    # limit_error calls outside the Nelder-Mead objective, not one search per
-    # bracket (713 for `table interp_points --alpha 1 --jmax 10` before)
+    # deterministic work gate: outside the Nelder-Mead objective a fit searches
+    # roots only, in one bisection over an array of brackets, so it makes a
+    # couple dozen limit_error calls, not one search per bracket (713 for
+    # `table interp_points --alpha 1 --jmax 10` once) and no extremum polish
     calls = {"total": 0, "in_minimize": 0}
     limit_error_, minimize = nearbest.limit_error, nearbest.minimize
 
@@ -310,7 +310,7 @@ def test_optimize_c_searches_roots_and_extrema_in_lockstep(monkeypatch):
     monkeypatch.setattr(nearbest, "limit_error", counting_limit_error)
     monkeypatch.setattr(nearbest, "minimize", counting_minimize)
     nearbest.optimize_c(1.0)
-    assert 0 < calls["total"] - calls["in_minimize"] <= 70
+    assert 0 < calls["total"] - calls["in_minimize"] <= 30
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
@@ -482,25 +482,29 @@ def test_alternation_points_structure(cache_half):
 
 def test_alternation_near_equioscillation_alpha1(nb_solution):
     sol = nb_solution(1.0)
-    mags = [abs(e) for _, e in sol.alternation_points[1:7]]
+    alts = alternation_points(1.0, sol.c1, sol.c2, 10, cache=sol.cache)
+    for j, (y, _) in enumerate(alts[1:], start=1):
+        assert (j - 1.0) * PI <= y <= j * PI
+    mags = [abs(e) for _, e in alts[1:7]]
     mean = sum(mags) / len(mags)
     assert all(abs(m - mean) <= 0.1 * mean for m in mags)
 
 
 def test_alternation_level_near_best_constant(nb_solution):
     sol = nb_solution(0.5)
-    peak = max(abs(e) for _, e in sol.alternation_points)
+    alts = alternation_points(0.5, sol.c1, sol.c2, 10, cache=sol.cache)
+    for j, (y, _) in enumerate(alts[1:], start=1):
+        assert (j - 1.0) * PI <= y <= j * PI
+    peak = max(abs(e) for _, e in alts)
     assert DELTA_INF[0.5] <= peak <= 1.1 * DELTA_INF[0.5]
 
 
 def test_solution_invariants_enforced():
     good = np.array([0.13, 2.10, 4.99])
     with pytest.raises(ValueError, match="increasing"):
-        NearBestSolution(0.5, 0.3, 0.8, 0.35, good[::-1], [(0.0, -0.3)], 0.0)
+        NearBestSolution(0.5, 0.3, 0.8, 0.35, good[::-1])
     with pytest.raises(ValueError, match="outside"):
-        NearBestSolution(0.5, 0.3, 0.8, 0.35, np.array([0.13, 9.0]), [(0.0, -0.3)], 0.0)
-    with pytest.raises(ValueError, match="beats"):
-        NearBestSolution(0.5, 0.3, 0.8, 0.30, good, [(0.0, -0.3)], 0.0, reference_delta=0.348648)
+        NearBestSolution(0.5, 0.3, 0.8, 0.35, np.array([0.13, 9.0]))
 
 
 def test_p3_at_zero_value():

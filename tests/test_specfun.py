@@ -51,6 +51,9 @@ def test_zeta_domain():
         specfun.zeta(1.0)
     with pytest.raises(ValueError):
         specfun.zeta(0.3)
+    for zeta in (specfun.zeta, specfun.odd_zeta):
+        with pytest.raises(ValueError, match="alpha > 1, got inf"):
+            zeta(math.inf)
 
 
 def test_odd_zeta_values():
@@ -98,6 +101,11 @@ def test_chebyshev_T_domain():
         specfun.chebyshev_T(3, 1.5)
     with pytest.raises(ValueError):
         specfun.chebyshev_T(-1, 0.5)
+    with pytest.raises(ValueError, match="integer n >= 0, got 2.5"):
+        specfun.chebyshev_T(2.5, 0.3)
+    with pytest.raises(ValueError, match=r"\|x\| <= 1, got nan"):
+        specfun.chebyshev_T(3, math.nan)
+    assert specfun.chebyshev_T(np.int64(3), 0.5) == specfun.chebyshev_T(3, 0.5)
 
 
 def test_alternating_odd_sum_classical():
