@@ -53,13 +53,11 @@ _MONOTONE_POINTS = 200  # grid size of monotonicity_check
 
 @dataclass(frozen=True)
 class WatsonCoeffs:
-    """Expansion coefficients a_0..a_5 for one branch of the split integral."""
+    """Watson coefficients a_0..a_5 of one branch of the split integral (lambda 1, mu 2)."""
 
     k: int
     branch: str  # "upper" = (1, inf), "lower" = (0, 1)
     a: tuple
-    lam: int = 1
-    mu: int = 2
 
 
 def watson_coeffs(k: int, branch: str) -> WatsonCoeffs:

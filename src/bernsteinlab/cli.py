@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from math import pi
 
@@ -110,8 +111,11 @@ def emit(columns, rows, meta, fmt: str, out_path: str) -> None:
     if out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +673,9 @@ def main(argv=None) -> int:
             return run_verify(args.suite, args.tol)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        out_dir = os.path.dirname(args.out) or "."  # checked before any table or curve runs
+        if args.out != "-" and (os.path.isdir(args.out) or not os.path.isdir(out_dir)):
+            raise ConfigError(f"--out must name a file in an existing directory, got {args.out!r}")
         try:
             if args.command == "table":
                 return run_table(args.name, args)

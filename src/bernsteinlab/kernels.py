@@ -104,7 +104,7 @@ class _Nodes:
 
 
 # the factors of each node row by id: the quadrature's cached read-only level
-# tables, which live as long as the process; an entry goes with its row
+# tables; an entry goes with its row when the quadrature's cache drops it
 _NODES: dict[int, _Nodes] = {}
 
 

@@ -65,12 +65,11 @@ _X_MAX = 40.0 * math.pi
 X_LIMIT = 1e4 * math.pi
 MAX_ROOTS = round(X_LIMIT / math.pi) - 2
 _STEP = math.pi / 100.0  # also the root-scan step
-_MAX_GRID_STEP = math.pi / 40.0
 _DEGREE = 24  # of the Chebyshev interpolant on each piece
 _CHEB_ANGLES = math.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)  # first kind, on [-1, 1]
 _BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
-_BLOCK = 512  # grid points interpolated per call, bounding the temporaries
+_BLOCK = 512  # points interpolated per block, bounding the temporaries
 _START = (0.5, 0.5)  # (c1, c2) where every fit's descent starts
 
 
@@ -86,31 +85,29 @@ class GridCache:
     node_vals holds the kernels at the _DEGREE + 1 Chebyshev points of the
     first kind of each piece [breaks[k], breaks[k+1]] (node_vals[k, 0] for
     A0, node_vals[k, 1] for H1), which define their interpolants there.
-    These are the cache's only kernel values: on the scan grid xs, which
-    the pieces must cover, the kernels come from the interpolants too.
+    These are the cache's only kernel values: the scan grid xs, derived from
+    the breaks, lies in the pieces and takes the kernels from them too.
     """
 
     alpha: float
-    xs: np.ndarray
     breaks: np.ndarray
     node_vals: np.ndarray
 
     def __post_init__(self):
-        step = np.diff(self.xs).max()
-        if step > _MAX_GRID_STEP + 1e-12:
-            raise ValueError(f"grid step {step} exceeds pi/40")
-        if not (np.diff(self.breaks) > 0).all():
-            raise ValueError("interpolant breaks must be strictly increasing")
-        if not (self.breaks[0] <= self.xs[0] and self.xs[-1] <= self.breaks[-1]):
-            raise ValueError(
-                f"interpolant pieces [{self.breaks[0]}, {self.breaks[-1]}] do not cover "
-                f"the grid [{self.xs[0]}, {self.xs[-1]}]"
-            )
+        # a grid through x = 0 would make sin(x)/x NaN
+        if not (self.breaks[0] > 0.0 and (np.diff(self.breaks) > 0).all()):
+            raise ValueError("interpolant breaks must be positive and strictly increasing")
         if self.node_vals.shape != (len(self.breaks) - 1, 2, _DEGREE + 1):
             raise ValueError(
                 f"node values of shape {self.node_vals.shape} do not match "
                 f"{len(self.breaks) - 1} pieces of degree {_DEGREE}"
             )
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """The scan grid breaks[0], breaks[0] + pi/100, ... up to breaks[-1]."""
+        xs = np.arange(self.breaks[0], self.breaks[-1] + 0.5 * _STEP, _STEP)
+        return xs[xs <= self.breaks[-1]]
 
     @cached_property
     def trig(self) -> tuple:
@@ -120,9 +117,7 @@ class GridCache:
     @cached_property
     def grid_kernels(self) -> np.ndarray:
         """A0 and H1 on xs from the interpolants, as two contiguous rows."""
-        blocks = range(0, len(self.xs), _BLOCK)
-        vals = [_interpolated_kernels(self, self.xs[i : i + _BLOCK]) for i in blocks]
-        return np.concatenate(vals).T.copy()
+        return _interpolated_kernels(self, self.xs).T.copy()
 
 
 @dataclass(frozen=True)
@@ -159,11 +154,11 @@ def _piece_breaks(x_lo: float, x_hi: float) -> np.ndarray:
 
 
 def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
-    """The scan grid (step, 2*step, ..., x_max], step pi/100, and piecewise
-    Chebyshev interpolants of A0 and H1 over it, from one kernel_values call
-    per kernel at the pieces' Chebyshev points.  An x_max that leaves fewer
-    than two grid points, or more than 10^6 (x_max above 10^4 pi), is
-    refused before any kernel is evaluated."""
+    """Piecewise Chebyshev interpolants of A0 and H1 from the first to the last
+    point of the scan grid (step, 2*step, ..., x_max], step pi/100, from one
+    kernel_values call per kernel at the pieces' Chebyshev points.  An x_max
+    that leaves fewer than two grid points, or more than 10^6 (x_max above
+    10^4 pi), is refused before any kernel is evaluated."""
     xs = np.arange(_STEP, x_max + 0.5 * _STEP, _STEP) if x_max <= X_LIMIT else np.empty(0)
     if len(xs) < 2:
         raise ValueError(
@@ -176,7 +171,7 @@ def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
         kernel_values(kind, alpha, nodes).reshape(len(lo), _DEGREE + 1)
         for kind in (KernelKind.A0, KernelKind.H1)
     ]
-    return GridCache(alpha, xs, breaks, np.stack(node_vals, axis=1))
+    return GridCache(alpha, breaks, np.stack(node_vals, axis=1))
 
 
 def _check_constants(c1: float, c2: float) -> None:
@@ -199,6 +194,9 @@ def _interpolated_kernels(cache: GridCache, x) -> np.ndarray:
     coefficients: at degree 24 it matches batched quadrature to about 1e-15
     relative where the Clenshaw sum drifted to about 8e-15.
     """
+    if np.ndim(x) == 1 and len(x) > _BLOCK:
+        blocks = range(0, len(x), _BLOCK)
+        return np.concatenate([_interpolated_kernels(cache, x[i : i + _BLOCK]) for i in blocks])
     k = np.searchsorted(cache.breaks[1:-1], x, side="right")
     lo, hi = cache.breaks[k], cache.breaks[k + 1]
     d = ((2.0 * x - (hi + lo)) / (hi - lo))[..., None] - _CHEB_NODES
@@ -327,7 +325,7 @@ def _cache_reaching(alpha: float, j_max: int, cache: GridCache | None) -> GridCa
     """cache if it is for alpha and its grid reaches (j_max + 2) pi, where the
     search for j_max roots scans; else a new cache to there."""
     x_max = (j_max + 2.0) * math.pi
-    if cache is not None and cache.alpha == alpha and x_max <= cache.xs[-1]:
+    if cache is not None and cache.alpha == alpha and x_max <= cache.breaks[-1]:
         return cache
     return build_cache(alpha, x_max=x_max)
 

@@ -60,11 +60,10 @@ class ReferenceSet:
 
 @dataclass(frozen=True)
 class BestApprox:
-    """Best even approximation: degree 2n in x, coefficients in the
-    Chebyshev basis of the y-interval."""
+    """Best even approximation of degree 2n in x, from its n + 1 coefficients
+    in the Chebyshev basis of the y-interval."""
 
     alpha: float
-    degree_2n: int
     coeffs: np.ndarray
     E_n: float
     reference: ReferenceSet
@@ -106,17 +105,6 @@ def eval_approx(approx: BestApprox, x) -> np.ndarray:
     return _eval_cheb(approx.coeffs, 2.0 * y / approx.y_hi - 1.0)
 
 
-def _exact_even_case(alpha: float, n: int, y_hi: float) -> BestApprox:
-    # |x|^alpha is itself a polynomial: zero error, interpolate y^m exactly
-    m = int(round(alpha / 2.0))
-    u = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
-    ys = 0.5 * y_hi * (u + 1.0)
-    coeffs = np.linalg.solve(_cheb_vander(u, n), ys**m)
-    pts = 0.5 * y_hi * (1.0 + np.cos(np.pi * np.arange(n + 1, -1, -1) / (n + 1)))
-    ref = ReferenceSet(pts, 0.0, np.where(np.arange(n + 2) % 2 == 0, 1.0, -1.0))
-    return BestApprox(alpha, 2 * n, coeffs, 0.0, ref, y_hi)
-
-
 def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
     """Remez exchange for the best even approximation of |x|^alpha, degree 2n.
 
@@ -125,6 +113,10 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
     Raises RemezError (carrying the last reference) on exchange stagnation,
     and ValueError naming alpha, n or y_hi when one is outside its domain:
     alpha and y_hi finite and positive, n an integer >= 0.
+
+    For an even alpha with n >= alpha/2, |x|^alpha is itself a polynomial
+    of degree <= 2n: the first leveled solve interpolates it, and the result
+    has E_n = 0 and the initial reference.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -132,9 +124,7 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if not 0.0 < y_hi < math.inf:
         raise ValueError(f"y_hi must be finite and positive, got {y_hi}")
-    if alpha == 2.0 * round(alpha / 2.0) and n >= alpha / 2.0:
-        return _exact_even_case(alpha, n, y_hi)
-
+    exact = alpha == 2.0 * round(alpha / 2.0) and n >= alpha / 2.0
     half = 0.5 * alpha
 
     def f(y):
@@ -158,6 +148,8 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
         system = np.hstack([_cheb_vander(scale(ref), n), parity[:, None]])
         sol = np.linalg.solve(system, f(ref))
         coeffs, level = sol[:-1], sol[-1]
+        if exact:
+            return BestApprox(alpha, coeffs, 0.0, ReferenceSet(ref, 0.0, parity), y_hi)
 
         def err(y):
             return f(y) - _eval_cheb(coeffs, scale(y))
@@ -197,7 +189,7 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
         ref = new_ref
         if emax - emin <= _EQUALIZE_RTOL * emax:
             reference = ReferenceSet(ref, emax, parity.copy())
-            return BestApprox(alpha, 2 * n, coeffs, float(emax), reference, y_hi)
+            return BestApprox(alpha, coeffs, float(emax), reference, y_hi)
 
     raise RemezError(
         f"no equalization within {_MAX_EXCHANGES} exchanges "

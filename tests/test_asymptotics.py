@@ -22,7 +22,6 @@ def test_watson_table_k0_upper():
     assert w.a[0] == 1.0 / (2.0 * SQRT2)
     assert w.a[1] == -1.0 / 6.0
     assert w.a[2] == -5.0 / (12.0 * SQRT2)
-    assert w.lam == 1 and w.mu == 2
 
 
 def test_watson_table_k1_upper():

@@ -101,6 +101,32 @@ def test_bad_jmax_exits_2_before_any_fit(capsys, monkeypatch):
         assert err == f"error: --jmax must be in [1, 9998], got {jmax}\n"
 
 
+def test_unusable_out_exits_2_before_any_table(tmp_path, capsys, monkeypatch):
+    # a directory, or a file in a missing directory, once failed with a
+    # traceback and exit 1 after the whole table had been computed
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a table was computed before --out was checked")
+
+    monkeypatch.setattr(cli.nearbest, "optimize_c", no_fit)
+    monkeypatch.setattr(cli.asymptotics, "envelope_bounds", no_fit)
+    for out in (str(tmp_path), str(tmp_path / "missing" / "x.csv")):
+        for argv in (["table", "c_constants", "--alpha", "1"], ["table", "envelope", "--alpha", "2"]):
+            assert cli.main(argv + ["--out", out]) == 2, (argv, out)
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out") and err.count("\n") == 1, err
+
+
+def test_failed_out_write_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_open(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "x.csv"
+    assert cli.main(["curve", "R_diag", "--alpha", "2.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write --out {str(out)!r}: Permission denied\n"
+
+
 def test_bad_range_exit_2(capsys):
     for argv in (
         ["table", "envelope", "--alpha", "4:2:0.5"],

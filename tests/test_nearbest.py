@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,22 +88,29 @@ def _node_vals(pieces):
     return np.zeros((pieces, 2, nearbest._DEGREE + 1))
 
 
-def test_grid_cache_step_invariant():
-    with pytest.raises(ValueError):
-        GridCache(1.0, np.array([0.1, 0.6]), np.array([0.1, 0.6]), _node_vals(1))
+def test_grid_cache_step_invariant(monkeypatch):
+    # the scan grid is derived from the breaks, bit for bit the pi/100 grid
+    # that build_cache lays to x_max; the kernels are stubbed, only the grid
+    # is checked
+    monkeypatch.setattr(nearbest, "kernel_values", lambda kind, alpha, x: np.zeros_like(x))
+    for x_max in (0.05, 40.0 * PI, 1e4 * PI):
+        expected = np.arange(PI / 100.0, x_max + PI / 200.0, PI / 100.0)
+        assert np.array_equal(build_cache(1.0, x_max=x_max).xs, expected), x_max
 
 
 def test_grid_cache_refuses_interpolants_not_covering_grid():
-    xs = np.array([0.1, 0.15, 0.2])
-    GridCache(1.0, xs, np.array([0.1, 0.2]), _node_vals(1))
-    with pytest.raises(ValueError, match="cover"):
-        GridCache(1.0, xs, np.array([0.1, 0.19]), _node_vals(1))
-    with pytest.raises(ValueError, match="cover"):
-        GridCache(1.0, xs, np.array([0.11, 0.2]), _node_vals(1))
+    # the grid runs from breaks[0] to breaks[-1], so it is covered by
+    # construction; the breaks must be increasing and keep the grid off x = 0
+    xs = GridCache(1.0, np.array([0.1, 0.19]), _node_vals(1)).xs
+    assert len(xs) == 3 and xs[0] == 0.1 and xs[-1] <= 0.19
     with pytest.raises(ValueError, match="increasing"):
-        GridCache(1.0, xs, np.array([0.1, 0.2, 0.2]), _node_vals(2))
+        GridCache(1.0, np.array([0.1, 0.2, 0.2]), _node_vals(2))
+    with pytest.raises(ValueError, match="positive"):
+        GridCache(1.0, np.array([0.0, 0.2]), _node_vals(1))
+    with pytest.raises(ValueError, match="positive"):
+        GridCache(1.0, np.array([-0.1, 0.2]), _node_vals(1))
     with pytest.raises(ValueError, match="pieces"):
-        GridCache(1.0, xs, np.array([0.1, 0.15, 0.2]), _node_vals(1))
+        GridCache(1.0, np.array([0.1, 0.15, 0.2]), _node_vals(1))
 
 
 @pytest.mark.parametrize("x_max", [0.02, 1.5 * PI / 100.0, 0.0, -1.0, math.nan, math.inf])
@@ -145,14 +153,30 @@ def test_build_cache_evaluates_kernels_only_at_interpolation_nodes(monkeypatch):
     assert len(cache.xs) == 4000 and len(cache.breaks) == 47
     assert batches == [1150, 1150]
     # and the cache holds no kernel values besides the interpolants' own
-    assert [f.name for f in dataclasses.fields(GridCache)] == ["alpha", "xs", "breaks", "node_vals"]
+    assert [f.name for f in dataclasses.fields(GridCache)] == ["alpha", "breaks", "node_vals"]
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 1.9])
 def test_grid_kernels_are_the_interpolants(alpha):
-    # evaluated in blocks, yet bit-equal to one call over the whole grid
+    # interpolated in blocks, yet bit-equal to one unblocked call over the
+    # whole grid (a 2-D x is not split)
     cache = build_cache(alpha)
-    assert np.array_equal(cache.grid_kernels, nearbest._interpolated_kernels(cache, cache.xs).T)
+    whole = nearbest._interpolated_kernels(cache, cache.xs[None, :])[0]
+    assert np.array_equal(cache.grid_kernels, whole.T)
+
+
+def test_limit_error_over_many_points_holds_bounded_temporaries():
+    # the interpolation works through a long x in blocks: 10^5 points once
+    # held about 86 MB of temporaries at the peak
+    cache = build_cache(1.0)
+    x = np.linspace(0.1, 120.0, 10**5)
+    tracemalloc.start()
+    try:
+        limit_error(1.0, 0.26, 0.45, x, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 def test_build_cache_smallest_grid():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernsteinlab import quadrature
+from bernsteinlab.kernels import kernel_values
 from bernsteinlab.quadrature import (
     QuadratureError,
     integrate_finite,
@@ -199,3 +200,14 @@ def test_every_interval_reads_one_t_grid(level):
     unit, double = quadrature._xw(0.0, 1.0, level), quadrature._xw(0.0, 2.0, level)
     assert np.array_equal(double[0], 2.0 * unit[0]) and np.array_equal(double[1], 2.0 * unit[1])
     assert np.array_equal(quadrature._xw(0.0, None, level)[1], quadrature._xw(1.0, None, level)[1])
+
+
+def test_node_tables_cached_are_bounded():
+    # integrals over many distinct intervals once kept every table for good
+    # (24,000 of them after 2,000 intervals); the cache now drops the least
+    # recently used, and a kernel value over its rebuilt tables is unchanged
+    before = kernel_values("H1", 1.0, np.array([0.7, 3.0]))
+    for k in range(200):
+        integrate_finite(_kink, 0.0, 1.0 + k / 256.0)
+    assert quadrature._xw.cache_info().currsize <= 128
+    assert np.array_equal(kernel_values("H1", 1.0, np.array([0.7, 3.0])), before)

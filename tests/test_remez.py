@@ -94,6 +94,19 @@ def test_extrapolation_even_integer_is_zero():
     assert remez.best_poly(2.0, 3).E_n == 0.0
 
 
+@pytest.mark.parametrize("alpha,n", [(2.0, 1), (2.0, 3), (4.0, 2), (4.0, 10), (6.0, 40), (2.0, 64)])
+def test_even_alpha_is_reproduced_exactly(alpha, n):
+    # |x|^alpha is a polynomial of degree <= 2n: the first leveled solve
+    # interpolates it, with a zero error and an alternating reference
+    ba = remez.best_poly(alpha, n)
+    x = np.linspace(-1.0, 1.0, 2001)
+    assert ba.E_n == 0.0
+    assert np.max(np.abs(remez.eval_approx(ba, x) - np.abs(x) ** alpha)) <= 1e-14
+    signs = ba.reference.signs
+    assert len(signs) == n + 2 and (signs[1:] * signs[:-1] < 0).all()
+    assert (np.diff(ba.reference.points) > 0).all()
+
+
 def test_extrapolation_needs_three_points():
     with pytest.raises(ValueError):
         remez.bernstein_extrapolate(1.0, [8, 16])
