@@ -15,15 +15,20 @@ and its scaled limit error (what the large-n error looks like at scale 2n) is
 The constants (c1, c2) are fitted by minimizing sup |E| over (0, inf), the
 largest of |E(0)|, the lobes on (0, X] and the amplitude |p c1| D(alpha),
 p = (2/pi) sin(pi alpha/2), that the lobes tend to as x -> inf, where
-A0 -> D(alpha) and H1 ~ C(alpha)/x.  The three terms are affine in (c1, c2),
-so that sup is convex in them and one descent from a fixed start finds its
-minimum, with no seed search.  The kernels are precomputed once per alpha
-(GridCache), and each objective evaluation is a few vector operations plus a
-golden-section polish of every grid lobe within 5% of the top.  The cache
-holds A0 and H1 only as piecewise Chebyshev interpolants, which give the scan
-grid (step pi/100 up to 40 pi) and every off-grid value the searches ask
-for without quadrature (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013).  The pieces are pi wide above pi and graded by
+A0 -> D(alpha) and H1 ~ C(alpha)/x.  Each term is |A (c1, c2) + b| for a
+row A, b, so on a finite set of x the fit is a linear Chebyshev (L-inf)
+problem in two unknowns, which minimize solves by Stiefel's exchange on
+three-row references, in numpy alone.  The level of any reference bounds the
+minimax from below (de la Vallee Poussin) and the sup polished on the
+interpolants bounds it from above; optimize_c solves in rounds, on the grid
+plus the last round's polished lobe maxima, until the two agree to 1e-12
+relative, and returns both.  The kernels are precomputed once per alpha
+(GridCache), so a round is a few vector operations plus a golden-section
+polish of every grid lobe within 5% of the top.  The cache holds A0 and H1
+only as piecewise Chebyshev interpolants, which give the scan grid (step
+pi/100 up to 40 pi) and every off-grid value the searches ask for without
+quadrature (Trefethen, Approximation Theory and Approximation Practice,
+SIAM 2013).  The pieces are pi wide above pi and graded by
 doubling from pi/100 below it, because H1 behaves like x^(alpha-1) at 0
 for alpha < 1; degree 24 on each piece matches the batched quadrature to
 about 1e-15, relative.  x = 0 is a closed-form limit, and the x the
@@ -70,11 +75,13 @@ _CHEB_ANGLES = math.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)  # first kind, on [-1, 1]
 _BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
 _BLOCK = 512  # points interpolated per block, bounding the temporaries
-_START = (0.5, 0.5)  # (c1, c2) where every fit's descent starts
+_ROUNDS = 12  # exchange rounds a fit may take before it gives up
+_GAP = 1e-12  # upper - lower bound, relative, at which a fit is certified
+_MAX_STEPS = 100  # exchange steps one solve may take
 
 
 class OptimizeError(RuntimeError):
-    """Minimax descent failure; the message names the best (c1, c2, sup) so far."""
+    """A fit the exchange could not certify; the message names the best (c1, c2, sup) found."""
 
 
 @dataclass(frozen=True)
@@ -122,19 +129,23 @@ class GridCache:
 
 @dataclass(frozen=True)
 class NearBestSolution:
-    """Fitted (c1, c2) with the achieved sup error and the first ten roots
-    x_j of E.  The alternation points of the fit are
+    """Fitted (c1, c2) with the achieved sup error minimax, a lower bound on
+    the least sup any (c1, c2) achieves, and the first ten roots x_j of E.
+    The alternation points of the fit are
     alternation_points(alpha, c1, c2, 10, cache=cache)."""
 
     alpha: float
     c1: float
     c2: float
     minimax: float
+    lower_bound: float
     interp_points: np.ndarray
     # the fit's kernel cache, for further root or error evaluations at alpha
     cache: GridCache | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.lower_bound <= self.minimax:
+            raise ValueError(f"lower bound {self.lower_bound} above the minimax {self.minimax}")
         xs = self.interp_points
         if not (np.diff(xs) > 0).all():
             raise ValueError("interpolation points must be strictly increasing")
@@ -243,60 +254,208 @@ def _error_on_grid(cache: GridCache, c1: float, c2: float) -> np.ndarray:
     return _error(cache.alpha, c1, c2, cache.xs, *cache.grid_kernels, *cache.trig)
 
 
-def _polished_sup(cache: GridCache, c1: float, c2: float, tail: float) -> float:
-    """sup |E| over (0, inf): the largest of the grid maximum of |E| (ends
-    included), |E(0)| = |p c2| and the amplitude tail |c1| that the lobes of
-    E tend to as x -> inf (tail = |p| D(alpha)), raised by a golden polish on
-    the interpolants of every interior grid lobe within 5% of it, all at once."""
+def _lobe_maxima(cache: GridCache, c1: float, c2: float, tail: float):
+    """The top of |E| that needs no search, the largest of the grid maximum
+    (ends included), |E(0)| = |p c2| and the amplitude tail |c1| that the
+    lobes of E tend to as x -> inf (tail = |p| D(alpha)); and x, |E(x)| of
+    every interior grid lobe within 5% of it, golden-polished on the
+    interpolants to 1e-9, all at once."""
     a = np.abs(_error_on_grid(cache, c1, c2))
     top = max(a.max(), abs(_prefactor(cache.alpha) * c2), tail * abs(c1))
     lobes = np.flatnonzero((a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:]) & (a[1:-1] >= 0.95 * top)) + 1
-    _, v = golden_max(
+    x, v = golden_max(
         lambda x: np.abs(_interpolated_error(cache, c1, c2, x)),
         cache.xs[lobes - 1],
         cache.xs[lobes + 1],
-        xtol=1e-6,
+        xtol=1e-9,
     )
+    return top, x, v
+
+
+def _polished_sup(cache: GridCache, c1: float, c2: float, tail: float) -> float:
+    """sup |E| over (0, inf): the largest of _lobe_maxima's top and polished lobes."""
+    top, _, v = _lobe_maxima(cache, c1, c2, tail)
     return float(np.max(v, initial=top))
 
 
-def minimize(*args, **kwargs):
-    """scipy's minimize, imported on first call (most of the import time)."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+@dataclass(frozen=True)
+class ExchangeResult:
+    """What minimize returns: the minimizer x, the level fun of its final
+    reference (a lower bound on the minimax), the exchange steps nfev, and
+    the reference's three row indices ref."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+    message: str
+    ref: np.ndarray
+
+
+def _weights(a: np.ndarray) -> np.ndarray:
+    """Dual weights of the three rows a (3 x 2): the cross product of its
+    columns, so that weights @ a = 0."""
+    return np.cross(a[:, 0], a[:, 1])
+
+
+def _level(weights: np.ndarray, b: np.ndarray) -> float:
+    """Signed level h = sum(weights b) / sum(|weights|) of three rows with
+    these dual weights.  For every c, weights @ (a c + b) = weights @ b, so
+    max |a c + b| >= |h| (de la Vallee Poussin): |h| bounds the minimax of
+    the rows, and of any set holding them, from below."""
+    return float(weights @ b / np.abs(weights).sum())
+
+
+def _start_reference(a: np.ndarray) -> np.ndarray:
+    """Three rows whose dual weights are all nonzero when the rows span R^2:
+    the longest row, the row least parallel to it, and the row least
+    parallel to either."""
+    i = int(np.argmax(np.hypot(a[:, 0], a[:, 1])))
+    cross_i = np.abs(a[:, 0] * a[i, 1] - a[:, 1] * a[i, 0])
+    j = int(np.argmax(cross_i))
+    cross_j = np.abs(a[:, 0] * a[j, 1] - a[:, 1] * a[j, 0])
+    return np.array([i, j, int(np.argmax(np.minimum(cross_i, cross_j)))])
+
+
+def minimize(a, b) -> ExchangeResult:
+    """min over c in R^2 of max_i |a[i] c + b[i]|, by Stiefel's exchange on
+    three-row references.
+
+    The signs of a reference's dual weights give the signs its residuals
+    take, so c solves a[ref] c + b[ref] = sign(weights) h for the level h.
+    The row of the largest residual comes in; the row going out is the one
+    whose removal leaves dual weights of one sign once multiplied by the
+    residual signs, which raises |h|.  Converged when no residual exceeds
+    |h| by more than 1e-14 relative, or the incoming row is in the
+    reference; given up after _MAX_STEPS steps.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ref = _start_reference(a)
+    for step in range(1, _MAX_STEPS + 1):
+        lam = _weights(a[ref])
+        if not lam.all():
+            return ExchangeResult(np.zeros(2), math.nan, step, False, "reference rows do not span R^2", ref)
+        h = _level(lam, b[ref])
+        c = np.linalg.lstsq(a[ref], np.sign(lam) * h - b[ref], rcond=None)[0]
+        r = a @ c + b
+        i = int(np.argmax(np.abs(r)))
+        if abs(r[i]) <= abs(h) * (1.0 + 1e-14) or i in ref:
+            return ExchangeResult(c, abs(h), step, True, "reference levelled", ref)
+        sign = np.sign(r)
+        sign[ref] = np.sign(lam) * (np.sign(h) or 1.0)
+        for k in range(3):
+            new = ref.copy()
+            new[k] = i
+            s = _weights(a[new]) * sign[new]
+            if (s > 0.0).all() or (s < 0.0).all():
+                ref = new
+                break
+        else:
+            return ExchangeResult(c, abs(h), step, False, "no exchange keeps the weights of one sign", ref)
+    return ExchangeResult(c, abs(h), _MAX_STEPS, False, f"not levelled in {_MAX_STEPS} steps", ref)
+
+
+def _rows(alpha: float, x, a0, h1, cos_x, sin_x):
+    """E = A (c1, c2) + b at x > 0 from A0, H1, cos and sin there: the rows
+    A = p (u, -w) and b = p v, u = cos A0 - sin H1, v = sin H1, w = sin/x."""
+    p = _prefactor(alpha)
+    return p * np.stack([cos_x * a0 - sin_x * h1, -sin_x / x], axis=-1), p * sin_x * h1
+
+
+def _fixed_rows(cache: GridCache, d: float):
+    """x, A and b of the rows every round of a fit solves on: x = 0, whose
+    row is (0, -p); x -> inf, whose row (p d, 0), d = D(alpha), gives the
+    lobe amplitude |p c1| d; and the cache grid."""
+    p = _prefactor(cache.alpha)
+    a, b = _rows(cache.alpha, cache.xs, *cache.grid_kernels, *cache.trig)
+    x = np.concatenate([[0.0, math.inf], cache.xs])
+    return x, np.vstack([[[0.0, -p], [p * d, 0.0]], a]), np.concatenate([[0.0, 0.0], b])
+
+
+def _interpolated_rows(cache: GridCache, x):
+    kern = _interpolated_kernels(cache, x)
+    return _rows(cache.alpha, x, kern[..., 0], kern[..., 1], np.cos(x), np.sin(x))
+
+
+def _two_row_optimum(cache: GridCache, ref_x: np.ndarray):
+    """(c1, c2, level) of a fit whose final reference, at the x of ref_x, is
+    x = 0 and two rows of one lobe (less than pi/2 apart, with a sign change
+    of u between them); None for any other reference.
+
+    Only x = 0 and that lobe are active then, so dE/dc1 = p u vanishes at
+    the lobe's top x*: x* is the root of u between the two rows, whatever c.
+    E(x*) = E(0) gives c2 = -v/(1 - w) there, and E'(x*) = 0, linear in c1,
+    gives c1 from central differences of the rows at x* -+ 1e-5.  The level
+    is that of the rows x = 0 and x* -+ 1e-8, a lower bound like any
+    reference's.
+    """
+
+    def u(x):
+        return _interpolated_rows(cache, x)[0][..., 0]
+
+    xa, xb = np.sort(ref_x)[1:]
+    if ref_x.min() != 0.0 or not xb - xa < 0.5 * math.pi or u(xa) * u(xb) >= 0.0:
+        return None
+    x = bisect_root(u, [xa], [xb], 1e-13 * xb)[0]
+    p = _prefactor(cache.alpha)
+    a, b = _interpolated_rows(cache, x + np.array([0.0, -1e-5, 1e-5, -1e-8, 1e-8]))
+    c2 = -b[0] / (a[0, 1] + p)
+    da, db = a[2] - a[1], b[2] - b[1]
+    c1 = -(da[1] * c2 + db) / da[0]
+    level = _level(_weights(np.vstack([[0.0, -p], a[3:]])), np.concatenate([[0.0], b[3:]]))
+    return float(c1), float(c2), abs(level)
 
 
 def optimize_c(alpha: float) -> NearBestSolution:
     """Fit (c1, c2) minimizing the sup of |E| over (0, inf), and find the
     first ten roots of E at them.
 
-    Valid for 0 < alpha < 2.  D(alpha), which the x -> inf lobe amplitude
-    needs, is integrated once, before the cache is built.  For each x, E is
-    affine in (c1, c2), so |E| is convex in them, and so is the sup over x
-    with the rows |p c2| (x = 0) and |p c1| D(alpha) (x -> inf): every local
-    minimum is the global one, and a Nelder-Mead descent from the fixed
-    start _START needs no seed search and no box.  The objective is
-    piecewise smooth, because the arg-sup jumps between lobes, so the
-    descent is derivative-free; tolerance 1e-4 on the constants.
+    Valid for 0 < alpha < 2.  D(alpha), which the x -> inf row needs, is
+    integrated once, before the cache is built.  E is affine in (c1, c2), so
+    on a finite set of x the fit is a linear Chebyshev problem: each grid x
+    gives the row of _rows, x = 0 the row (0, -p) and x -> inf the row
+    (p D(alpha), 0).  Round 0 solves it on the cache grid by minimize's
+    exchange; each round then polishes the grid lobes of its solution
+    (_lobe_maxima), and the next solves on the grid plus this round's
+    polished maxima, which replace the previous round's.  The level of a
+    solve bounds the minimax from below and the polished sup from above; the
+    fit stops once they agree to _GAP relative, and returns both.  Where the
+    final reference is x = 0 and two rows of one lobe, the rounds do not
+    settle, and _two_row_optimum closes the fit.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"optimize_c requires 0 < alpha < 2, got {alpha}")
-    tail = abs(_prefactor(alpha)) * D_const(alpha)
+    d = D_const(alpha)
+    tail = abs(_prefactor(alpha)) * d
     cache = build_cache(alpha)
-    res = minimize(
-        lambda c: _polished_sup(cache, c[0], c[1], tail),
-        _START,
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400, "maxfev": 600},
-    )
-    if not res.success:
+    base_x, base_a, base_b = _fixed_rows(cache, d)
+    best = (math.nan, math.nan, math.inf)
+    lobes = np.empty(0)
+    for _ in range(_ROUNDS):
+        lobe_a, lobe_b = _interpolated_rows(cache, lobes)
+        res = minimize(np.vstack([base_a, lobe_a]), np.concatenate([base_b, lobe_b]))
+        c1, c2 = (float(c) for c in res.x)
+        top, next_lobes, v = _lobe_maxima(cache, c1, c2, tail)
+        upper, lower = float(np.max(v, initial=top)), res.fun
+        best = min(best, (c1, c2, upper), key=lambda fit: fit[2])
+        if not res.success or upper <= (1.0 + _GAP) * lower:
+            break
+        closing = _two_row_optimum(cache, np.concatenate([base_x, lobes])[res.ref])
+        if closing is not None:
+            c1, c2, lower = closing
+            upper = _polished_sup(cache, c1, c2, tail)
+            if upper <= (1.0 + _GAP) * lower:
+                break
+        lobes = next_lobes
+    if not (res.success and upper <= (1.0 + _GAP) * lower):
+        why = res.message if not res.success else f"bounds {_GAP} apart not reached in {_ROUNDS} rounds"
         raise OptimizeError(
-            f"simplex descent did not converge for alpha={alpha}: {res.message}; "
-            f"best (c1, c2, sup) = ({res.x[0]}, {res.x[1]}, {res.fun})"
+            f"exchange fit for alpha={alpha} not certified: {why}; "
+            f"best (c1, c2, sup) = ({best[0]}, {best[1]}, {best[2]})"
         )
-    c1, c2 = float(res.x[0]), float(res.x[1])
     roots = interp_points(alpha, c1, c2, 10, cache=cache)
-    return NearBestSolution(alpha, c1, c2, float(res.fun), roots, cache)
+    return NearBestSolution(alpha, c1, c2, upper, lower, roots, cache)
 
 
 def interp_points(

@@ -1,8 +1,8 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the library's tanh-sinh/exp-sinh path:
-midpoint rules, fixed Gauss-Legendre panels, direct summation, and an LP
-discretization of the minimax problem.
+midpoint rules, fixed Gauss-Legendre panels, direct summation, an LP
+discretization of the minimax problem, and scipy's LP and Nelder-Mead.
 """
 
 import math
@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 CATALAN = 0.9159655941772190150546035149324  # Dirichlet beta(2)
 ZETA3 = 1.2020569031595942854  # Apery's constant
@@ -129,6 +129,43 @@ def lp_minimax(alpha: float, n: int, grid_m: int = 4000) -> float:
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")
     return float(res.x[-1])
+
+
+def linf_fit_lp(a: np.ndarray, b: np.ndarray) -> float:
+    """min over c of max_i |a[i] c + b[i]| by HiGHS: minimize t subject to
+    -t <= a c + b <= t.  The primal and dual feasibility tolerances are
+    1e-10; at HiGHS's default 1e-7 the value can sit about 1e-8 off."""
+    m, n = a.shape
+    ones = np.ones((m, 1))
+    a_ub = np.vstack([np.hstack([a, -ones]), np.hstack([-a, -ones])])
+    cost = np.zeros(n + 1)
+    cost[-1] = 1.0
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=np.concatenate([-b, b]),
+        bounds=[(None, None)] * (n + 1),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if not res.success:
+        raise RuntimeError(f"LP oracle failed: {res.message}")
+    return float(res.x[-1])
+
+
+def nelder_mead_min(f, start) -> tuple:
+    """(x, f(x)) at the minimum of f from start by scipy's Nelder-Mead, at
+    the settings the library's near-best fit once used: tolerance 1e-4 on x
+    and 1e-12 on f."""
+    res = minimize(
+        f,
+        start,
+        method="Nelder-Mead",
+        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400, "maxfev": 600},
+    )
+    if not res.success:
+        raise RuntimeError(f"Nelder-Mead oracle failed: {res.message}")
+    return res.x, float(res.fun)
 
 
 def brute_minimax_even_quadratic(samples: int = 2001) -> float:

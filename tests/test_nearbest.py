@@ -280,8 +280,8 @@ def test_interpolated_H1_matches_gauss_legendre_oracle():
 
 def test_optimize_c_makes_no_quadrature_call(monkeypatch):
     # deterministic work gate: once build_cache has run, every kernel value the
-    # fit at alpha = 1 needs comes from the cache, inside the Nelder-Mead loop
-    # and out of it
+    # fit at alpha = 1 needs comes from the cache, inside the exchange and out
+    # of it
     calls = {"integrals": 0, "at_cache": None, "in_minimize": 0}
     integrate, build_cache, minimize = (
         kernels.integrate_zero_to_inf,
@@ -314,10 +314,11 @@ def test_optimize_c_makes_no_quadrature_call(monkeypatch):
 
 
 def test_optimize_c_searches_roots_and_extrema_in_lockstep(monkeypatch):
-    # deterministic work gate: outside the Nelder-Mead objective a fit searches
-    # roots only, in one bisection over an array of brackets, so it makes a
-    # couple dozen limit_error calls, not one search per bracket (713 for
-    # `table interp_points --alpha 1 --jmax 10` once) and no extremum polish
+    # deterministic work gate: outside the exchange a fit searches roots only
+    # through limit_error, in one bisection over an array of brackets, so it
+    # makes a couple dozen limit_error calls, not one search per bracket (713
+    # for `table interp_points --alpha 1 --jmax 10` once); its lobe polish
+    # reads the interpolants directly
     calls = {"total": 0, "in_minimize": 0}
     limit_error_, minimize = nearbest.limit_error, nearbest.minimize
 
@@ -342,6 +343,70 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     code = "import sys, bernsteinlab, bernsteinlab.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_fit_leaves_scipy_unloaded():
+    # the exchange is numpy alone: a fit loads no part of scipy
+    code = "import sys, bernsteinlab; bernsteinlab.optimize_c(1.0); print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 1.9])
+def test_exchange_level_matches_highs(alpha):
+    # round 0 of the fit (the grid, x = 0 and x -> inf) solved by HiGHS, which
+    # shares no code with the exchange
+    cache = build_cache(alpha)
+    _, a, b = nearbest._fixed_rows(cache, kernels.D_const(alpha))
+    res = nearbest.minimize(a, b)
+    lp = oracles.linf_fit_lp(a, b)
+    assert res.success
+    assert abs(res.fun - lp) <= 1e-12 * lp
+
+
+def test_exchange_solves_a_small_chebyshev_fit():
+    # min over (c0, c1) of max |c0 + c1 t - t^2| on t in {0, 0.5, 1, 0.25}:
+    # the line t - 1/8 levels 1/8 at t = 0, 0.5 and 1
+    t = np.array([0.0, 0.5, 1.0, 0.25])
+    res = nearbest.minimize(np.stack([np.ones_like(t), t], axis=1), -(t**2))
+    assert res.success and res.nfev <= 3
+    assert np.allclose(res.x, [-0.125, 1.0], rtol=0.0, atol=1e-15)
+    assert abs(res.fun - 0.125) <= 1e-15
+    assert sorted(res.ref.tolist()) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("alpha", [round(0.1 * k, 1) for k in range(1, 20)])
+def test_fit_is_certified(alpha, nb_solution):
+    # the lower bound is the level of an exchange reference and the minimax
+    # the polished sup: they agree to 1e-12 relative
+    sol = nb_solution(alpha)
+    assert sol.lower_bound <= sol.minimax <= (1.0 + 1e-12) * sol.lower_bound
+
+
+def test_fit_at_alpha_1_9_closes_on_two_rows(nb_solution):
+    # only x = 0 and the lobe near 4.28 are active, and c1 is nearly free:
+    # the exchange's rounds do not settle and the two-row step closes the
+    # fit; its sup is no higher than the Nelder-Mead descent's 0.0483407621494299
+    sol = nb_solution(1.9)
+    assert sol.minimax - sol.lower_bound <= 1e-12 * sol.lower_bound
+    assert abs(sol.c1 - 0.118929) <= 1e-5
+    assert sol.minimax <= 0.0483407621494299
+
+
+@pytest.mark.parametrize("alpha,most", [(1.0, 4), (1.9, 8)])
+def test_fit_takes_few_exchanges(alpha, most, monkeypatch):
+    # deterministic work gate: a fit solves a handful of times (3 at
+    # alpha = 1, where a Nelder-Mead descent needs 180 objective calls)
+    calls = []
+    minimize = nearbest.minimize
+
+    def counting_minimize(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(nearbest, "minimize", counting_minimize)
+    nearbest.optimize_c(alpha)
+    assert 1 <= len(calls) <= most
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -389,20 +454,23 @@ def test_far_lobes_approach_their_amplitude_from_below(alpha, nb_solution):
 
 
 def test_optimize_error_names_the_best_point(monkeypatch):
-    # a descent that does not converge reports where it stopped in its message
+    # an exchange that does not converge reports where it stopped, and the
+    # polished sup there, in its message
     class Unconverged:
         success, message, x, fun = False, "too many evaluations", np.array([0.25, 0.5]), 0.3
 
     monkeypatch.setattr(nearbest, "minimize", lambda *args, **kwargs: Unconverged)
-    with pytest.raises(nearbest.OptimizeError, match=r"best \(c1, c2, sup\) = \(0.25, 0.5, 0.3\)"):
+    tail = (2.0 / PI) * kernels.D_const(1.0)
+    sup = nearbest._polished_sup(build_cache(1.0), 0.25, 0.5, tail)
+    with pytest.raises(nearbest.OptimizeError, match=rf"best \(c1, c2, sup\) = \(0.25, 0.5, {sup}\)"):
         nearbest.optimize_c(1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.9])
 def test_polished_sup_is_midpoint_convex(alpha):
     # E is affine in (c1, c2) at each x, so the sup the fit minimizes is
-    # convex in them: every local minimum is global, and the descent needs
-    # no seed search.  Pairs drawn from the box the seed search once needed
+    # convex in them: every local minimum is global.  Pairs drawn from the
+    # box a seed search once needed
     cache = build_cache(alpha)
     tail = (2.0 / PI) * math.sin(0.5 * PI * alpha) * kernels.D_const(alpha)
     rng = np.random.default_rng(13)
@@ -415,14 +483,17 @@ def test_polished_sup_is_midpoint_convex(alpha):
 
 @pytest.mark.parametrize("start", [(0.3, 2.5), (1.0, 1.0)])
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
-def test_fit_does_not_depend_on_its_start(alpha, start, nb_solution, monkeypatch):
-    # the objective is convex, so a descent from another start ends at the
-    # shipped fit's minimum, to the descent's own tolerances
+def test_fit_does_not_depend_on_its_start(alpha, start, nb_solution):
+    # the objective is convex, so a Nelder-Mead descent over the polished sup
+    # from either start ends at the exchange's fit, to the descent's own
+    # tolerances
     shipped = nb_solution(alpha)
-    monkeypatch.setattr(nearbest, "_START", start)
-    sol = nearbest.optimize_c(alpha)
-    assert abs(sol.c1 - shipped.c1) <= 1e-5 and abs(sol.c2 - shipped.c2) <= 1e-5
-    assert abs(sol.minimax - shipped.minimax) <= 1e-9 * shipped.minimax
+    tail = (2.0 / PI) * math.sin(0.5 * PI * alpha) * kernels.D_const(alpha)
+    c, sup = oracles.nelder_mead_min(
+        lambda c: nearbest._polished_sup(shipped.cache, c[0], c[1], tail), start
+    )
+    assert abs(c[0] - shipped.c1) <= 1e-5 and abs(c[1] - shipped.c2) <= 1e-5
+    assert abs(sup - shipped.minimax) <= 1e-9 * shipped.minimax
 
 
 def test_optimize_domain():
@@ -526,9 +597,11 @@ def test_alternation_level_near_best_constant(nb_solution):
 def test_solution_invariants_enforced():
     good = np.array([0.13, 2.10, 4.99])
     with pytest.raises(ValueError, match="increasing"):
-        NearBestSolution(0.5, 0.3, 0.8, 0.35, good[::-1])
+        NearBestSolution(0.5, 0.3, 0.8, 0.35, 0.34, good[::-1])
     with pytest.raises(ValueError, match="outside"):
-        NearBestSolution(0.5, 0.3, 0.8, 0.35, np.array([0.13, 9.0]))
+        NearBestSolution(0.5, 0.3, 0.8, 0.35, 0.34, np.array([0.13, 9.0]))
+    with pytest.raises(ValueError, match="lower bound"):
+        NearBestSolution(0.5, 0.3, 0.8, 0.35, 0.36, good)
 
 
 def test_p3_at_zero_value():
