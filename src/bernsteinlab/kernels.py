@@ -36,6 +36,20 @@ once per cached node table, and the row t^a/sinh t or t^a/cosh t once per
 table and alpha.  The other kinds combine the four: one path, kernel_values,
 serves every kind, and it alone holds the limits at x = 0 (0 for H, H2 and
 A0; pi/2 for H1 at alpha = 1, 0 above); kernel_eval is one of its points.
+
+J (so H, H1 and H2), A0, C and D integrate p(t) K(x, t) with the x-free row
+p = t^a/sinh t or t^(a-1)/cosh t and K = x/(x^2+t^2), x^2/(x^2+t^2) or 1,
+and they evaluate only the nodes that can move the sum (the quadrature's
+pick).  With k the peak of p w on a level table of n nodes, node j is
+dropped when p_j w_j max(1, (t_k/t_j)^2) <= 2^-60 p_k w_k / n.  Every such K
+is >= 0 with K(x, t_j)/K(x, t_k) <= max(1, (t_k/t_j)^2) for every x, so the
+dropped terms of any row sum to at most 2^-60 of its sum, 1/16 ulp.  The
+kept part of a table is computed once per table and alpha from the cached
+row p and kept read-only, its node factors sliced from the table's; an
+alpha per row keeps the union of its rows' parts, so a uniform alpha array
+keeps the scalar call's nodes.  Where p w is not finite every node is kept,
+so an overflow is reported as before; F and G have no x-free row and keep
+every node.
 """
 
 import math
@@ -87,33 +101,56 @@ _BATCH_CHUNK = 512
 
 
 class _Nodes:
-    """The node-only factors of one node row t, and in rows, per denominator,
-    the row exp(alpha log t - t) * 2 / den of the last scalar alpha."""
+    """The node-only factors of one node row t, the rows of one read-only
+    array; in rows, per denominator, the row exp(alpha log t - t) * 2 / den
+    of the last scalar alpha; in kept, per denominator, that alpha's kept
+    (t, w) (_kept_nodes)."""
 
-    __slots__ = ("log_t", "t_sq", "one_plus_t_sq", "sinh_den", "cosh_den", "rows")
+    __slots__ = ("factors", "rows", "kept")
+    log_t = property(lambda self: self.factors[0])
+    t_sq = property(lambda self: self.factors[1])
+    one_plus_t_sq = property(lambda self: self.factors[2])
+    sinh_den = property(lambda self: self.factors[3])  # -expm1(-2t)
+    cosh_den = property(lambda self: self.factors[4])  # 1 + exp(-2t)
 
-    def __init__(self, t):
-        self.log_t = np.log(t)
-        self.t_sq = t * t
-        self.one_plus_t_sq = 1.0 + self.t_sq
-        self.sinh_den = -np.expm1(-2.0 * t)
-        self.cosh_den = 1.0 + np.exp(-2.0 * t)
-        for factor in (self.log_t, self.t_sq, self.one_plus_t_sq, self.sinh_den, self.cosh_den):
-            factor.flags.writeable = False  # shared by every integrand on t
+    def __init__(self, factors):
+        self.factors = _read_only(factors)  # shared by every integrand on t
         self.rows = {}
+        self.kept = {}
+
+    def take(self, keep, den: str) -> "_Nodes":
+        """The factors of the nodes t[keep], and the row for den, sliced from
+        these."""
+        sub = _Nodes(self.factors.compress(keep, axis=1))  # faster than [:, keep]
+        alpha, row = self.rows[den]
+        sub.rows[den] = (alpha, _read_only(row[keep]))
+        return sub
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 # the factors of each node row by id: the quadrature's cached read-only level
-# tables; an entry goes with its row when the quadrature's cache drops it
+# tables and the kept parts of them; an entry goes with its row when the
+# quadrature's cache, or the table's kept entry, drops it
 _NODES: dict[int, _Nodes] = {}
+
+
+def _register(t, nodes: _Nodes) -> _Nodes:
+    _NODES[id(t)] = nodes
+    weakref.finalize(t, _NODES.pop, id(t), None)
+    return nodes
 
 
 def _nodes(t) -> _Nodes:
     """The factors of the read-only node row t, computed once per row."""
     got = _NODES.get(id(t))
     if got is None:
-        got = _NODES[id(t)] = _Nodes(t)
-        weakref.finalize(t, _NODES.pop, id(t), None)
+        t_sq = t * t
+        factors = np.log(t), t_sq, 1.0 + t_sq, -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t)
+        got = _register(t, _Nodes(np.stack(factors)))
     return got
 
 
@@ -133,9 +170,79 @@ def _pow_over(den: str, alpha, t):
     out *= 2.0
     out /= getattr(nodes, den)
     if scalar:
-        out.flags.writeable = False
-        nodes.rows[den] = (alpha, out)
+        nodes.rows[den] = (alpha, _read_only(out))
     return out
+
+
+# a node j is dropped when its term p_j w_j, times max(1, (t_k/t_j)^2), is at
+# most this share of the peak term p_k w_k over the table's length
+_DROP = 2.0**-60
+
+
+def _keep_mask(p, t, w):
+    """The nodes of the table (t, w) whose term can move a sum of p(t) K(x, t)
+    for any K >= 0 with K(x, t_j)/K(x, t_k) <= max(1, (t_k/t_j)^2), as a
+    mask; None when every node is kept, which is so where p w is not finite
+    anywhere.  Called inside the quadrature's errstate, where t/t_k may
+    underflow."""
+    pw = p * w
+    k = pw.argmax()  # the first nan if there is one, else the peak
+    peak = float(pw[k])
+    if not math.isfinite(peak):
+        return None
+    # keep p_j w_j max(1, (t_k/t_j)^2) > _DROP p_k w_k / n, as
+    # p_j w_j > _DROP p_k w_k / n * min(1, (t_j/t_k)^2), which cannot overflow
+    bound = t / t[k]
+    np.square(bound, out=bound)
+    np.minimum(bound, 1.0, out=bound)
+    bound *= _DROP * peak / len(t)
+    keep = pw > bound
+    keep[k] = True
+    return None if np.count_nonzero(keep) == len(t) else keep
+
+
+def _kept_table(t, w, keep, den: str):
+    """(t, w) at the nodes of the mask keep (all for None), read-only, with
+    the factors of the kept t, and t's row for den, sliced from t's."""
+    if keep is None:
+        return t, w
+    sub = _read_only(t[keep])
+    _register(sub, _nodes(t).take(keep, den))
+    return sub, _read_only(w[keep])
+
+
+def _kept_nodes(den: str, alpha, t, w):
+    """The nodes of the level table (t, w) that can move an integral of
+    exp(alpha log t - t) * 2 / den times a K of _keep_mask: for a scalar
+    alpha computed once per table and alpha (the last alpha per den is
+    kept); for an array, an (m, 1) column, the union over its rows."""
+    nodes = _nodes(t)
+    if not isinstance(alpha, np.ndarray):  # once per level: np.ndim costs more
+        got = nodes.kept.get(den)
+        if got is None or got[0] != alpha:
+            keep = _keep_mask(_pow_over(den, alpha, t), t, w)
+            got = nodes.kept[den] = (alpha, _kept_table(t, w, keep, den))
+        return got[1]
+    values = np.unique(alpha).tolist()
+    if len(values) == 1:
+        return _kept_nodes(den, values[0], t, w)
+    keep = np.zeros(len(t), dtype=bool)
+    for v in values:
+        mask = _keep_mask(_pow_over(den, v, t), t, w)
+        if mask is None:
+            return t, w
+        keep |= mask
+    return _kept_table(t, w, None if keep.all() else keep, den)
+
+
+def _sinh_pick(alpha):
+    """The quadrature's pick for an integrand t^alpha/sinh t times a K >= 0."""
+    return partial(_kept_nodes, "sinh_den", alpha)
+
+
+def _cosh_pick(alpha):
+    """The quadrature's pick for an integrand t^(alpha-1)/cosh t times a K >= 0."""
+    return partial(_kept_nodes, "cosh_den", alpha - 1.0)
 
 
 def _pow_over_sinh(alpha, t):
@@ -165,13 +272,15 @@ def _require_alpha(alpha, low: float, kind: str):
 def C_const(alpha: float) -> float:
     """C(alpha) = int_0^inf t^alpha / sinh(t) dt, alpha > 0."""
     _require_alpha(alpha, 0.0, "C_const")
-    return float(integrate_zero_to_inf(lambda t: _pow_over_sinh(alpha, t)).value[0])
+    value = integrate_zero_to_inf(lambda t: _pow_over_sinh(alpha, t), _sinh_pick(alpha)).value
+    return float(value[0])
 
 
 def D_const(alpha: float) -> float:
     """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, alpha > 0."""
     _require_alpha(alpha, 0.0, "D_const")
-    return float(integrate_zero_to_inf(lambda t: _pow_over_cosh(alpha - 1.0, t)).value[0])
+    value = integrate_zero_to_inf(lambda t: _pow_over_cosh(alpha - 1.0, t), _cosh_pick(alpha)).value
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +288,17 @@ def D_const(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _batched_family(fmat, alpha, xs: np.ndarray) -> np.ndarray:
+def _batched_family(fmat, pick, alpha, xs: np.ndarray) -> np.ndarray:
     """int_0^inf fmat(alpha, x, t) dt for every x in xs, _BATCH_CHUNK rows per
     call; fmat gets x as an (m, 1) column and t as an (n,) row, and alpha as
-    it is when a scalar, else as the (m, 1) column of its rows beside x."""
+    it is when a scalar, else as the (m, 1) column of its rows beside x.
+    pick(alpha), when pick is given, names the nodes the quadrature needs."""
     out = np.empty(len(xs))
     for lo in range(0, len(xs), _BATCH_CHUNK):
         rows = slice(lo, lo + _BATCH_CHUNK)
         a = alpha if np.ndim(alpha) == 0 else alpha[rows, None]
         chunk = xs[rows, None]
-        out[rows] = integrate_zero_to_inf(lambda t: fmat(a, chunk, t)).value
+        out[rows] = integrate_zero_to_inf(lambda t: fmat(a, chunk, t), pick and pick(a)).value
     return out
 
 
@@ -223,10 +333,11 @@ def _G_mat(alpha, x, t):
     return np.divide(out, nodes.one_plus_t_sq, out=out)
 
 
-_J_values = partial(_batched_family, _J_mat)
-_A0_values = partial(_batched_family, _A0_mat)
-_F_values = partial(_batched_family, _F_mat)
-_G_values = partial(_batched_family, _G_mat)
+# F and G carry no x-free row and keep every node
+_J_values = partial(_batched_family, _J_mat, _sinh_pick)
+_A0_values = partial(_batched_family, _A0_mat, _cosh_pick)
+_F_values = partial(_batched_family, _F_mat, None)
+_G_values = partial(_batched_family, _G_mat, None)
 
 
 def _R_values(a, x: np.ndarray) -> np.ndarray:

@@ -78,6 +78,7 @@ _BLOCK = 512  # points interpolated per block, bounding the temporaries
 _ROUNDS = 12  # exchange rounds a fit may take before it gives up
 _GAP = 1e-12  # upper - lower bound, relative, at which a fit is certified
 _MAX_STEPS = 100  # exchange steps one solve may take
+_U = 2.0**-53  # unit roundoff of a double
 
 
 class OptimizeError(RuntimeError):
@@ -281,8 +282,9 @@ def _polished_sup(cache: GridCache, c1: float, c2: float, tail: float) -> float:
 @dataclass(frozen=True)
 class ExchangeResult:
     """What minimize returns: the minimizer x, the level fun of its final
-    reference (a lower bound on the minimax), the exchange steps nfev, and
-    the reference's three row indices ref."""
+    reference rounded down by its rounding error (_level; a lower bound on
+    the minimax), the exchange steps nfev, and the reference's three row
+    indices ref."""
 
     x: np.ndarray
     fun: float
@@ -298,12 +300,23 @@ def _weights(a: np.ndarray) -> np.ndarray:
     return np.cross(a[:, 0], a[:, 1])
 
 
-def _level(weights: np.ndarray, b: np.ndarray) -> float:
+def _level(weights: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Signed level h = sum(weights b) / sum(|weights|) of three rows with
-    these dual weights.  For every c, weights @ (a c + b) = weights @ b, so
-    max |a c + b| >= |h| (de la Vallee Poussin): |h| bounds the minimax of
-    the rows, and of any set holding them, from below."""
-    return float(weights @ b / np.abs(weights).sum())
+    these dual weights, and |h| rounded down by the rounding error of h.
+    For every c, weights @ (a c + b) = weights @ b, so max |a c + b| >= |h|
+    (de la Vallee Poussin): |h| bounds the minimax of the rows, and of any
+    set holding them, from below.
+
+    The computed h errs by the rounding of its three steps.  With u = 2^-53
+    and the weights w as given, the dot product of three terms errs by at
+    most 3u sum|w_i b_i|, the sum d of the three |w_i| by 2u d, and the
+    quotient adds u |h|, so |fl(h) - h| <= 3u sum|w_i b_i|/d + 3u |h| to
+    first order in u, which 4u (sum|w_i b_i|/d + |h|) covers.  Where no term
+    cancels (w_i b_i all of the sign of h, as at the final reference of every
+    fit in 0.1:1.9:0.1) that is 8u |h|, a few ulps of |h|."""
+    d = np.abs(weights).sum()
+    h = float(weights @ b / d)
+    return h, abs(h) - 4.0 * _U * (float(np.abs(weights * b).sum() / d) + abs(h))
 
 
 def _start_reference(a: np.ndarray) -> np.ndarray:
@@ -336,12 +349,12 @@ def minimize(a, b) -> ExchangeResult:
         lam = _weights(a[ref])
         if not lam.all():
             return ExchangeResult(np.zeros(2), math.nan, step, False, "reference rows do not span R^2", ref)
-        h = _level(lam, b[ref])
+        h, low = _level(lam, b[ref])
         c = np.linalg.lstsq(a[ref], np.sign(lam) * h - b[ref], rcond=None)[0]
         r = a @ c + b
         i = int(np.argmax(np.abs(r)))
         if abs(r[i]) <= abs(h) * (1.0 + 1e-14) or i in ref:
-            return ExchangeResult(c, abs(h), step, True, "reference levelled", ref)
+            return ExchangeResult(c, low, step, True, "reference levelled", ref)
         sign = np.sign(r)
         sign[ref] = np.sign(lam) * (np.sign(h) or 1.0)
         for k in range(3):
@@ -352,8 +365,8 @@ def minimize(a, b) -> ExchangeResult:
                 ref = new
                 break
         else:
-            return ExchangeResult(c, abs(h), step, False, "no exchange keeps the weights of one sign", ref)
-    return ExchangeResult(c, abs(h), _MAX_STEPS, False, f"not levelled in {_MAX_STEPS} steps", ref)
+            return ExchangeResult(c, low, step, False, "no exchange keeps the weights of one sign", ref)
+    return ExchangeResult(c, low, _MAX_STEPS, False, f"not levelled in {_MAX_STEPS} steps", ref)
 
 
 def _rows(alpha: float, x, a0, h1, cos_x, sin_x):
@@ -403,8 +416,8 @@ def _two_row_optimum(cache: GridCache, ref_x: np.ndarray):
     c2 = -b[0] / (a[0, 1] + p)
     da, db = a[2] - a[1], b[2] - b[1]
     c1 = -(da[1] * c2 + db) / da[0]
-    level = _level(_weights(np.vstack([[0.0, -p], a[3:]])), np.concatenate([[0.0], b[3:]]))
-    return float(c1), float(c2), abs(level)
+    _, level = _level(_weights(np.vstack([[0.0, -p], a[3:]])), np.concatenate([[0.0], b[3:]]))
+    return float(c1), float(c2), level
 
 
 def optimize_c(alpha: float) -> NearBestSolution:

@@ -30,6 +30,14 @@ A NaN integrand is a QuadratureError, an infinite one an OverflowError,
 naming the node; each level scans the integrand only when a row sum is not
 finite.  A row whose sum overflows although every integrand value is finite
 never converges, so integrate_zero_to_inf raises a QuadratureError for it.
+
+An integrand family that knows which nodes of a level can move its sums
+names them through pick: pick(xs, ws) maps a level's read-only table to the
+read-only (xs, ws) of the nodes it needs, and the rule evaluates the
+integrand on those alone and dots it with their weights.  The kernels pick
+for every integrand carrying the row t^a/sinh t or t^(a-1)/cosh t (see
+kernels), dropping only nodes worth at most 2^-60 of each row's sum; the
+other integrands get every node.
 """
 
 import functools
@@ -112,10 +120,11 @@ def _xw(a: float, b: float | None, level: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_levels(a: float, b: float | None, f):
+def _run_levels(a: float, b: float | None, f, pick=None):
     """Shared trapezoidal refinement loop over (a, b), or (a, inf) when b is None.
 
-    _xw(a, b, level) holds the nodes/weights new at that level; the running
+    _xw(a, b, level) holds the nodes/weights new at that level, of which f
+    sees those pick(xs, ws) keeps when pick is given; the running
     value obeys I_l = I_{l-1}/2 + h_l * (new contributions).  Returns
     per-row (values, errors, levels used, converged), so that batched
     integrands (f returning an (m, n) matrix) work unchanged.
@@ -126,6 +135,8 @@ def _run_levels(a: float, b: float | None, f):
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         for level in range(MAX_LEVELS):
             xs, ws = _xw(a, b, level)
+            if pick is not None:
+                xs, ws = pick(xs, ws)
             fx = np.atleast_2d(f(xs))
             contrib = fx @ ws
             # weights are positive: a non-finite entry makes its row sum so
@@ -173,14 +184,15 @@ def integrate_semi_infinite(f: Callable, a: float) -> QuadResult:
     return QuadResult(float(value[0]), float(err[0]), levels, ok)
 
 
-def integrate_zero_to_inf(f: Callable) -> QuadResult:
+def integrate_zero_to_inf(f: Callable, pick: Callable | None = None) -> QuadResult:
     """Integrate f over (0, inf): tanh-sinh on (0, SPLIT_POINT) plus exp-sinh
     on (SPLIT_POINT, inf).  f may return (n,) or (m, n); value and
-    err_estimate have shape (m,).  Raises QuadratureError when a row misses
-    the tolerance on either part, or in its summed error.
+    err_estimate have shape (m,).  pick, if given, names the nodes of each
+    level f needs (module docstring).  Raises QuadratureError when a row
+    misses the tolerance on either part, or in its summed error.
     """
-    v1, e1, l1, ok1 = integrate_finite_batch(f, 0.0, SPLIT_POINT)
-    v2, e2, l2, ok2 = integrate_semi_infinite_batch(f, SPLIT_POINT)
+    v1, e1, l1, ok1 = integrate_finite_batch(f, 0.0, SPLIT_POINT, pick)
+    v2, e2, l2, ok2 = integrate_semi_infinite_batch(f, SPLIT_POINT, pick)
     value = v1 + v2
     err = e1 + e2
     tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
@@ -198,13 +210,14 @@ def integrate_zero_to_inf(f: Callable) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 
-def integrate_finite_batch(fmat: Callable, a: float, b: float):
+def integrate_finite_batch(fmat: Callable, a: float, b: float, pick: Callable | None = None):
     """Like integrate_finite for fmat returning an (m, n) matrix of integrands,
-    refined until every row meets the tolerance.  Returns (values, errors,
-    levels used, converged), values and errors of shape (m,)."""
-    return _run_levels(a, b, fmat)
+    refined until every row meets the tolerance, on the nodes pick keeps if
+    given.  Returns (values, errors, levels used, converged), values and
+    errors of shape (m,)."""
+    return _run_levels(a, b, fmat, pick)
 
 
-def integrate_semi_infinite_batch(fmat: Callable, a: float):
+def integrate_semi_infinite_batch(fmat: Callable, a: float, pick: Callable | None = None):
     """Batch counterpart of integrate_semi_infinite."""
-    return _run_levels(a, None, fmat)
+    return _run_levels(a, None, fmat, pick)

@@ -373,9 +373,9 @@ def _count_half_line_integrals(monkeypatch):
     calls = []
     integrate = cli.kernels.integrate_zero_to_inf
 
-    def counting(f):
+    def counting(f, *args):
         calls.append(f)
-        return integrate(f)
+        return integrate(f, *args)
 
     monkeypatch.setattr(cli.kernels, "integrate_zero_to_inf", counting)
     return calls

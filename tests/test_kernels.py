@@ -293,6 +293,106 @@ def test_node_factors_are_kept_for_read_only_tables_only():
     assert key not in kernels._NODES
 
 
+def test_kept_nodes_are_cached_read_only_slices():
+    t, w = quadrature._xw(quadrature.SPLIT_POINT, None, 7)
+    with np.errstate(over="ignore", under="ignore"):
+        kept_t, kept_w = kernels._kept_nodes("sinh_den", 40.0, t, w)
+        assert kernels._kept_nodes("sinh_den", 40.0, t, w)[0] is kept_t
+        assert not kept_t.flags.writeable and not kept_w.flags.writeable
+        row = kernels._pow_over_sinh(40.0, t)
+        keep = kernels._keep_mask(row, t, w)
+        assert keep.sum() < len(t) // 4
+        assert np.array_equal(kept_t, t[keep]) and np.array_equal(kept_w, w[keep])
+        # the kept nodes' factors and row are slices of the table's
+        assert np.array_equal(kernels._nodes(kept_t).t_sq, kernels._nodes(t).t_sq[keep])
+        assert np.array_equal(kernels._pow_over_sinh(40.0, kept_t), row[keep])
+        # past the double range every node is kept, so the overflow is reported
+        assert kernels._kept_nodes("sinh_den", 175.0, t, w)[0] is t
+
+
+def _every_node_integral(expr):
+    """expr integrated over (0, inf) on every node of every level: the rule's
+    refinement loop with no node selection."""
+    split = quadrature.SPLIT_POINT
+    with np.errstate(all="ignore"):
+        head = quadrature._run_levels(0.0, split, expr)[0]
+        return head + quadrature._run_levels(split, None, expr)[0]
+
+
+def _within_ulps(got, ref, ulps):
+    return bool(np.all(np.abs(got - ref) <= ulps * np.spacing(np.abs(ref))))
+
+
+_SELECTION_ALPHAS = (0.05, 0.3, 1.0, 2.5, 10.0, 40.0, 80.0, 160.0)
+_SELECTION_XS = np.geomspace(1e-3, 1e3, 61)
+
+
+@pytest.mark.parametrize("alpha", _SELECTION_ALPHAS)
+def test_kept_nodes_agree_with_every_node(alpha):
+    # the kernels skip the nodes whose terms stay below 2^-60 of every row's
+    # sum; the plain expressions summed on every node agree to 4 ulps
+    x = _SELECTION_XS
+    for kind, name in (("H1", "J"), ("A0", "A0")):
+        ref = _every_node_integral(lambda t: _REFERENCE_MATS[name](alpha, x[:, None], t))
+        assert _within_ulps(kernel_values(kind, alpha, x), ref, 4), kind
+    c = _every_node_integral(lambda t: np.exp(alpha * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t)))
+    d = _every_node_integral(
+        lambda t: np.exp((alpha - 1.0) * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t))
+    )
+    assert _within_ulps(C_const(alpha), c[0], 4)
+    assert _within_ulps(D_const(alpha), d[0], 4)
+
+
+def test_kept_nodes_agree_with_every_node_alpha_per_row():
+    # an alpha per row keeps the union of the rows' kept nodes
+    alphas = np.repeat(_SELECTION_ALPHAS, len(_SELECTION_XS))
+    x = np.tile(_SELECTION_XS, len(_SELECTION_ALPHAS))
+    for kind, name in (("H1", "J"), ("A0", "A0")):
+        ref = _every_node_integral(lambda t: _REFERENCE_MATS[name](alphas[:, None], x[:, None], t))
+        assert _within_ulps(kernel_values(kind, alphas, x), ref, 4), kind
+
+
+@pytest.mark.parametrize("alpha", [2.5, 40.0, 160.0])
+def test_kept_nodes_vs_mpmath(alpha):
+    # where most nodes are dropped: 30-digit mpmath, split at 1, at the peak
+    # of t^alpha/sinh t near alpha, and past it
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        points = [0, 1, a, 2 * a + 10, mpmath.inf]
+        for x in (1e-3, 1.0, 1e3):
+            xm = mpmath.mpf(x)
+            refs = {
+                "H1": lambda t: t**a / mpmath.sinh(t) * xm / (xm * xm + t * t),
+                "A0": lambda t: t ** (a - 1) / mpmath.cosh(t) * xm * xm / (xm * xm + t * t),
+            }
+            for kind, integrand in refs.items():
+                ref = mpmath.quad(integrand, points)
+                assert abs(kernel_values(kind, alpha, x) - ref) <= 1e-13 * ref, (kind, x)
+
+
+def test_H1_at_alpha_40_hands_few_nodes_to_its_integrand(monkeypatch):
+    # deterministic work gate: on the curve H grid of the kernel-tables
+    # benchmark each integral evaluates at most 300 nodes per row, over both
+    # parts and every level (2,052 when every node was evaluated)
+    per_call = []
+    integrate = kernels.integrate_zero_to_inf
+
+    def counting(f, *args):
+        per_call.append(0)
+
+        def counted(t):
+            per_call[-1] += len(t)
+            return f(t)
+
+        return integrate(counted, *args)
+
+    monkeypatch.setattr(kernels, "integrate_zero_to_inf", counting)
+    x = np.arange(0.1, 40.0 * PI, PI / 400.0)
+    kernel_values("H1", 40.0, x)
+    assert len(per_call) == -(-len(x) // kernels._BATCH_CHUNK)
+    assert 0 < max(per_call) <= 300
+
+
 # ---------------------------------------------------------------------------
 # recorded identities
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,9 +290,9 @@ def test_optimize_c_makes_no_quadrature_call(monkeypatch):
         nearbest.minimize,
     )
 
-    def counting_integrate(f):
+    def counting_integrate(f, *args):
         calls["integrals"] += 1
-        return integrate(f)
+        return integrate(f, *args)
 
     def marking_build_cache(*args, **kwargs):
         cache = build_cache(*args, **kwargs)
@@ -381,6 +382,32 @@ def test_fit_is_certified(alpha, nb_solution):
     # the polished sup: they agree to 1e-12 relative
     sol = nb_solution(alpha)
     assert sol.lower_bound <= sol.minimax <= (1.0 + 1e-12) * sol.lower_bound
+
+
+def test_lower_bound_not_above_minimax_at_alpha_0_17():
+    # the computed level of a final reference can sit a few ulps above the
+    # polished sup; here it once did by 2 ulps, and the fit raised ValueError
+    sol = nearbest.optimize_c(0.17)
+    assert sol.lower_bound <= sol.minimax <= (1.0 + 1e-12) * sol.lower_bound
+
+
+def test_level_is_rounded_below_its_exact_value():
+    # the rounded-down level against the exact level of the same weights, in
+    # rational arithmetic: random rows, and rows whose terms share a sign,
+    # where it is rounded down by 8 u |h|, to within an ulp
+    rng = np.random.default_rng(7)
+    for same_sign in (False, True):
+        for _ in range(500):
+            w = rng.normal(size=3) * 10.0 ** rng.uniform(-4.0, 4.0, size=3)
+            b = rng.normal(size=3) * 10.0 ** rng.uniform(-4.0, 4.0, size=3)
+            if same_sign:
+                b = np.sign(w) * np.abs(b)
+            h, low = nearbest._level(w, b)
+            terms = [Fraction(float(wi)) * Fraction(float(bi)) for wi, bi in zip(w, b)]
+            exact = abs(sum(terms) / sum(abs(Fraction(float(wi))) for wi in w))
+            assert Fraction(low) <= exact
+            if same_sign:
+                assert abs(h) - low <= 8.0 * 2.0**-53 * abs(h) + np.spacing(abs(h))
 
 
 def test_fit_at_alpha_1_9_closes_on_two_rows(nb_solution):

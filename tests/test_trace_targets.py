@@ -61,12 +61,12 @@ def test_half_line_integral_is_counted_once(monkeypatch):
     seen = {"nodes": 0}
     run_levels = quadrature._run_levels
 
-    def counting_run_levels(a, b, f):
+    def counting_run_levels(a, b, f, *args):
         def counted(t):
             seen["nodes"] += len(t)
             return f(t)
 
-        return run_levels(a, b, counted)
+        return run_levels(a, b, counted, *args)
 
     monkeypatch.setattr(quadrature, "_run_levels", counting_run_levels)
     tracer = _tracer_module().Tracer()
