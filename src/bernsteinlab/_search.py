@@ -72,21 +72,22 @@ def bisect_root(f, a, b, xtol: float):
     return 0.5 * (a + b)
 
 
-def refine_grid_maxima(f, xs, values, xtol: float):
+def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf):
     """Polish every local maximum of sampled values with golden sections.
 
     xs must be increasing and f takes and returns arrays.  Every grid local
-    maximum, endpoints included, is bracketed by its grid neighbours and all
-    brackets are polished in one array golden_max call.  Returns arrays x and
-    f(x), one entry per maximum.  Golden section never evaluates the ends of
-    its bracket, so a maximum at either end of the grid keeps the sampled
-    endpoint when that beats the polished interior point.
+    maximum, endpoints included, whose sampled value is not below floor is
+    bracketed by its grid neighbours and all brackets are polished in one
+    array golden_max call.  Returns arrays x and f(x), one entry per maximum.
+    Golden section never evaluates the ends of its bracket, so a maximum at
+    either end of the grid keeps the sampled endpoint when that beats the
+    polished interior point.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(values)
     padded = np.concatenate([[-math.inf], values, [-math.inf]])
-    idx = np.flatnonzero(~((values < padded[:-2]) | (values < padded[2:])))
+    idx = np.flatnonzero(~((values < padded[:-2]) | (values < padded[2:]) | (values < floor)))
     x, v = golden_max(f, xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, n - 1)], xtol)
     end = ((idx == 0) | (idx == n - 1)) & (values[idx] > v)
     x[end], v[end] = xs[idx[end]], values[idx[end]]

@@ -562,6 +562,8 @@ def run_table(name: str, args) -> int:
             for scheme in schemes
             for n in parse_int_list(args.n)
         ]
+        for alpha, _, n in items:  # checked before any row runs
+            chebinterp.check_order(n, alpha)
         rows = _pool_map(_convergence_row, items, args.jobs)
         emit(("alpha", "scheme", "n", "scaled_error"), rows, meta, args.format, args.out)
     elif name == "envelope":

@@ -6,6 +6,7 @@ import pytest
 from scipy.interpolate import BarycentricInterpolator
 
 from bernsteinlab import chebinterp
+from bernsteinlab._search import refine_grid_maxima
 from bernsteinlab.chebinterp import build_nodes, interp_eval, scaled_interp_eval, sup_error
 from bernsteinlab.entire import G_alpha, H_alpha_integral
 from bernsteinlab.kernels import C_const
@@ -106,7 +107,7 @@ def test_scaled_p1_approaches_entire_limit():
 
 
 def test_sup_error_requires_enough_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 2n > alpha .*, got n=1 and alpha=2\.5$"):
         sup_error(build_nodes("P2", 1), 2.5)
     with pytest.raises(ValueError, match="finite alpha"):
         sup_error(build_nodes("P2", 8), math.nan)
@@ -237,3 +238,107 @@ def test_sup_error_polishes_in_few_batched_calls(monkeypatch):
     monkeypatch.setattr(chebinterp, "_bary", counting_bary)
     sup_error(build_nodes("P2", 512), 1.0)
     assert len(calls) <= 64
+
+
+def _counted_bary_points(monkeypatch, scheme, n, alpha):
+    points = []
+    bary = chebinterp._bary
+
+    def counting_bary(system, fvals, x):
+        points.append(len(x))
+        return bary(system, fvals, x)
+
+    monkeypatch.setattr(chebinterp, "_bary", counting_bary)
+    sup_error(build_nodes(scheme, n), alpha)
+    return sum(points)
+
+
+@pytest.mark.parametrize("scheme,bound", [("P2", 200), ("P1", 20_000)])
+def test_sup_error_polishes_only_the_lobes_near_the_top(scheme, bound, monkeypatch):
+    # deterministic work gate: the FFT scan replaces the 20,481-point _bary
+    # scan, and only the lobes that can hold the sup are polished.  Polishing
+    # every grid maximum took 36,715 (P2) and 36,716 (P1) _bary points
+    assert _counted_bary_points(monkeypatch, scheme, 512, 1.0) <= bound
+
+
+def _full_polish_sup_error(system, alpha):
+    # the O(n^2) algorithm the FFT scan replaced: a _bary scan of the whole
+    # grid, then every grid maximum polished
+    n = system.n
+    fvals = np.abs(system.nodes) ** alpha
+    theta = np.linspace(0.0, 0.5 * PI, 40 * n + 1)
+    xs = np.cos(theta)[::-1]
+    xs[0] = 0.0
+
+    def abserr(x):
+        return np.abs(x**alpha - chebinterp._bary(system, fvals, x))
+
+    peaks, values = refine_grid_maxima(abserr, xs, abserr(xs), xtol=1e-10)
+    k = int(np.argmax(values))
+    return (2.0 * n) ** alpha * float(values[k]), float(peaks[k])
+
+
+@pytest.mark.parametrize("scheme", ["P1", "P2"])
+def test_pruned_sup_error_has_the_full_polish_bits(scheme):
+    # at (3.5, P1, 512) a cut of 1e-5 instead of 1e-2 would drop the lobe
+    # that holds the sup
+    cases = [(a, n) for a in (0.1, 0.5, 1.0, 1.5, 1.9) for n in (1, 2, 3, 8, 64, 256)]
+    for alpha, n in cases + [(1.0, 512), (3.5, 512)]:
+        s = build_nodes(scheme, n)
+        got = sup_error(s, alpha)
+        assert (got.scaled_error, got.argmax_x) == _full_polish_sup_error(s, alpha), (alpha, n)
+
+
+@pytest.mark.parametrize("n", [1, 8, 512])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("scheme", ["P1", "P2"])
+def test_fft_scan_matches_bary_on_the_grid(scheme, alpha, n):
+    # far inside the 1e-2 lobe cut.  Near alpha = 2 and n >= 512 the error
+    # nears the rounding of both evaluations, and P1 loses more through the
+    # cancellation in its T_2n coefficient
+    s = build_nodes(scheme, n)
+    fvals = np.abs(s.nodes) ** alpha
+    m = 40 * n + 1
+    xs = np.cos(np.linspace(0.0, 0.5 * PI, m))
+    exact = np.abs(xs**alpha - chebinterp._bary(s, fvals, xs))
+    scanned = np.abs(xs**alpha - chebinterp._scan(s, fvals, m))
+    assert np.abs(scanned - exact).max() <= 1e-8 * exact.max()
+
+
+@pytest.mark.parametrize("n", [3, 512])
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 4.0])
+@pytest.mark.parametrize("scheme", ["P1", "P2"])
+def test_even_alpha_has_no_interpolation_error(scheme, alpha, n):
+    # 2n > alpha, so the interpolant reproduces x^alpha; at n = 512 the
+    # polish once returned rounding noise, 0.0017 scaled at alpha = 4
+    got = sup_error(build_nodes(scheme, n), alpha)
+    assert (got.scaled_error, got.argmax_x) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha,scheme,n,log2_ratio",
+    [
+        (4.5, "P1", 256, "13.1"),
+        (3.5, "P1", 2048, "9.4"),
+        (3.5, "P2", 2048, "12.8"),
+        (5.5, "P1", 256, "6.3"),
+        (5.5, "P2", 256, "10.0"),
+        (6.5, "P1", 64, "13.1"),
+    ],
+)
+def test_sup_error_below_the_rounding_floor_raises(alpha, scheme, n, log2_ratio):
+    # the sup is a few thousand roundings of the barycentric sum or fewer; the
+    # CLI once printed such rows, 122880 at (5.5, P1, 2048)
+    match = rf"^{scheme} n={n} alpha={alpha}: sup/rho = 2\^{log2_ratio} is below 2\^16"
+    with pytest.raises(ValueError, match=match):
+        sup_error(build_nodes(scheme, n), alpha)
+
+
+@pytest.mark.parametrize("alpha,scheme,n", [(2.5, "P1", 2048), (3.5, "P1", 512)])
+def test_sup_error_above_the_rounding_floor_returns(alpha, scheme, n):
+    # (2.5, P1, 2048) has the least margin at alpha <= 2.5, sup/rho = 2^19.8;
+    # (3.5, P1, 512) is 2^16.5
+    s = build_nodes(scheme, n)
+    got = sup_error(s, alpha)
+    rho = chebinterp._rounding(s, np.abs(s.nodes) ** alpha, got.argmax_x)
+    assert got.scaled_error >= 2.0**16 * (2.0 * n) ** alpha * rho

@@ -101,6 +101,24 @@ def test_bad_jmax_exits_2_before_any_fit(capsys, monkeypatch):
         assert err == f"error: --jmax must be in [1, 9998], got {jmax}\n"
 
 
+def test_bad_convergence_row_exits_2_before_any_row(capsys, monkeypatch):
+    # n = 2048 once ran for 2 s before n = 1 failed, with a message that
+    # named neither value
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row ran before every (alpha, n) was checked")
+
+    monkeypatch.setattr(cli.chebinterp, "sup_error", no_row)
+    for n, alpha, message in (
+        ("2048,1", "3", "need 2n > alpha for a meaningful scaled error, got n=1 and alpha=3.0"),
+        ("8,0", "1", "n must be an integer >= 1, got 0"),
+        ("2", "1:4:3", "need 2n > alpha for a meaningful scaled error, got n=2 and alpha=4.0"),
+        ("8", "-0.5", "requires a finite alpha >= 0, got -0.5"),
+    ):
+        argv = ["table", "convergence", "--alpha", alpha, "--scheme", "P2", "--n", n]
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unusable_out_exits_2_before_any_table(tmp_path, capsys, monkeypatch):
     # a directory, or a file in a missing directory, once failed with a
     # traceback and exit 1 after the whole table had been computed

@@ -83,6 +83,20 @@ def test_refine_grid_maxima_polishes_each_bracket_as_scalar_runs():
     assert ends_kept == 2
 
 
+def test_refine_grid_maxima_floor_drops_only_the_lower_maxima():
+    # a floor at the second largest of the three sampled maxima keeps two,
+    # each with the bits of the call that polishes all three
+    xs = np.linspace(-0.9, 2.0, 41)
+    values = _f(xs)
+    x_all, v_all = refine_grid_maxima(_f, xs, values, xtol=1e-9)
+    padded = np.concatenate([[-np.inf], values, [-np.inf]])
+    sampled = values[(values >= padded[:-2]) & (values >= padded[2:])]
+    assert len(sampled) == len(x_all) == 3
+    x, v = refine_grid_maxima(_f, xs, values, xtol=1e-9, floor=np.sort(sampled)[1])
+    assert len(x) == 2
+    assert set(zip(x, v)) < set(zip(x_all, v_all))
+
+
 def test_refine_grid_maxima_calls_f_once_per_step():
     calls = []
 
