@@ -26,6 +26,12 @@ Integrands are evaluated in the log-stable forms
 
 so nothing overflows on the exp-sinh tail nodes, even for a = 80; a value
 itself past the double range (F(80, 1e-3) ~ 1e352) raises OverflowError.
+C_const, sup_norm_H and sup_norm_H1 work up to alpha = 169.5 (D_const to
+170.5): above, the peak t^a e^-t of the integrand, near t = a, comes so
+close to the double range that the quadrature's sums pass it (C(170) ~
+1.45e307 is a double; computing it is not done here), and from alpha of
+about 171 the integrand itself does.  They then raise
+QuadratureOverflowError, an OverflowError naming the function and alpha.
 
 J, A0, F and G are integrated as (x, t) matrices, 512 x per call of
 quadrature.integrate_zero_to_inf, each built in place (out=) in the order of
@@ -62,7 +68,7 @@ import numpy as np
 
 from . import specfun
 from ._search import refine_grid_maxima
-from .quadrature import integrate_zero_to_inf
+from .quadrature import QuadratureOverflowError, integrate_zero_to_inf
 
 __all__ = [
     "KernelKind",
@@ -269,17 +275,41 @@ def _require_alpha(alpha, low: float, kind: str):
 # ---------------------------------------------------------------------------
 
 
+def _raise_overflow(name: str, alpha, exc: OverflowError):
+    """Raise the QuadratureOverflowError of name at alpha for exc, a sum or
+    integrand past the double range.  The cause is the quadrature's error
+    (exc, or exc's cause when exc came through an inner named call); the
+    message repeats it for a sum, but not the node an integrand overflowed
+    at, which is no argument of name."""
+    cause = exc.__cause__ or exc
+    detail = f" ({cause})" if isinstance(cause, QuadratureOverflowError) else ""
+    raise QuadratureOverflowError(
+        f"{name} at alpha={alpha}: the integrand overflows the double range{detail}"
+    ) from cause
+
+
 def C_const(alpha: float) -> float:
-    """C(alpha) = int_0^inf t^alpha / sinh(t) dt, alpha > 0."""
+    """C(alpha) = int_0^inf t^alpha / sinh(t) dt, 0 < alpha <= 169.5; above,
+    the integrand overflows the double range (module docstring) and
+    QuadratureOverflowError names C_const and alpha."""
     _require_alpha(alpha, 0.0, "C_const")
-    value = integrate_zero_to_inf(lambda t: _pow_over_sinh(alpha, t), _sinh_pick(alpha)).value
+    try:
+        value = integrate_zero_to_inf(lambda t: _pow_over_sinh(alpha, t), _sinh_pick(alpha)).value
+    except OverflowError as exc:
+        _raise_overflow("C_const", alpha, exc)
     return float(value[0])
 
 
 def D_const(alpha: float) -> float:
-    """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, alpha > 0."""
+    """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, 0 < alpha <= 170.5;
+    above, QuadratureOverflowError names D_const and alpha, as for C_const."""
     _require_alpha(alpha, 0.0, "D_const")
-    value = integrate_zero_to_inf(lambda t: _pow_over_cosh(alpha - 1.0, t), _cosh_pick(alpha)).value
+    try:
+        value = integrate_zero_to_inf(
+            lambda t: _pow_over_cosh(alpha - 1.0, t), _cosh_pick(alpha)
+        ).value
+    except OverflowError as exc:
+        _raise_overflow("D_const", alpha, exc)
     return float(value[0])
 
 
@@ -521,24 +551,36 @@ def beta_point(alpha: float) -> float:
     return math.pi * math.floor(alpha / math.pi) + 1.5 * math.pi
 
 
-def _certified_sup(name: str, alpha: float, f, grid, x_cut: float, xtol: float) -> SupNormReport:
-    """sup over [0, inf) of f(alpha, .) >= 0, which is bounded by C(alpha)/x.
+def _certified_sup(name: str, alpha: float, outer, grid, x_cut: float, xtol: float) -> SupNormReport:
+    """sup over [0, inf) of outer(x, J(alpha, x)) >= 0, which is bounded by
+    C(alpha)/x.
 
-    f(alpha, x) takes an array x; grid(lo, hi) gives the scan points of (lo, hi].
-    The grid maxima of (0, x_cut] are polished in one refine_grid_maxima call,
-    then x_cut doubles, scanning only the new part, until C(alpha)/x_cut < norm/2.
+    outer(x, j) takes arrays; grid(lo, hi) gives the scan points of (lo, hi].
+    The grid maxima of (0, x_cut] are polished in one refine_grid_maxima
+    call with part = J, so on interpolants of J, every value returned being
+    outer of a quadrature at the polished x; then x_cut doubles, scanning
+    only the new part, until C(alpha)/x_cut < norm/2.
+    A sum or integrand past the double range is a QuadratureOverflowError
+    naming name and alpha.
     """
-    c = C_const(alpha)
+
+    def part(x):
+        return _J_values(alpha, x)
+
     maxima: list = []
     lo = 0.0
-    for _ in range(40):
-        xs = grid(lo, x_cut)
-        x, v = refine_grid_maxima(lambda x: f(alpha, x), xs, f(alpha, xs), xtol)
-        maxima.extend(zip(x.tolist(), v.tolist()))
-        argmax, norm = max(maxima, key=lambda p: p[1])
-        if c / x_cut < 0.5 * norm:
-            return SupNormReport(norm, argmax, x_cut, c / x_cut, maxima)
-        lo, x_cut = x_cut, 2.0 * x_cut
+    try:
+        c = C_const(alpha)
+        for _ in range(40):
+            xs = grid(lo, x_cut)
+            x, v = refine_grid_maxima(outer, xs, outer(xs, part(xs)), xtol, part=part)
+            maxima.extend(zip(x.tolist(), v.tolist()))
+            argmax, norm = max(maxima, key=lambda p: p[1])
+            if c / x_cut < 0.5 * norm:
+                return SupNormReport(norm, argmax, x_cut, c / x_cut, maxima)
+            lo, x_cut = x_cut, 2.0 * x_cut
+    except OverflowError as exc:
+        _raise_overflow(name, alpha, exc)
     raise RuntimeError(f"{name} horizon did not certify for alpha={alpha}")
 
 
@@ -556,8 +598,8 @@ def sup_norm_H(alpha: float) -> SupNormReport:
         ks = np.arange(round(lo / math.pi), round(hi / math.pi))[:, None]
         return ((ks + np.arange(1, _PERIOD_GRID + 1) / (_PERIOD_GRID + 1.0)) * math.pi).ravel()
 
-    def abs_H(a, x):
-        return np.abs(np.sin(x)) * _J_values(a, x)
+    def abs_H(x, j):
+        return np.abs(np.sin(x)) * j
 
     x_cut = math.ceil((max(alpha, beta_point(alpha)) + 10.0 * math.pi) / math.pi) * math.pi
     return _certified_sup("sup_norm_H", alpha, abs_H, grid, x_cut, xtol=1e-5)
@@ -575,4 +617,5 @@ def sup_norm_H1(alpha: float) -> SupNormReport:
     def grid(lo, hi):
         return np.linspace(lo, hi, 301 if lo else 601)[1:]
 
-    return _certified_sup("sup_norm_H1", alpha, _J_values, grid, alpha + 20.0 * math.pi, xtol=1e-6)
+    x_cut = alpha + 20.0 * math.pi
+    return _certified_sup("sup_norm_H1", alpha, lambda x, j: j, grid, x_cut, xtol=1e-6)

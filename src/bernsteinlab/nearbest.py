@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import chebinterp, specfun
-from ._search import bisect_root, golden_max
+from ._search import _DEGREE, bisect_root, cheb_points, golden_max, interpolate_pieces
 from .entire import _prefactor
 from .kernels import D_const, KernelKind, _require_alpha, kernel_values
 
@@ -70,11 +70,6 @@ _X_MAX = 40.0 * math.pi
 X_LIMIT = 1e4 * math.pi
 MAX_ROOTS = round(X_LIMIT / math.pi) - 2
 _STEP = math.pi / 100.0  # also the root-scan step
-_DEGREE = 24  # of the Chebyshev interpolant on each piece
-_CHEB_ANGLES = math.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
-_CHEB_NODES = np.cos(_CHEB_ANGLES)  # first kind, on [-1, 1]
-_BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
-_BLOCK = 512  # points interpolated per block, bounding the temporaries
 _ROUNDS = 12  # exchange rounds a fit may take before it gives up
 _GAP = 1e-12  # upper - lower bound, relative, at which a fit is certified
 _MAX_STEPS = 100  # exchange steps one solve may take
@@ -177,10 +172,9 @@ def build_cache(alpha: float, x_max: float = _X_MAX) -> GridCache:
             f"x_max must be in (1.5 pi/100, 10^4 pi] (2 to 10^6 grid points), got {x_max}"
         )
     breaks = _piece_breaks(xs[0], xs[-1])
-    lo, hi = breaks[:-1, None], breaks[1:, None]
-    nodes = (0.5 * (hi + lo) + 0.5 * (hi - lo) * _CHEB_NODES).ravel()
+    nodes = cheb_points(breaks[:-1], breaks[1:])
     node_vals = [
-        kernel_values(kind, alpha, nodes).reshape(len(lo), _DEGREE + 1)
+        kernel_values(kind, alpha, nodes.ravel()).reshape(nodes.shape)
         for kind in (KernelKind.A0, KernelKind.H1)
     ]
     return GridCache(alpha, breaks, np.stack(node_vals, axis=1))
@@ -199,22 +193,9 @@ def _error(alpha: float, c1: float, c2: float, x, a0, h1, cos_x, sin_x):
 
 def _interpolated_kernels(cache: GridCache, x) -> np.ndarray:
     """A0 and H1 at x (scalar or array) inside [breaks[0], breaks[-1]], by
-    barycentric interpolation in the Chebyshev points of x's piece; shape
-    x.shape + (2,).
-
-    The barycentric form is used rather than a Clenshaw sum of Chebyshev
-    coefficients: at degree 24 it matches batched quadrature to about 1e-15
-    relative where the Clenshaw sum drifted to about 8e-15.
-    """
-    if np.ndim(x) == 1 and len(x) > _BLOCK:
-        blocks = range(0, len(x), _BLOCK)
-        return np.concatenate([_interpolated_kernels(cache, x[i : i + _BLOCK]) for i in blocks])
-    k = np.searchsorted(cache.breaks[1:-1], x, side="right")
-    lo, hi = cache.breaks[k], cache.breaks[k + 1]
-    d = ((2.0 * x - (hi + lo)) / (hi - lo))[..., None] - _CHEB_NODES
-    # at a node itself its weight swamps the others and the node value comes back
-    q = _BARY_WEIGHTS / np.where(d == 0.0, 1e-300, d)
-    return np.einsum("...kj,...j->...k", cache.node_vals[k], q) / q.sum(axis=-1)[..., None]
+    barycentric interpolation in the Chebyshev points of x's piece
+    (_search.interpolate_pieces); shape x.shape + (2,)."""
+    return interpolate_pieces(cache.breaks[:-1], cache.breaks[1:], cache.node_vals, x)
 
 
 def _interpolated_error(cache: GridCache, c1: float, c2: float, x):

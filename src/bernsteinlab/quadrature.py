@@ -29,7 +29,8 @@ keeps the 128 tables last used (the library reads 4 intervals x 12 levels).
 A NaN integrand is a QuadratureError, an infinite one an OverflowError,
 naming the node; each level scans the integrand only when a row sum is not
 finite.  A row whose sum overflows although every integrand value is finite
-never converges, so integrate_zero_to_inf raises a QuadratureError for it.
+never converges, so integrate_zero_to_inf raises a QuadratureOverflowError,
+both a QuadratureError and an OverflowError, for it.
 
 An integrand family that knows which nodes of a level can move its sums
 names them through pick: pick(xs, ws) maps a level's read-only table to the
@@ -49,6 +50,7 @@ import numpy as np
 __all__ = [
     "QuadResult",
     "QuadratureError",
+    "QuadratureOverflowError",
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_zero_to_inf",
@@ -71,6 +73,12 @@ _MIN_OFFSET = 1e-300
 
 class QuadratureError(RuntimeError):
     """Hard quadrature failure (NaN from the integrand, bad interval)."""
+
+
+class QuadratureOverflowError(QuadratureError, OverflowError):
+    """A half-line integral past the double range: from integrate_zero_to_inf
+    a row sum that overflowed although every integrand value was finite, and
+    so never converged; from the kernels, any sum or integrand that did."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,8 @@ def integrate_zero_to_inf(f: Callable, pick: Callable | None = None) -> QuadResu
     on (SPLIT_POINT, inf).  f may return (n,) or (m, n); value and
     err_estimate have shape (m,).  pick, if given, names the nodes of each
     level f needs (module docstring).  Raises QuadratureError when a row
-    misses the tolerance on either part, or in its summed error.
+    misses the tolerance on either part, or in its summed error, and
+    QuadratureOverflowError, naming that row, when a row's sum is not finite.
     """
     v1, e1, l1, ok1 = integrate_finite_batch(f, 0.0, SPLIT_POINT, pick)
     v2, e2, l2, ok2 = integrate_semi_infinite_batch(f, SPLIT_POINT, pick)
@@ -197,8 +206,9 @@ def integrate_zero_to_inf(f: Callable, pick: Callable | None = None) -> QuadResu
     err = e1 + e2
     tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
     if not (ok1 and ok2 and (err <= tol).all()):
-        row = int(np.argmax(err / tol))
-        raise QuadratureError(
+        overflow = ~np.isfinite(value)
+        row = int(np.argmax(overflow if overflow.any() else err / tol))
+        raise (QuadratureOverflowError if overflow[row] else QuadratureError)(
             f"half-line integral did not converge: value={value[row]}, "
             f"err={err[row]} (row {row} of {len(value)})"
         )

@@ -74,8 +74,11 @@ class BestApprox:
             raise ValueError("E_n must be positive for alpha not an even integer")
 
 
-def _cheb_vander(u: np.ndarray, degree: int) -> np.ndarray:
-    v = np.empty((len(u), degree + 1))
+def _cheb_vander(u: np.ndarray, degree: int, last: np.ndarray) -> np.ndarray:
+    """T_0(u) ... T_degree(u) and then the column last: an exchange's
+    leveled system, built in place so that no second (n+2)^2 copy is made."""
+    v = np.empty((len(u), degree + 2))
+    v[:, -1] = last
     v[:, 0] = 1.0
     if degree >= 1:
         v[:, 1] = u
@@ -145,18 +148,22 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
     coeffs = None
     level = 0.0
     for _ in range(_MAX_EXCHANGES):
-        system = np.hstack([_cheb_vander(scale(ref), n), parity[:, None]])
-        sol = np.linalg.solve(system, f(ref))
+        sol = np.linalg.solve(_cheb_vander(scale(ref), n, parity), f(ref))
         coeffs, level = sol[:-1], sol[-1]
         if exact:
             return BestApprox(alpha, coeffs, 0.0, ReferenceSet(ref, 0.0, parity), y_hi)
 
-        def err(y):
-            return f(y) - _eval_cheb(coeffs, scale(y))
+        def poly(y):
+            return _eval_cheb(coeffs, scale(y))
 
+        def err(y):
+            return f(y) - poly(y)
+
+        # the polish interpolates the polynomial alone: y^half, singular at
+        # y = 0, and the cancellation in f - p stay exact
         grid = np.unique(np.concatenate([base_grid, ref]))
         peaks, _ = refine_grid_maxima(
-            lambda y: np.abs(err(y)), grid, np.abs(err(grid)), xtol=1e-12 * y_hi
+            lambda y, p: np.abs(f(y) - p), grid, np.abs(err(grid)), xtol=1e-12 * y_hi, part=poly
         )
         cand = list(zip(peaks.tolist(), err(peaks).tolist()))
         # the old reference is exactly leveled, guaranteeing alternation

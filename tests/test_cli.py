@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from bernsteinlab import cli
+from bernsteinlab import cli, quadrature
 
 
 def run_main(argv):
@@ -268,6 +268,25 @@ def test_table_envelope_csv_shape():
     assert header == "alpha,lower,H1_at_alpha,norm,upper"
     row = [float(v) for v in lines[-1].split(",")]
     assert row[1] <= row[2] <= row[3] <= row[4]
+
+
+def test_table_envelope_polishes_on_interpolants(monkeypatch):
+    # deterministic work gate: sup_norm_H1's polish reads interpolants of J
+    # built from one batch per scan (92 level runs per alpha when every golden
+    # step integrated through the quadrature)
+    calls = []
+    run_levels = quadrature._run_levels
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return run_levels(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_run_levels", counting)
+    code, out = run_main(["table", "envelope", "--alpha", "2.223988:32.5:2"])
+    assert code == 0
+    rows = [l for l in out.splitlines() if l[:1].isdigit()]
+    assert len(rows) == 16
+    assert len(calls) <= 24 * len(rows)
 
 
 def test_table_convergence_approaches_one():

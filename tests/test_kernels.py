@@ -72,6 +72,18 @@ def test_overflowed_row_sum_raises_not_inf(call):
         call()
 
 
+@pytest.mark.parametrize("alpha", [170.0, 172.0])
+@pytest.mark.parametrize("name", ["C_const", "sup_norm_H", "sup_norm_H1"])
+def test_past_the_double_range_names_the_function_and_alpha(name, alpha):
+    # the quadrature's sums overflow at 170, its integrand at 172 (at a node
+    # the caller never passed); both are one OverflowError naming the call
+    with pytest.raises(
+        OverflowError, match=rf"^{name} at alpha={alpha}: the integrand overflows the double range"
+    ) as info:
+        getattr(kernels, name)(alpha)
+    assert "x=" not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # kernel_eval
 # ---------------------------------------------------------------------------
@@ -510,6 +522,23 @@ def test_sup_norms_make_no_scalar_quadrature_call(search, monkeypatch):
     monkeypatch.setattr(kernels, "kernel_eval", lambda *args: calls.append(args))
     search(40.0)
     assert calls == []
+
+
+def test_sup_norm_H_polishes_on_interpolants(monkeypatch):
+    # deterministic work gate: the lobes are polished on interpolants of J
+    # built from one batch, not by a golden section through the quadrature
+    # (514 level runs at these four alpha when every golden step integrated)
+    calls = []
+    run_levels = quadrature._run_levels
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return run_levels(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_run_levels", counting)
+    for alpha in (10.0, 20.0, 40.0, 80.0):
+        sup_norm_H(alpha)
+    assert len(calls) <= 120
 
 
 def test_sup_norm_H1_domain():

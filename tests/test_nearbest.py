@@ -346,6 +346,18 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_import_leaves_fft_polynomial_and_scipy_unloaded():
+    # the polish takes its interpolants' tails by small dot products, not a
+    # DCT: importing the package, the CLI included, loads no FFT,
+    # numpy.polynomial or scipy module (each would add to the import time)
+    code = (
+        "import sys, bernsteinlab, bernsteinlab.cli; "
+        "print([m for m in sys.modules if m.startswith(('numpy.fft', 'numpy.polynomial', 'scipy'))])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_fit_leaves_scipy_unloaded():
     # the exchange is numpy alone: a fit loads no part of scipy
     code = "import sys, bernsteinlab; bernsteinlab.optimize_c(1.0); print('scipy' in sys.modules)"

@@ -184,8 +184,9 @@ def test_stagnation_raises_with_reference(monkeypatch):
 
 
 def test_polish_evaluates_all_candidates_together(monkeypatch):
-    # deterministic work gate: per exchange, the grid scan, every golden step
-    # over all peaks and the candidate errors are one Clenshaw call each
+    # deterministic work gate: per exchange, the grid scan, the interpolation
+    # nodes of every bracket, the polished peaks and the candidate errors are
+    # one Clenshaw call each; a golden section on the error itself takes ~30
     calls = {"exchanges": 0, "clenshaw": 0}
     cheb_vander, eval_cheb = remez._cheb_vander, remez._eval_cheb
 
@@ -201,7 +202,7 @@ def test_polish_evaluates_all_candidates_together(monkeypatch):
     monkeypatch.setattr(remez, "_eval_cheb", counting_eval)
     remez.best_poly(1.0, 64)
     assert calls["exchanges"] >= 1
-    assert calls["clenshaw"] <= 60 * calls["exchanges"]
+    assert calls["clenshaw"] <= 5 * calls["exchanges"]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.3])

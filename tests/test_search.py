@@ -112,6 +112,69 @@ def test_refine_grid_maxima_calls_f_once_per_step():
     assert max(calls) == len(x)
 
 
+def _part(x):
+    # smooth, and costly in the callers it stands for
+    return np.exp(-0.1 * x) * (2.0 + np.cos(0.7 * x))
+
+
+def _outer(x, p):
+    # cheap and exact, with a kink at every multiple of pi, as |sin x| H1
+    return np.abs(np.sin(x)) * p
+
+
+def _split_f(x):
+    return _outer(x, _part(x))
+
+
+def _counting(f, calls):
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return counted
+
+
+def test_refine_grid_maxima_with_part_calls_it_twice():
+    # one batch at every bracket's interpolation nodes, one at the polished x;
+    # golden section runs on the interpolants, and every value returned is a
+    # true one, within 2 ulps of the polish on f itself
+    xs = np.linspace(0.2, 12.0, 90)
+    calls = []
+    x, v = refine_grid_maxima(_outer, xs, _split_f(xs), xtol=1e-9, part=_counting(_part, calls))
+    x_f, v_f = refine_grid_maxima(_split_f, xs, _split_f(xs), xtol=1e-9)
+    assert len(x) == len(x_f) == 4
+    assert calls == [25 * len(x), len(x)]
+    assert (v == _split_f(x)).all()
+    assert (np.abs(v - v_f) <= 2.0 * np.spacing(v_f)).all()
+    assert (np.abs(x - x_f) <= 1e-7).all()
+
+
+def test_refine_grid_maxima_polishes_a_kinked_bracket_on_f():
+    # a kink of part inside one bracket leaves its tail far above 2^-40 of
+    # the scale: that bracket alone is polished on f, with the bits of
+    # golden_max on f, and the others on their interpolants
+    xs = np.linspace(0.2, 12.0, 90)
+    step = xs[1] - xs[0]
+    top = int(np.argmax(_split_f(xs)))  # the lobe at pi/2
+    kink = xs[top] + 0.3 * step
+
+    def part(x):
+        return _part(x) + 1e-3 * np.abs(x - kink)
+
+    def f(x):
+        return _outer(x, part(x))
+
+    calls = []
+    x, v = refine_grid_maxima(_outer, xs, f(xs), xtol=1e-9, part=_counting(part, calls))
+    k = int(np.argmin(np.abs(x - xs[top])))
+    x_f, v_f = golden_max(f, [xs[top - 1]], [xs[top + 1]], xtol=1e-9)
+    assert (x[k], v[k]) == (x_f[0], v_f[0])
+    # the nodes, the kinked bracket's golden steps, one entry each, then the rest at once
+    assert calls[0] == 25 * len(x) and calls[-1] == len(x) - 1
+    assert set(calls[1:-1]) == {1} and len(calls) > 20
+    assert (v == f(x)).all()
+
+
 def _g(x):
     # exact roots at -2, 0.5 and 1.25, all representable, so a bisection
     # midpoint can land on one; plain arithmetic, as _f
