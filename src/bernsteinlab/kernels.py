@@ -27,38 +27,39 @@ Integrands are evaluated in the log-stable forms
 so nothing overflows on the exp-sinh tail nodes, even for a = 80; a value
 itself past the double range (F(80, 1e-3) ~ 1e352) raises OverflowError.
 C_const, sup_norm_H and sup_norm_H1 work up to alpha = 169.5 (D_const to
-170.5): above, the peak t^a e^-t of the integrand, near t = a, comes so
-close to the double range that the quadrature's sums pass it (C(170) ~
-1.45e307 is a double; computing it is not done here), and from alpha of
-about 171 the integrand itself does.  They then raise
-QuadratureOverflowError, an OverflowError naming the function and alpha.
+170.5): above, the peak t^a e^-t of the weight, near t = a, comes so close
+to the double range that the quadrature's sums pass it (C(170) ~ 1.45e307
+is a double; computing it is not done here), and from alpha of about 171
+the weights themselves do.  They then raise QuadratureOverflowError, an
+OverflowError naming the function and alpha.
 
-J, A0, F and G are integrated as (x, t) matrices, 512 x per call of
-quadrature.integrate_zero_to_inf, each built in place (out=) in the order of
-the expression in its docstring, so bit for bit equal to it.  alpha is one
-float for all rows, or one per row beside x.  The factors that depend on the
-nodes alone (log t, t*t, 1 + t*t, -expm1(-2t), 1 + exp(-2t)) are computed
-once per cached node table, and the row t^a/sinh t or t^a/cosh t once per
-table and alpha.  The other kinds combine the four: one path, kernel_values,
-serves every kind, and it alone holds the limits at x = 0 (0 for H, H2 and
-A0; pi/2 for H1 at alpha = 1, 0 above); kernel_eval is one of its points.
+F and G are integrated as (x, t) matrices, 512 x per call of
+quadrature.integrate_zero_to_inf, built in place (out=) in the order of the
+expression in their docstrings, so bit for bit equal to it; alpha is one
+float for all rows, or one per row beside x.  The node-only factors (log t,
+1 + t*t, -expm1(-2t), 1 + exp(-2t)) are computed once per cached level
+table.  One path, kernel_values, serves every kind, and it alone holds the
+limits at x = 0 (0 for H, H2 and A0; pi/2 for H1 at alpha = 1, 0 above);
+kernel_eval is one of its points.
 
-J (so H, H1 and H2), A0, C and D integrate p(t) K(x, t) with the x-free row
-p = t^a/sinh t or t^(a-1)/cosh t and K = x/(x^2+t^2), x^2/(x^2+t^2) or 1,
-and they evaluate only the nodes that can move the sum (the quadrature's
-pick).  With k the peak of p w on a level table of n nodes, node j is
-dropped when p_j w_j max(1, (t_k/t_j)^2) <= 2^-60 p_k w_k / n.  Every such K
-is >= 0 with K(x, t_j)/K(x, t_k) <= max(1, (t_k/t_j)^2) for every x, so the
-dropped terms of any row sum to at most 2^-60 of its sum, 1/16 ulp.  The
-kept part of a table is computed once per table and alpha from the cached
-row p and kept read-only, its node factors sliced from the table's; an
-alpha per row keeps the union of its rows' parts, so a uniform alpha array
-keeps the scalar call's nodes.  Where p w is not finite every node is kept,
-so an overflow is reported as before; F and G have no x-free row and keep
-every node.
+J (so H, H1 and H2), A0, C and D integrate p(t) K(x, t) with the x-free
+weight p = t^a/sinh t or t^(a-1)/cosh t and K = x/(x^2+t^2), x^2/(x^2+t^2)
+or 1.  p rides in the quadrature weights: the quadrature's pick hands the
+rule the read-only (t, p w) of the nodes that can move the sum, and the
+integrand is K alone, built in place.  With k the peak of p w on a level
+table of n nodes, node j is dropped when p_j w_j max(1, (t_k/t_j)^2) <=
+2^-60 p_k w_k / n; every such K is >= 0 with K(x, t_j)/K(x, t_k) <=
+max(1, (t_k/t_j)^2), so the dropped terms of any row sum to at most 2^-60
+of its sum.  The pick is computed once per table and alpha (the last alpha
+per p is kept), and an array of alphas goes through J and A0 one distinct
+alpha at a time.  Where p w is not finite every node is kept, so the
+overflow shows in the sums.  Past x = 1.34e154, where x * x overflows, J
+and A0 take their limits C(a)/x and D(a), exact in double (the next terms
+are O(a^2/x^2) relative).
 """
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,30 +108,16 @@ _BATCH_CHUNK = 512
 
 
 class _Nodes:
-    """The node-only factors of one node row t, the rows of one read-only
-    array; in rows, per denominator, the row exp(alpha log t - t) * 2 / den
-    of the last scalar alpha; in kept, per denominator, that alpha's kept
-    (t, w) (_kept_nodes)."""
+    """The node-only factors of one level table's node row t, read-only rows
+    of one array shared by every integrand on t; in kept, per denominator,
+    the last alpha's pick (_kept_nodes)."""
 
-    __slots__ = ("factors", "rows", "kept")
-    log_t = property(lambda self: self.factors[0])
-    t_sq = property(lambda self: self.factors[1])
-    one_plus_t_sq = property(lambda self: self.factors[2])
-    sinh_den = property(lambda self: self.factors[3])  # -expm1(-2t)
-    cosh_den = property(lambda self: self.factors[4])  # 1 + exp(-2t)
+    __slots__ = ("log_t", "one_plus_t_sq", "sinh_den", "cosh_den", "kept")
 
-    def __init__(self, factors):
-        self.factors = _read_only(factors)  # shared by every integrand on t
-        self.rows = {}
+    def __init__(self, t):
+        factors = np.log(t), 1.0 + t * t, -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t)
+        self.log_t, self.one_plus_t_sq, self.sinh_den, self.cosh_den = _read_only(np.stack(factors))
         self.kept = {}
-
-    def take(self, keep, den: str) -> "_Nodes":
-        """The factors of the nodes t[keep], and the row for den, sliced from
-        these."""
-        sub = _Nodes(self.factors.compress(keep, axis=1))  # faster than [:, keep]
-        alpha, row = self.rows[den]
-        sub.rows[den] = (alpha, _read_only(row[keep]))
-        return sub
 
 
 def _read_only(a):
@@ -138,46 +125,18 @@ def _read_only(a):
     return a
 
 
-# the factors of each node row by id: the quadrature's cached read-only level
-# tables and the kept parts of them; an entry goes with its row when the
-# quadrature's cache, or the table's kept entry, drops it
+# the factors of each of the quadrature's cached level tables by the id of
+# its node row; an entry goes with its row when the quadrature's cache drops it
 _NODES: dict[int, _Nodes] = {}
-
-
-def _register(t, nodes: _Nodes) -> _Nodes:
-    _NODES[id(t)] = nodes
-    weakref.finalize(t, _NODES.pop, id(t), None)
-    return nodes
 
 
 def _nodes(t) -> _Nodes:
     """The factors of the read-only node row t, computed once per row."""
     got = _NODES.get(id(t))
     if got is None:
-        t_sq = t * t
-        factors = np.log(t), t_sq, 1.0 + t_sq, -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t)
-        got = _register(t, _Nodes(np.stack(factors)))
+        got = _NODES[id(t)] = _Nodes(t)
+        weakref.finalize(t, _NODES.pop, id(t), None)
     return got
-
-
-def _pow_over(den: str, alpha, t):
-    """exp(alpha log t - t) * 2 / den, den "sinh_den" or "cosh_den": a row for
-    a scalar alpha, kept with t's factors until alpha changes; a matrix for
-    an (m, 1) column of alphas."""
-    nodes = _nodes(t)
-    scalar = np.ndim(alpha) == 0
-    if scalar:
-        got = nodes.rows.get(den)
-        if got is not None and got[0] == alpha:
-            return got[1]
-    out = np.multiply(alpha, nodes.log_t)
-    out -= t
-    np.exp(out, out=out)
-    out *= 2.0
-    out /= getattr(nodes, den)
-    if scalar:
-        nodes.rows[den] = (alpha, _read_only(out))
-    return out
 
 
 # a node j is dropped when its term p_j w_j, times max(1, (t_k/t_j)^2), is at
@@ -185,17 +144,16 @@ def _pow_over(den: str, alpha, t):
 _DROP = 2.0**-60
 
 
-def _keep_mask(p, t, w):
-    """The nodes of the table (t, w) whose term can move a sum of p(t) K(x, t)
-    for any K >= 0 with K(x, t_j)/K(x, t_k) <= max(1, (t_k/t_j)^2), as a
-    mask; None when every node is kept, which is so where p w is not finite
+def _keep_mask(pw, t):
+    """The nodes of a table with nodes t and terms pw = p w whose term can
+    move a sum of p(t) K(x, t) for any K >= 0 with K(x, t_j)/K(x, t_k) <=
+    max(1, (t_k/t_j)^2), as a mask; every node where p w is not finite
     anywhere.  Called inside the quadrature's errstate, where t/t_k may
     underflow."""
-    pw = p * w
     k = pw.argmax()  # the first nan if there is one, else the peak
     peak = float(pw[k])
     if not math.isfinite(peak):
-        return None
+        return np.ones(len(t), dtype=bool)
     # keep p_j w_j max(1, (t_k/t_j)^2) > _DROP p_k w_k / n, as
     # p_j w_j > _DROP p_k w_k / n * min(1, (t_j/t_k)^2), which cannot overflow
     bound = t / t[k]
@@ -204,61 +162,37 @@ def _keep_mask(p, t, w):
     bound *= _DROP * peak / len(t)
     keep = pw > bound
     keep[k] = True
-    return None if np.count_nonzero(keep) == len(t) else keep
+    return keep
 
 
-def _kept_table(t, w, keep, den: str):
-    """(t, w) at the nodes of the mask keep (all for None), read-only, with
-    the factors of the kept t, and t's row for den, sliced from t's."""
-    if keep is None:
-        return t, w
-    sub = _read_only(t[keep])
-    _register(sub, _nodes(t).take(keep, den))
-    return sub, _read_only(w[keep])
-
-
-def _kept_nodes(den: str, alpha, t, w):
-    """The nodes of the level table (t, w) that can move an integral of
-    exp(alpha log t - t) * 2 / den times a K of _keep_mask: for a scalar
-    alpha computed once per table and alpha (the last alpha per den is
-    kept); for an array, an (m, 1) column, the union over its rows."""
+def _kept_nodes(den: str, alpha: float, t, w):
+    """The pick for an integral of p(t) K(x, t) on the level table (t, w),
+    with p = exp(alpha log t - t) * 2 / den and K as in _keep_mask: the
+    read-only (t, p w) at the nodes that can move the sum, computed once per
+    table and alpha (the last alpha per den is kept)."""
     nodes = _nodes(t)
-    if not isinstance(alpha, np.ndarray):  # once per level: np.ndim costs more
-        got = nodes.kept.get(den)
-        if got is None or got[0] != alpha:
-            keep = _keep_mask(_pow_over(den, alpha, t), t, w)
-            got = nodes.kept[den] = (alpha, _kept_table(t, w, keep, den))
-        return got[1]
-    values = np.unique(alpha).tolist()
-    if len(values) == 1:
-        return _kept_nodes(den, values[0], t, w)
-    keep = np.zeros(len(t), dtype=bool)
-    for v in values:
-        mask = _keep_mask(_pow_over(den, v, t), t, w)
-        if mask is None:
-            return t, w
-        keep |= mask
-    return _kept_table(t, w, None if keep.all() else keep, den)
+    got = nodes.kept.get(den)
+    if got is None or got[0] != alpha:
+        pw = np.multiply(alpha, nodes.log_t)
+        pw -= t
+        np.exp(pw, out=pw)
+        pw *= 2.0
+        pw /= getattr(nodes, den)
+        pw *= w
+        keep = _keep_mask(pw, t)
+        got = nodes.kept[den] = (alpha, (_read_only(t[keep]), _read_only(pw[keep])))
+    return got[1]
 
 
-def _sinh_pick(alpha):
-    """The quadrature's pick for an integrand t^alpha/sinh t times a K >= 0."""
-    return partial(_kept_nodes, "sinh_den", alpha)
+def _sinh_pick(alpha: float):
+    """The quadrature's pick for an integrand t^alpha/sinh t times a K >= 0
+    (alpha as a float, which the pick's cache can hold)."""
+    return partial(_kept_nodes, "sinh_den", float(alpha))
 
 
-def _cosh_pick(alpha):
+def _cosh_pick(alpha: float):
     """The quadrature's pick for an integrand t^(alpha-1)/cosh t times a K >= 0."""
     return partial(_kept_nodes, "cosh_den", alpha - 1.0)
-
-
-def _pow_over_sinh(alpha, t):
-    """t^alpha / sinh t = exp(alpha log t - t) * 2 / (-expm1(-2 t))"""
-    return _pow_over("sinh_den", alpha, t)
-
-
-def _pow_over_cosh(alpha, t):
-    """t^alpha / cosh t = exp(alpha log t - t) * 2 / (1 + exp(-2 t))"""
-    return _pow_over("cosh_den", alpha, t)
 
 
 def _require_alpha(alpha, low: float, kind: str):
@@ -276,41 +210,36 @@ def _require_alpha(alpha, low: float, kind: str):
 
 
 def _raise_overflow(name: str, alpha, exc: OverflowError):
-    """Raise the QuadratureOverflowError of name at alpha for exc, a sum or
-    integrand past the double range.  The cause is the quadrature's error
-    (exc, or exc's cause when exc came through an inner named call); the
-    message repeats it for a sum, but not the node an integrand overflowed
-    at, which is no argument of name."""
+    """Raise the QuadratureOverflowError of name at alpha for exc, a
+    quadrature sum past the double range, or an inner named call's error
+    for one; the quadrature's error is the cause, and the message repeats it."""
     cause = exc.__cause__ or exc
-    detail = f" ({cause})" if isinstance(cause, QuadratureOverflowError) else ""
     raise QuadratureOverflowError(
-        f"{name} at alpha={alpha}: the integrand overflows the double range{detail}"
+        f"{name} at alpha={alpha}: the integrand overflows the double range ({cause})"
     ) from cause
+
+
+def _weight_integral(name: str, pick, alpha: float) -> float:
+    """The integral of the weight p that pick(alpha) carries, 1 on the picked
+    nodes, as name, for finite alpha > 0."""
+    _require_alpha(alpha, 0.0, name)
+    try:
+        return float(integrate_zero_to_inf(lambda t: np.ones(len(t)), pick(alpha)).value[0])
+    except OverflowError as exc:
+        _raise_overflow(name, alpha, exc)
 
 
 def C_const(alpha: float) -> float:
     """C(alpha) = int_0^inf t^alpha / sinh(t) dt, 0 < alpha <= 169.5; above,
-    the integrand overflows the double range (module docstring) and
+    the sums overflow the double range (module docstring) and
     QuadratureOverflowError names C_const and alpha."""
-    _require_alpha(alpha, 0.0, "C_const")
-    try:
-        value = integrate_zero_to_inf(lambda t: _pow_over_sinh(alpha, t), _sinh_pick(alpha)).value
-    except OverflowError as exc:
-        _raise_overflow("C_const", alpha, exc)
-    return float(value[0])
+    return _weight_integral("C_const", _sinh_pick, alpha)
 
 
 def D_const(alpha: float) -> float:
     """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, 0 < alpha <= 170.5;
     above, QuadratureOverflowError names D_const and alpha, as for C_const."""
-    _require_alpha(alpha, 0.0, "D_const")
-    try:
-        value = integrate_zero_to_inf(
-            lambda t: _pow_over_cosh(alpha - 1.0, t), _cosh_pick(alpha)
-        ).value
-    except OverflowError as exc:
-        _raise_overflow("D_const", alpha, exc)
-    return float(value[0])
+    return _weight_integral("D_const", _cosh_pick, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -318,31 +247,33 @@ def D_const(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _batched_family(fmat, pick, alpha, xs: np.ndarray) -> np.ndarray:
+def _batched_family(fmat, alpha, xs: np.ndarray, pick=None) -> np.ndarray:
     """int_0^inf fmat(alpha, x, t) dt for every x in xs, _BATCH_CHUNK rows per
     call; fmat gets x as an (m, 1) column and t as an (n,) row, and alpha as
     it is when a scalar, else as the (m, 1) column of its rows beside x.
-    pick(alpha), when pick is given, names the nodes the quadrature needs."""
+    Given pick, the nodes and weights it names for the float alpha, fmat
+    gets x and t alone."""
     out = np.empty(len(xs))
     for lo in range(0, len(xs), _BATCH_CHUNK):
         rows = slice(lo, lo + _BATCH_CHUNK)
         a = alpha if np.ndim(alpha) == 0 else alpha[rows, None]
-        chunk = xs[rows, None]
-        out[rows] = integrate_zero_to_inf(lambda t: fmat(a, chunk, t), pick and pick(a)).value
+        x = xs[rows, None]
+        f = (lambda t: fmat(x, t)) if pick else (lambda t: fmat(a, x, t))
+        out[rows] = integrate_zero_to_inf(f, pick).value
     return out
 
 
-def _J_mat(alpha, x, t):
-    """_pow_over_sinh(alpha, t) * (x / (x * x + t * t))"""
-    out = np.add(x * x, _nodes(t).t_sq)
-    return np.multiply(_pow_over_sinh(alpha, t), np.divide(x, out, out=out), out=out)
+def _J_mat(x, t):
+    """x / (x * x + t * t)"""
+    out = np.add(x * x, t * t)
+    return np.divide(x, out, out=out)
 
 
-def _A0_mat(alpha, x, t):
-    """_pow_over_cosh(alpha - 1.0, t) * (x * x / (x * x + t * t))"""
+def _A0_mat(x, t):
+    """x * x / (x * x + t * t)"""
     xx = x * x
-    out = np.add(xx, _nodes(t).t_sq)
-    return np.multiply(_pow_over_cosh(alpha - 1.0, t), np.divide(xx, out, out=out), out=out)
+    out = np.add(xx, t * t)
+    return np.divide(xx, out, out=out)
 
 
 def _F_mat(alpha, x, t):
@@ -363,17 +294,6 @@ def _G_mat(alpha, x, t):
     return np.divide(out, nodes.one_plus_t_sq, out=out)
 
 
-# F and G carry no x-free row and keep every node
-_J_values = partial(_batched_family, _J_mat, _sinh_pick)
-_A0_values = partial(_batched_family, _A0_mat, _cosh_pick)
-_F_values = partial(_batched_family, _F_mat, None)
-_G_values = partial(_batched_family, _G_mat, None)
-
-
-def _R_values(a, x: np.ndarray) -> np.ndarray:
-    return (x / a) * _F_values(a + 1.0, x) - _F_values(a, x)
-
-
 def _per_alpha(f, a, x: np.ndarray):
     """f(a, x) for a scalar a; for an array, f(v, x[a == v]) for each distinct
     v, so that every row gets the scalar call's bits (numpy rounds 2.0**-a,
@@ -387,6 +307,46 @@ def _per_alpha(f, a, x: np.ndarray):
     return out
 
 
+# past this x, x * x overflows: J and A0 take their limits there
+_X_HUGE = math.sqrt(sys.float_info.max)
+
+
+def _weighted(kmat, pick, limit, alpha: float, xs: np.ndarray) -> np.ndarray:
+    """int_0^inf p(t) kmat(x, t) dt for every x in xs at a float alpha, p in
+    the weights of pick(alpha); past _X_HUGE limit(alpha, x), which is
+    exact in double there, the next terms being O(alpha^2/x^2) relative."""
+    out = np.empty(len(xs))
+    huge = xs > _X_HUGE
+    if huge.any():
+        out[huge] = limit(alpha, xs[huge])
+    out[~huge] = _batched_family(kmat, alpha, xs[~huge], pick(alpha))
+    return out
+
+
+# J and A0 at every x in xs, alpha a float or one per x (_per_alpha), with
+# their limits C(alpha)/x and D(alpha) past _X_HUGE
+_J_values = partial(_per_alpha, partial(_weighted, _J_mat, _sinh_pick, lambda a, x: C_const(a) / x))
+_A0_values = partial(_per_alpha, partial(_weighted, _A0_mat, _cosh_pick, lambda a, x: D_const(a)))
+# F and G carry no x-free weight and keep every node
+_F_values = partial(_batched_family, _F_mat)
+_G_values = partial(_batched_family, _G_mat)
+
+
+def _R_values(a, x: np.ndarray) -> np.ndarray:
+    return (x / a) * _F_values(a + 1.0, x) - _F_values(a, x)
+
+
+def _S_values(a, x: np.ndarray) -> np.ndarray:
+    """(a x^(a-1)/2) (x^2 + a^2) R(a, x), or OverflowError where that factor
+    is not finite or an F of R is below the smallest normal double."""
+    with np.errstate(over="ignore"):
+        pre = _per_alpha(lambda v, x: 0.5 * v * x ** (v - 1.0) * (x * x + v * v), a, x)
+    f1, f0 = _F_values(a + 1.0, x), _F_values(a, x)
+    if not (np.isfinite(pre).all() and min(f1.min(), f0.min()) >= sys.float_info.min):
+        raise OverflowError
+    return pre * ((x / a) * f1 - f0)
+
+
 # kind -> values at finite x > 0, for alpha a float or an array beside x
 _VALUES = {
     KernelKind.H: lambda a, x: np.sin(x) * _J_values(a, x),
@@ -395,9 +355,7 @@ _VALUES = {
     KernelKind.F: _F_values,
     KernelKind.G: _G_values,
     KernelKind.R: _R_values,
-    KernelKind.S: lambda a, x: (
-        _per_alpha(lambda v, x: 0.5 * v * x ** (v - 1.0) * (x * x + v * v), a, x) * _R_values(a, x)
-    ),
+    KernelKind.S: _S_values,
     KernelKind.F1: lambda a, x: (
         _per_alpha(lambda v, _: (2.0 - 2.0**-v) * specfun.zeta(v + 1.0), a, x) * _G_values(a, x)
     ),
@@ -560,8 +518,8 @@ def _certified_sup(name: str, alpha: float, outer, grid, x_cut: float, xtol: flo
     call with part = J, so on interpolants of J, every value returned being
     outer of a quadrature at the polished x; then x_cut doubles, scanning
     only the new part, until C(alpha)/x_cut < norm/2.
-    A sum or integrand past the double range is a QuadratureOverflowError
-    naming name and alpha.
+    A sum past the double range is a QuadratureOverflowError naming name
+    and alpha.
     """
 
     def part(x):

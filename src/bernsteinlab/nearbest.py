@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import chebinterp, specfun
-from ._search import _DEGREE, bisect_root, cheb_points, golden_max, interpolate_pieces
+from ._search import _DEGREE, bisect_root, cheb_points, golden_max, interpolate_pieces, refine_grid_maxima
 from .entire import _prefactor
 from .kernels import D_const, KernelKind, _require_alpha, kernel_values
 
@@ -240,16 +240,12 @@ def _lobe_maxima(cache: GridCache, c1: float, c2: float, tail: float):
     """The top of |E| that needs no search, the largest of the grid maximum
     (ends included), |E(0)| = |p c2| and the amplitude tail |c1| that the
     lobes of E tend to as x -> inf (tail = |p| D(alpha)); and x, |E(x)| of
-    every interior grid lobe within 5% of it, golden-polished on the
-    interpolants to 1e-9, all at once."""
+    every grid lobe within 5% of it, ends included, polished on the
+    interpolants to 1e-9 by one refine_grid_maxima call."""
     a = np.abs(_error_on_grid(cache, c1, c2))
     top = max(a.max(), abs(_prefactor(cache.alpha) * c2), tail * abs(c1))
-    lobes = np.flatnonzero((a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:]) & (a[1:-1] >= 0.95 * top)) + 1
-    x, v = golden_max(
-        lambda x: np.abs(_interpolated_error(cache, c1, c2, x)),
-        cache.xs[lobes - 1],
-        cache.xs[lobes + 1],
-        xtol=1e-9,
+    x, v = refine_grid_maxima(
+        lambda x: np.abs(_interpolated_error(cache, c1, c2, x)), cache.xs, a, 1e-9, floor=0.95 * top
     )
     return top, x, v
 

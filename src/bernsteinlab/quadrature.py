@@ -33,12 +33,15 @@ never converges, so integrate_zero_to_inf raises a QuadratureOverflowError,
 both a QuadratureError and an OverflowError, for it.
 
 An integrand family that knows which nodes of a level can move its sums
-names them through pick: pick(xs, ws) maps a level's read-only table to the
-read-only (xs, ws) of the nodes it needs, and the rule evaluates the
-integrand on those alone and dots it with their weights.  The kernels pick
-for every integrand carrying the row t^a/sinh t or t^(a-1)/cosh t (see
-kernels), dropping only nodes worth at most 2^-60 of each row's sum; the
-other integrands get every node.
+names them through pick: pick(xs, ws) maps a level's read-only table to a
+read-only (xs, ws) of the nodes it needs, whose weights may carry an x-free
+factor of the integrand, which the integrand then leaves out; the rule
+evaluates the integrand on those nodes alone and dots it with those
+weights.  The kernels' pick carries t^a/sinh t or t^(a-1)/cosh t in the
+weights (see kernels) and drops only nodes worth at most 2^-60 of each
+row's sum; the other integrands get every node.  A weight past the double
+range (t^a/sinh t from a of about 171) makes its row sums inf, so it is
+reported as a sum that overflowed, not as an integrand value.
 """
 
 import functools
@@ -131,8 +134,8 @@ def _xw(a: float, b: float | None, level: int):
 def _run_levels(a: float, b: float | None, f, pick=None):
     """Shared trapezoidal refinement loop over (a, b), or (a, inf) when b is None.
 
-    _xw(a, b, level) holds the nodes/weights new at that level, of which f
-    sees those pick(xs, ws) keeps when pick is given; the running
+    _xw(a, b, level) holds the nodes/weights new at that level; given pick,
+    f sees the nodes of pick(xs, ws), dotted with its weights; the running
     value obeys I_l = I_{l-1}/2 + h_l * (new contributions).  Returns
     per-row (values, errors, levels used, converged), so that batched
     integrands (f returning an (m, n) matrix) work unchanged.

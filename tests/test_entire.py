@@ -5,12 +5,13 @@ import pytest
 
 from bernsteinlab.chebinterp import build_nodes, scaled_interp_eval
 from bernsteinlab.entire import (
+    _prefactor,
     G_alpha,
     H_alpha_integral,
     H_alpha_series,
     beta_point,
 )
-from bernsteinlab.kernels import C_const, kernel_eval
+from bernsteinlab.kernels import C_const, D_const, kernel_eval
 from oracles import H_alpha_series_mp
 
 PI = math.pi
@@ -164,3 +165,12 @@ def test_growth_proxy_bound():
         assert abs(H_alpha_integral(alpha, x)) <= x**alpha + bound_c
     xs = np.linspace(0.0, 100.0, 201)
     assert (np.abs(H_alpha_integral(alpha, xs)) <= xs**alpha + bound_c).all()
+
+
+@pytest.mark.parametrize("x", [1e155, 1e200, 1e300])
+def test_G_alpha_where_x_squared_overflows(x):
+    # A0 takes its limit D(alpha) there, so G_alpha is |x| - p cos(x) D(1)
+    for v in (x, -x):
+        assert G_alpha(1.0, v) == x - _prefactor(1.0) * math.cos(x) * D_const(1.0)
+    got = G_alpha(1.0, np.array([0.5, x]))
+    assert np.array_equal(got, [G_alpha(1.0, 0.5), G_alpha(1.0, x)])

@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -245,6 +248,51 @@ def test_overflow_names_kind_alpha_x(kind):
         kernel_eval(kind, 80.0, 1e-3)
 
 
+def test_picks_are_cached_by_the_value_of_alpha():
+    # a 0-d alpha array changed between calls gets the pick of its new value
+    alpha = np.array(2.5)
+    kernel_values("H1", alpha, 2.0)
+    alpha[...] = 40.0
+    assert kernel_values("H1", alpha, 2.0) == kernel_eval("H1", 40.0, 2.0)
+    assert C_const(alpha) == C_const(40.0)
+
+
+@pytest.mark.parametrize("x", [1e155, 1e200, 1e300])
+def test_J_and_A0_take_their_limits_where_x_squared_overflows(x):
+    # past 1.34e154 x * x overflows; J = C(alpha)/x and A0 = D(alpha) there,
+    # the next terms being O(alpha^2/x^2) relative
+    c, d = C_const(2.5), D_const(2.5)
+    assert kernel_eval("H1", 2.5, x) == c / x
+    assert abs(kernel_eval("H", 2.5, x) - math.sin(x) * (c / x)) <= 1e-15 * (c / x)
+    assert abs(kernel_eval("H2", 2.5, x) - c) <= 2 * math.ulp(c)
+    assert kernel_eval("A0", 2.5, x) == d
+    # just below the cut the quadrature gives the same value
+    assert abs(kernel_eval("H1", 2.5, 1.2e154) - c / 1.2e154) <= 2 * math.ulp(c / 1.2e154)
+
+
+@pytest.mark.parametrize("kind", ["H", "H1", "H2", "A0"])
+def test_huge_x_beside_ordinary_x(kind):
+    x = np.array([0.0, 0.5, 1e155, 3.0, 1e300, 1.3e154])
+    huge = x > 1.34e154
+    got = kernel_values(kind, 2.5, x)
+    assert np.isfinite(got).all() and (got[huge] != 0.0).all()
+    assert np.array_equal(got[~huge], kernel_values(kind, 2.5, x[~huge]))
+    assert np.array_equal(got[huge], [kernel_eval(kind, 2.5, v) for v in x[huge]])
+
+
+@pytest.mark.parametrize("alpha,x", [(80.0, 1e4), (2.5, 1e88), (2.5, 1e100)])
+def test_S_past_the_double_range_raises(alpha, x):
+    # the prefactor overflows (80, 1e4; 2.5, 1e100) or F(alpha+1, x) falls
+    # below the smallest normal double (2.5, 1e88): S would read inf, 0 or nan
+    match = re.escape(f"kernel S at alpha={alpha} and x={x} exceeds the double range")
+    with pytest.raises(OverflowError, match=match):
+        kernel_eval("S", alpha, x)
+    with pytest.raises(OverflowError, match=f"kernel S at alpha={alpha} and some x in"):
+        kernel_values("S", alpha, [1.0, x])
+    # S tends to a constant, about 3.19 at alpha = 2.5
+    assert 3.19 < kernel_eval("S", 2.5, 1e60) < 3.193
+
+
 # the integrand matrices as plain expressions: the in-place builds must
 # reproduce them bit for bit
 _REFERENCE_MATS = {
@@ -261,6 +309,13 @@ _REFERENCE_MATS = {
 }
 
 
+# J and A0 integrate their kernels K alone against weights that carry p
+_KERNEL_MATS = {
+    "J": lambda x, t: x / (x * x + t * t),
+    "A0": lambda x, t: x * x / (x * x + t * t),
+}
+
+
 def _node_rows():
     """Each level's nodes on both sides of the split: the cached read-only
     tables every rule reads, whose factors kernels keeps."""
@@ -274,15 +329,22 @@ def _node_rows():
 def test_in_place_integrands_are_bit_equal(name):
     build = getattr(kernels, f"_{name}_mat")
     x = np.geomspace(1e-3, 1e3, 49)[:, None]
-    # 80 comes back after 1, so that a row kept for a stale alpha would show;
-    # the last alpha is an (m, 1) column, one alpha per row of x
+    # F and G: 80 comes back after 1, so that a row kept for a stale alpha
+    # would show; the last alpha is an (m, 1) column, one alpha per row of x.
+    # J and A0 are K alone, on a whole table and on a picked part of one
     alphas = (0.05, 80.0, 1.0, 80.0, 2.5, np.geomspace(0.05, 80.0, len(x))[:, None])
     with np.errstate(all="ignore"):  # F at alpha = 80, x = 1e-3 overflows, as it should
         for t in _node_rows():
-            for alpha in alphas:
-                got, ref = build(alpha, x, t), _REFERENCE_MATS[name](alpha, x, t)
-                assert got.shape == ref.shape == (len(x), len(t))
-                assert np.array_equal(got, ref), (alpha, len(t))
+            if name in _KERNEL_MATS:
+                cases = [(x, t), (x, t[::3])]
+                ref = _KERNEL_MATS[name]
+            else:
+                cases = [(alpha, x, t) for alpha in alphas]
+                ref = _REFERENCE_MATS[name]
+            for args in cases:
+                got, want = build(*args), ref(*args)
+                assert got.shape == want.shape == (len(x), len(args[-1]))
+                assert np.array_equal(got, want), (args[:-2], len(t))
 
 
 def test_node_factors_are_kept_for_read_only_tables_only():
@@ -290,11 +352,7 @@ def test_node_factors_are_kept_for_read_only_tables_only():
     with np.errstate(over="ignore", under="ignore"):
         cached = quadrature._xw(quadrature.SPLIT_POINT, None, 3)[0]
         assert kernels._nodes(cached) is kernels._nodes(cached)
-        row = kernels._pow_over_sinh(2.5, cached)
-        assert kernels._pow_over_sinh(2.5, cached) is row and not row.flags.writeable
-        # a new alpha replaces the row; the old alpha is computed again, equal
-        assert kernels._pow_over_sinh(3.0, cached) is not row
-        assert np.array_equal(kernels._pow_over_sinh(2.5, cached), row)
+        assert not kernels._nodes(cached).log_t.flags.writeable
     # a read-only array that dies takes its factors with it
     table = np.linspace(0.1, 1.0, 7)
     table.flags.writeable = False
@@ -311,15 +369,61 @@ def test_kept_nodes_are_cached_read_only_slices():
         kept_t, kept_w = kernels._kept_nodes("sinh_den", 40.0, t, w)
         assert kernels._kept_nodes("sinh_den", 40.0, t, w)[0] is kept_t
         assert not kept_t.flags.writeable and not kept_w.flags.writeable
-        row = kernels._pow_over_sinh(40.0, t)
-        keep = kernels._keep_mask(row, t, w)
+        # the kept weights carry p = t^40/sinh t, bit for bit
+        pw = np.exp(40.0 * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t)) * w
+        keep = kernels._keep_mask(pw, t)
         assert keep.sum() < len(t) // 4
-        assert np.array_equal(kept_t, t[keep]) and np.array_equal(kept_w, w[keep])
-        # the kept nodes' factors and row are slices of the table's
-        assert np.array_equal(kernels._nodes(kept_t).t_sq, kernels._nodes(t).t_sq[keep])
-        assert np.array_equal(kernels._pow_over_sinh(40.0, kept_t), row[keep])
+        assert np.array_equal(kept_t, t[keep]) and np.array_equal(kept_w, pw[keep])
+        # a kept t is no level table: it has no node factors
+        assert id(kept_t) not in kernels._NODES
         # past the double range every node is kept, so the overflow is reported
-        assert kernels._kept_nodes("sinh_den", 175.0, t, w)[0] is t
+        assert np.array_equal(kernels._kept_nodes("sinh_den", 175.0, t, w)[0], t)
+
+
+def test_node_factors_are_kept_for_level_tables_only():
+    for alpha in np.linspace(0.3, 175.0, 9).tolist():
+        for kind in ("H1", "A0", "F"):
+            with contextlib.suppress(OverflowError):
+                kernel_values(kind, alpha, [1e-3, 0.5, 2.0, 30.0, 1e3])
+    split = quadrature.SPLIT_POINT
+    levels = range(quadrature.MAX_LEVELS)
+    tables = {id(quadrature._xw(a, b, n)[0]) for a, b in ((0.0, split), (split, None)) for n in levels}
+    assert set(kernels._NODES) <= tables
+    # a table whose every node is kept still takes its factors with it when it dies
+    t, w = (np.array(a) for a in quadrature._xw(split, None, 3))
+    t.flags.writeable = False
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(kernels._kept_nodes("sinh_den", 300.0, t, w)[0], t)
+    key = id(t)
+    del t
+    gc.collect()
+    assert key not in kernels._NODES
+
+
+def test_a_new_alpha_selects_once_per_level_table(monkeypatch):
+    masks, tables = [], set()
+    keep_mask, xw = kernels._keep_mask, quadrature._xw
+    monkeypatch.setattr(kernels, "_keep_mask", lambda pw, t: masks.append(id(t)) or keep_mask(pw, t))
+    monkeypatch.setattr(quadrature, "_xw", lambda *key: tables.add(key) or xw(*key))
+    for call in (lambda: kernel_eval("H1", 2.7182818, 2.0), lambda: C_const(3.1415926)):
+        masks.clear()
+        tables.clear()
+        call()
+        assert sorted(masks) == sorted(id(xw(*key)[0]) for key in tables)
+        # the same alpha again reuses every pick
+        masks.clear()
+        call()
+        assert masks == []
+
+
+@pytest.mark.parametrize("kind", ["H", "H1", "H2", "A0"])
+def test_mixed_alpha_array_is_bit_equal_to_per_alpha_calls(kind):
+    alphas = np.array([0.5, 40.0, 2.5, 0.5, 40.0, 2.5, 40.0])
+    x = np.array([0.3, 1.0, 7.0, 20.0, 0.01, 150.0, 0.0])
+    got = kernel_values(kind, alphas, x)
+    for alpha in (0.5, 2.5, 40.0):
+        rows = alphas == alpha
+        assert np.array_equal(got[rows], kernel_values(kind, alpha, x[rows])), alpha
 
 
 def _every_node_integral(expr):
@@ -356,12 +460,16 @@ def test_kept_nodes_agree_with_every_node(alpha):
 
 
 def test_kept_nodes_agree_with_every_node_alpha_per_row():
-    # an alpha per row keeps the union of the rows' kept nodes
-    alphas = np.repeat(_SELECTION_ALPHAS, len(_SELECTION_XS))
-    x = np.tile(_SELECTION_XS, len(_SELECTION_ALPHAS))
+    # an alpha per row goes one distinct alpha at a time; each group agrees
+    # with the every-node sum of its own rows
+    alphas = np.tile(_SELECTION_ALPHAS, len(_SELECTION_XS))
+    x = np.repeat(_SELECTION_XS, len(_SELECTION_ALPHAS))
     for kind, name in (("H1", "J"), ("A0", "A0")):
-        ref = _every_node_integral(lambda t: _REFERENCE_MATS[name](alphas[:, None], x[:, None], t))
-        assert _within_ulps(kernel_values(kind, alphas, x), ref, 4), kind
+        got = kernel_values(kind, alphas, x)
+        for alpha in _SELECTION_ALPHAS:
+            rows = alphas == alpha
+            ref = _every_node_integral(lambda t: _REFERENCE_MATS[name](alpha, x[rows, None], t))
+            assert _within_ulps(got[rows], ref, 4), (kind, alpha)
 
 
 @pytest.mark.parametrize("alpha", [2.5, 40.0, 160.0])

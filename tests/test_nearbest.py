@@ -714,3 +714,14 @@ def test_limit_error_names_a_bad_alpha(alpha, x, cached, cache_half):
     # NaN or a value for a negative alpha once came back
     with pytest.raises(ValueError, match="^limit_error requires finite alpha"):
         limit_error(alpha, 0.3, 0.4, x, cache=cache_half if cached else None)
+
+
+@pytest.mark.parametrize("x", [1e155, 1e200, 1e300])
+def test_limit_error_where_x_squared_overflows(x):
+    # H1 and A0 take their limits C(1)/x and D(1) there: E is p c1 cos(x) D(1)
+    # to within the O(1/x) terms
+    tail = nearbest._prefactor(1.0) * 0.3 * math.cos(x) * kernels.D_const(1.0)
+    got = limit_error(1.0, 0.3, 0.4, x)
+    assert abs(got - tail) <= 1e-15 * abs(tail)
+    mixed = limit_error(1.0, 0.3, 0.4, np.array([0.0, 0.5, x]))
+    assert np.array_equal(mixed, [limit_error(1.0, 0.3, 0.4, v) for v in (0.0, 0.5, x)])

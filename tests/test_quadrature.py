@@ -211,3 +211,24 @@ def test_node_tables_cached_are_bounded():
         integrate_finite(_kink, 0.0, 1.0 + k / 256.0)
     assert quadrature._xw.cache_info().currsize <= 128
     assert np.array_equal(kernel_values("H1", 1.0, np.array([0.7, 3.0])), before)
+
+
+def test_a_pick_may_subset_and_reweight():
+    # the pick carries e^-t in the weights and drops the nodes whose weighted
+    # term cannot reach 2^-60 of the level's peak; the integrand is the rest
+    tables, seen = [], []
+
+    def pick(xs, ws):
+        tables.append(len(xs))
+        pw = np.exp(-xs) * ws
+        keep = pw > 2.0**-60 * pw.max()
+        return xs[keep], pw[keep]
+
+    def rest(t):
+        seen.append(len(t))
+        return 1.0 / (1.0 + t * t)
+
+    got = integrate_zero_to_inf(rest, pick).value[0]
+    want = integrate_zero_to_inf(lambda t: np.exp(-t) / (1.0 + t * t)).value[0]
+    assert abs(got - want) <= 4 * math.ulp(want)
+    assert all(s <= n for s, n in zip(seen, tables)) and sum(seen) < sum(tables) // 2
