@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .kernels import KernelKind, _require_alpha, beta_point, kernel_values
+from .kernels import KernelKind, _past_range, _require_alpha, beta_point, kernel_values
 
 __all__ = [
     "H_alpha_integral",
@@ -44,6 +44,8 @@ _POLE_WINDOW = 1e-4  # |x - k pi| below this evaluates the pole term jointly
 # pi = _PI_HI + _PI_LO (Cody-Waite): _PI_HI has 24 bits, so k _PI_HI is exact for k < 2^29
 _PI_HI = float(np.float32(math.pi))
 _PI_LO = -8.742278000372485e-08  # pi - _PI_HI, rounded
+# H_alpha_series sums x/pi + 3 terms one by one: about 3.2e5 at this |x|
+_SERIES_X_MAX = 1e6
 
 
 def _prefactor(alpha: float) -> float:
@@ -59,14 +61,25 @@ def _by_entry(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
+def _interpolant(name: str, alpha: float, x, kind: KernelKind, factor):
+    """|x|^alpha - factor(|x|) * kind(alpha, |x|), x a float or an array
+    evaluated in one batch; where |x|^alpha passes the double range, an
+    OverflowError names name, alpha and x."""
+    xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    k = kernel_values(kind, alpha, xs)
+    try:
+        power = _by_entry(lambda v: v**alpha, xs)
+    except OverflowError:
+        raise _past_range(name, alpha, xs) from None
+    out = power - factor(xs) * k
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 def H_alpha_integral(alpha: float, x):
     """H_alpha(x) through the error-kernel quadrature; x a float, or an array
     evaluated in one batch."""
     _require_alpha(alpha, 0.0, "H_alpha_integral")
-    xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
-    h = kernel_values(KernelKind.H, alpha, xs)
-    out = _by_entry(lambda v: v**alpha, xs) - _prefactor(alpha) * h
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return _interpolant("H_alpha_integral", alpha, x, KernelKind.H, lambda xs: _prefactor(alpha))
 
 
 def H_alpha_series(alpha: float, x: float) -> float:
@@ -75,13 +88,14 @@ def H_alpha_series(alpha: float, x: float) -> float:
     alpha must not be an even integer.  Near x = k pi the k-th term's pole
     is evaluated jointly with sin x, so the removable singularity never
     produces 0/0; the alternating tail is summed by specfun._alternating_sum.
+    |x| past _SERIES_X_MAX = 1e6 is refused: the direct terms would take seconds.
     """
     _require_alpha(alpha, 0.0, "H_alpha_series")
     if alpha == 2.0 * round(alpha / 2.0):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
     x = abs(x)
-    if not x < math.inf:
-        raise ValueError(f"H_alpha_series requires finite x, got {x}")
+    if not x <= _SERIES_X_MAX:
+        raise ValueError(f"H_alpha_series requires finite x with |x| <= {_SERIES_X_MAX:g}, got {x}")
     if x == 0.0:
         return 0.0
     big_n = int(math.floor(alpha / 2.0))
@@ -128,7 +142,5 @@ def G_alpha(alpha: float, x):
     _require_alpha(alpha, 0.0, "G_alpha")
     if alpha == 2.0 * round(alpha / 2.0):
         raise ValueError(f"alpha must not be an even integer, got {alpha}")
-    xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
-    a0 = kernel_values(KernelKind.A0, alpha, xs)
-    out = _by_entry(lambda v: v**alpha, xs) - _prefactor(alpha) * _by_entry(math.cos, xs) * a0
-    return float(out[0]) if np.ndim(x) == 0 else out
+    p = _prefactor(alpha)
+    return _interpolant("G_alpha", alpha, x, KernelKind.A0, lambda xs: p * _by_entry(math.cos, xs))

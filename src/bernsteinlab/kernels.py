@@ -36,11 +36,11 @@ OverflowError naming the function and alpha.
 F and G are integrated as (x, t) matrices, 512 x per call of
 quadrature.integrate_zero_to_inf, built in place (out=) in the order of the
 expression in their docstrings, so bit for bit equal to it; alpha is one
-float for all rows, or one per row beside x.  The node-only factors (log t,
-1 + t*t, -expm1(-2t), 1 + exp(-2t)) are computed once per cached level
-table.  One path, kernel_values, serves every kind, and it alone holds the
-limits at x = 0 (0 for H, H2 and A0; pi/2 for H1 at alpha = 1, 0 above);
-kernel_eval is one of its points.
+float for all rows, or one per row beside x.  Below 1e-288 (ABS_FLOOR /
+REL_TOL), where the quadrature certifies only its absolute floor, F and G
+raise OverflowError.  One path, kernel_values, serves every kind, and it
+alone holds the limits at x = 0 (0 for H, H2 and A0; pi/2 for H1 at
+alpha = 1, 0 above); kernel_eval is one of its points.
 
 J (so H, H1 and H2), A0, C and D integrate p(t) K(x, t) with the x-free
 weight p = t^a/sinh t or t^(a-1)/cosh t and K = x/(x^2+t^2), x^2/(x^2+t^2)
@@ -48,26 +48,26 @@ or 1.  p rides in the quadrature weights: the quadrature's pick hands the
 rule the read-only (t, p w) of the nodes that can move the sum, and the
 integrand is K alone, built in place.  With k the peak of p w on a level
 table of n nodes, node j is dropped when p_j w_j max(1, (t_k/t_j)^2) <=
-2^-60 p_k w_k / n; every such K is >= 0 with K(x, t_j)/K(x, t_k) <=
-max(1, (t_k/t_j)^2), so the dropped terms of any row sum to at most 2^-60
-of its sum.  The pick is computed once per table and alpha (the last alpha
-per p is kept), and an array of alphas goes through J and A0 one distinct
-alpha at a time.  Where p w is not finite every node is kept, so the
-overflow shows in the sums.  Past x = 1.34e154, where x * x overflows, J
+2^-60 p_k w_k / n; every such K is >= 0 with K(x, t_j)/K(x, t_k) <= max(1,
+(t_k/t_j)^2), so the dropped terms of any row sum to at most 2^-60 of its
+sum.  The pick is keyed by level table (a, b, level) and alpha and keeps the
+256 last used; the node-only factors (log t, -expm1(-2t), 1 + exp(-2t)) are
+computed once per table.  An array of alphas goes through J and A0 one
+distinct alpha at a time.  Where p w is not finite every node is kept, so
+the overflow shows in the sums.  Past x = 1.34e154, where x * x overflows, J
 and A0 take their limits C(a)/x and D(a), exact in double (the next terms
 are O(a^2/x^2) relative).
 """
 
 import math
 import sys
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from . import specfun
+from . import quadrature, specfun
 from ._search import refine_grid_maxima
 from .quadrature import QuadratureOverflowError, integrate_zero_to_inf
 
@@ -107,36 +107,18 @@ _BATCH_CHUNK = 512
 # ---------------------------------------------------------------------------
 
 
-class _Nodes:
-    """The node-only factors of one level table's node row t, read-only rows
-    of one array shared by every integrand on t; in kept, per denominator,
-    the last alpha's pick (_kept_nodes)."""
-
-    __slots__ = ("log_t", "one_plus_t_sq", "sinh_den", "cosh_den", "kept")
-
-    def __init__(self, t):
-        factors = np.log(t), 1.0 + t * t, -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t)
-        self.log_t, self.one_plus_t_sq, self.sinh_den, self.cosh_den = _read_only(np.stack(factors))
-        self.kept = {}
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
 
 
-# the factors of each of the quadrature's cached level tables by the id of
-# its node row; an entry goes with its row when the quadrature's cache drops it
-_NODES: dict[int, _Nodes] = {}
-
-
-def _nodes(t) -> _Nodes:
-    """The factors of the read-only node row t, computed once per row."""
-    got = _NODES.get(id(t))
-    if got is None:
-        got = _NODES[id(t)] = _Nodes(t)
-        weakref.finalize(t, _NODES.pop, id(t), None)
-    return got
+@lru_cache(maxsize=128)
+def _factors(a: float, b: float | None, level: int):
+    """The node-only factors (log t, -expm1(-2t), 1 + exp(-2t)) of the level
+    table quadrature._xw(a, b, level), read-only rows of one array, computed
+    once per table."""
+    t = quadrature._xw(a, b, level)[0]
+    return _read_only(np.stack((np.log(t), -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t))))
 
 
 # a node j is dropped when its term p_j w_j, times max(1, (t_k/t_j)^2), is at
@@ -156,43 +138,34 @@ def _keep_mask(pw, t):
         return np.ones(len(t), dtype=bool)
     # keep p_j w_j max(1, (t_k/t_j)^2) > _DROP p_k w_k / n, as
     # p_j w_j > _DROP p_k w_k / n * min(1, (t_j/t_k)^2), which cannot overflow
-    bound = t / t[k]
-    np.square(bound, out=bound)
-    np.minimum(bound, 1.0, out=bound)
-    bound *= _DROP * peak / len(t)
-    keep = pw > bound
+    keep = pw > np.minimum(np.square(t / t[k]), 1.0) * (_DROP * peak / len(t))
     keep[k] = True
     return keep
 
 
-def _kept_nodes(den: str, alpha: float, t, w):
-    """The pick for an integral of p(t) K(x, t) on the level table (t, w),
-    with p = exp(alpha log t - t) * 2 / den and K as in _keep_mask: the
-    read-only (t, p w) at the nodes that can move the sum, computed once per
-    table and alpha (the last alpha per den is kept)."""
-    nodes = _nodes(t)
-    got = nodes.kept.get(den)
-    if got is None or got[0] != alpha:
-        pw = np.multiply(alpha, nodes.log_t)
-        pw -= t
-        np.exp(pw, out=pw)
-        pw *= 2.0
-        pw /= getattr(nodes, den)
-        pw *= w
-        keep = _keep_mask(pw, t)
-        got = nodes.kept[den] = (alpha, (_read_only(t[keep]), _read_only(pw[keep])))
-    return got[1]
+@lru_cache(maxsize=256)
+def _kept_nodes(den: int, alpha: float, a: float, b: float | None, level: int):
+    """The pick for an integral of p(t) K(x, t) on the level table
+    (t, w) = quadrature._xw(a, b, level), with p = exp(alpha log t - t) * 2
+    over the row den of _factors (1 for sinh, 2 for cosh) and K as in
+    _keep_mask: the read-only (t, p w) at the nodes that can move the sum,
+    computed once per table and alpha."""
+    t, w = quadrature._xw(a, b, level)
+    factors = _factors(a, b, level)
+    pw = np.exp(alpha * factors[0] - t) * 2.0 / factors[den] * w
+    keep = _keep_mask(pw, t)
+    return _read_only(t[keep]), _read_only(pw[keep])
 
 
 def _sinh_pick(alpha: float):
     """The quadrature's pick for an integrand t^alpha/sinh t times a K >= 0
     (alpha as a float, which the pick's cache can hold)."""
-    return partial(_kept_nodes, "sinh_den", float(alpha))
+    return partial(_kept_nodes, 1, float(alpha))
 
 
 def _cosh_pick(alpha: float):
     """The quadrature's pick for an integrand t^(alpha-1)/cosh t times a K >= 0."""
-    return partial(_kept_nodes, "cosh_den", alpha - 1.0)
+    return partial(_kept_nodes, 2, alpha - 1.0)
 
 
 def _require_alpha(alpha, low: float, kind: str):
@@ -252,7 +225,9 @@ def _batched_family(fmat, alpha, xs: np.ndarray, pick=None) -> np.ndarray:
     call; fmat gets x as an (m, 1) column and t as an (n,) row, and alpha as
     it is when a scalar, else as the (m, 1) column of its rows beside x.
     Given pick, the nodes and weights it names for the float alpha, fmat
-    gets x and t alone."""
+    gets x and t alone.  Without one (F and G), a value below ABS_FLOOR /
+    REL_TOL, where the quadrature certifies only its absolute floor and a
+    positive value may read 0, is an OverflowError."""
     out = np.empty(len(xs))
     for lo in range(0, len(xs), _BATCH_CHUNK):
         rows = slice(lo, lo + _BATCH_CHUNK)
@@ -260,6 +235,8 @@ def _batched_family(fmat, alpha, xs: np.ndarray, pick=None) -> np.ndarray:
         x = xs[rows, None]
         f = (lambda t: fmat(x, t)) if pick else (lambda t: fmat(a, x, t))
         out[rows] = integrate_zero_to_inf(f, pick).value
+    if not pick and (out < quadrature.ABS_FLOOR / quadrature.REL_TOL).any():
+        raise OverflowError
     return out
 
 
@@ -278,20 +255,18 @@ def _A0_mat(x, t):
 
 def _F_mat(alpha, x, t):
     """np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t), xt = x * t"""
-    nodes = _nodes(t)
     xt = np.multiply(x, t)
-    out = np.subtract(np.multiply(alpha, nodes.log_t), xt)
+    out = np.subtract(np.multiply(alpha, np.log(t)), xt)
     np.multiply(np.exp(out, out=out), 2.0, out=out)
     np.negative(np.expm1(np.multiply(-2.0, xt, out=xt), out=xt), out=xt)
-    return np.divide(np.divide(out, xt, out=out), nodes.one_plus_t_sq, out=out)
+    return np.divide(np.divide(out, xt, out=out), 1.0 + t * t, out=out)
 
 
 def _G_mat(alpha, x, t):
     """np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t)"""
-    nodes = _nodes(t)
     out = np.multiply(x, t)
-    np.exp(np.subtract(np.multiply(alpha, nodes.log_t), out, out=out), out=out)
-    return np.divide(out, nodes.one_plus_t_sq, out=out)
+    np.exp(np.subtract(np.multiply(alpha, np.log(t)), out, out=out), out=out)
+    return np.divide(out, 1.0 + t * t, out=out)
 
 
 def _per_alpha(f, a, x: np.ndarray):
@@ -338,13 +313,12 @@ def _R_values(a, x: np.ndarray) -> np.ndarray:
 
 def _S_values(a, x: np.ndarray) -> np.ndarray:
     """(a x^(a-1)/2) (x^2 + a^2) R(a, x), or OverflowError where that factor
-    is not finite or an F of R is below the smallest normal double."""
+    is not finite."""
     with np.errstate(over="ignore"):
         pre = _per_alpha(lambda v, x: 0.5 * v * x ** (v - 1.0) * (x * x + v * v), a, x)
-    f1, f0 = _F_values(a + 1.0, x), _F_values(a, x)
-    if not (np.isfinite(pre).all() and min(f1.min(), f0.min()) >= sys.float_info.min):
+    if not np.isfinite(pre).all():
         raise OverflowError
-    return pre * ((x / a) * f1 - f0)
+    return pre * _R_values(a, x)
 
 
 # kind -> values at finite x > 0, for alpha a float or an array beside x
@@ -367,8 +341,12 @@ _VALUES = {
 }
 
 
-def _require_kind_alpha(kind: KernelKind, alpha):
-    _require_alpha(alpha, 2.0 if kind is KernelKind.F2 else 0.0, kind.value)
+def _past_range(name: str, alpha, xs: np.ndarray) -> OverflowError:
+    """The OverflowError of name at alpha, a float or an array, and the x of
+    the 1-D array xs, past the double range."""
+    at = f"x={xs[0]}" if len(xs) == 1 else f"some x in [{xs.min()}, {xs.max()}]"
+    alpha = alpha if np.ndim(alpha) == 0 else f"some alpha in [{alpha.min()}, {alpha.max()}]"
+    return OverflowError(f"{name} at alpha={alpha} and {at} exceeds the double range")
 
 
 def _values(kind: KernelKind, alpha, xs: np.ndarray) -> np.ndarray:
@@ -377,11 +355,7 @@ def _values(kind: KernelKind, alpha, xs: np.ndarray) -> np.ndarray:
     try:
         return _VALUES[kind](alpha, xs)
     except OverflowError:
-        at = f"x={xs[0]}" if len(xs) == 1 else f"some x in [{xs.min()}, {xs.max()}]"
-        alpha = alpha if np.ndim(alpha) == 0 else f"some alpha in [{alpha.min()}, {alpha.max()}]"
-        raise OverflowError(
-            f"kernel {kind.value} at alpha={alpha} and {at} exceeds the double range"
-        ) from None
+        raise _past_range(f"kernel {kind.value}", alpha, xs) from None
 
 
 def _kernel_values(kind, alpha, x) -> np.ndarray:
@@ -399,7 +373,7 @@ def _kernel_values(kind, alpha, x) -> np.ndarray:
                 f"alpha of shape {alpha.shape} does not broadcast against x of shape {x.shape}"
             ) from None
         alpha = np.broadcast_to(alpha, shape).ravel()
-    _require_kind_alpha(kind, alpha)
+    _require_alpha(alpha, 2.0 if kind is KernelKind.F2 else 0.0, kind.value)
     xs = np.broadcast_to(x, shape).ravel()
     ok = (0.0 <= xs) & (xs < math.inf)
     if not ok.all():
@@ -442,28 +416,21 @@ def kernel_eval(kind, alpha: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _closed(alpha: float, c: float, tail: float) -> float:
+    """|sin(pi a/2)|/pi * c Gamma(a+1) * tail, the form of both constants."""
+    return abs(math.sin(0.5 * math.pi * alpha)) / math.pi * c * specfun.gamma(alpha + 1.0) * tail
+
+
 def delta_1_closed(alpha: float) -> float:
     """L1 constant: |sin(pi a/2)|/pi * 8 Gamma(a+1) * sum (-1)^n (1+2n)^-(a+2)."""
     _require_alpha(alpha, -1.0, "delta_1_closed")
-    return (
-        abs(math.sin(0.5 * math.pi * alpha))
-        / math.pi
-        * 8.0
-        * specfun.gamma(alpha + 1.0)
-        * specfun.alternating_odd_sum(alpha)
-    )
+    return _closed(alpha, 8.0, specfun.alternating_odd_sum(alpha))
 
 
 def delta_2_closed(alpha: float) -> float:
     """L2 constant: |sin(pi a/2)|/pi * 2 Gamma(a+1) * sqrt(pi/(2a+1))."""
     _require_alpha(alpha, -0.5, "delta_2_closed")
-    return (
-        abs(math.sin(0.5 * math.pi * alpha))
-        / math.pi
-        * 2.0
-        * specfun.gamma(alpha + 1.0)
-        * math.sqrt(math.pi / (2.0 * alpha + 1.0))
-    )
+    return _closed(alpha, 2.0, math.sqrt(math.pi / (2.0 * alpha + 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ never converges, so integrate_zero_to_inf raises a QuadratureOverflowError,
 both a QuadratureError and an OverflowError, for it.
 
 An integrand family that knows which nodes of a level can move its sums
-names them through pick: pick(xs, ws) maps a level's read-only table to a
-read-only (xs, ws) of the nodes it needs, whose weights may carry an x-free
+names them through pick: pick(a, b, level) returns a read-only (xs, ws),
+the nodes of _xw(a, b, level) it needs, whose weights may carry an x-free
 factor of the integrand, which the integrand then leaves out; the rule
 evaluates the integrand on those nodes alone and dots it with those
-weights.  The kernels' pick carries t^a/sinh t or t^(a-1)/cosh t in the
+weights.  Keyed by the table, not by its arrays, a pick may cache what it
+returns.  The kernels' pick carries t^a/sinh t or t^(a-1)/cosh t in the
 weights (see kernels) and drops only nodes worth at most 2^-60 of each
 row's sum; the other integrands get every node.  A weight past the double
 range (t^a/sinh t from a of about 171) makes its row sums inf, so it is
@@ -135,7 +136,7 @@ def _run_levels(a: float, b: float | None, f, pick=None):
     """Shared trapezoidal refinement loop over (a, b), or (a, inf) when b is None.
 
     _xw(a, b, level) holds the nodes/weights new at that level; given pick,
-    f sees the nodes of pick(xs, ws), dotted with its weights; the running
+    f sees the nodes of pick(a, b, level), dotted with its weights; the running
     value obeys I_l = I_{l-1}/2 + h_l * (new contributions).  Returns
     per-row (values, errors, levels used, converged), so that batched
     integrands (f returning an (m, n) matrix) work unchanged.
@@ -145,9 +146,7 @@ def _run_levels(a: float, b: float | None, f, pick=None):
     # the deepest nodes; only a non-finite *result* is an error
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         for level in range(MAX_LEVELS):
-            xs, ws = _xw(a, b, level)
-            if pick is not None:
-                xs, ws = pick(xs, ws)
+            xs, ws = (pick or _xw)(a, b, level)
             fx = np.atleast_2d(f(xs))
             contrib = fx @ ws
             # weights are positive: a non-finite entry makes its row sum so

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,3 +175,21 @@ def test_G_alpha_where_x_squared_overflows(x):
         assert G_alpha(1.0, v) == x - _prefactor(1.0) * math.cos(x) * D_const(1.0)
     got = G_alpha(1.0, np.array([0.5, x]))
     assert np.array_equal(got, [G_alpha(1.0, 0.5), G_alpha(1.0, x)])
+
+
+@pytest.mark.parametrize("fn", [G_alpha, H_alpha_integral])
+def test_power_past_the_double_range_names_function_alpha_and_x(fn):
+    # 1e155^2.5 passes the double range; the error names where
+    at = f"{fn.__name__} at alpha=2.5 and "
+    with pytest.raises(OverflowError, match=re.escape(at + "x=1e+155 exceeds the double range")):
+        fn(2.5, -1e155)
+    with pytest.raises(OverflowError, match=re.escape(at + "some x in [0.5, 1e+155]")):
+        fn(2.5, np.array([0.5, 1e155]))
+
+
+@pytest.mark.parametrize("x", [1e6 * (1.0 + 2**-52), 1e7, 1e155])
+def test_series_refuses_x_past_its_bound(x):
+    # x/pi + 3 terms are summed one by one: 1e155 never returned
+    message = f"H_alpha_series requires finite x with |x| <= 1e+06, got {x!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        H_alpha_series(1.3, -x)

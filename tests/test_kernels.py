@@ -1,5 +1,4 @@
 import contextlib
-import gc
 import math
 import re
 
@@ -293,6 +292,18 @@ def test_S_past_the_double_range_raises(alpha, x):
     assert 3.19 < kernel_eval("S", 2.5, 1e60) < 3.193
 
 
+@pytest.mark.parametrize("kind,alpha,x", [("F", 3.5, 1e64), ("R", 2.5, 1e64), ("G", 2.5, 1e120)])
+def test_values_below_the_certified_floor_raise(kind, alpha, x):
+    # below ABS_FLOOR / REL_TOL = 1e-288 the quadrature certifies only an
+    # absolute error of 1e-300: F(3.5, 1e64) ~ 2.35e-287 read 0.0, and
+    # R(2.5, 1e64) ~ +2.55e-224 read -6.83e-224
+    match = re.escape(f"kernel {kind} at alpha={alpha} and x={x} exceeds the double range")
+    with pytest.raises(OverflowError, match=match):
+        kernel_eval(kind, alpha, x)
+    # F(a, x) tends to C(a)/x^(a+1), kept above the floor
+    assert kernel_eval("F", 3.5, 1e63) == pytest.approx(C_const(3.5) / 1e63**4.5, rel=1e-12)
+
+
 # the integrand matrices as plain expressions: the in-place builds must
 # reproduce them bit for bit
 _REFERENCE_MATS = {
@@ -348,56 +359,52 @@ def test_in_place_integrands_are_bit_equal(name):
 
 
 def test_node_factors_are_kept_for_read_only_tables_only():
-    # the deepest exp-sinh nodes overflow t * t, as under the quadrature
+    # keyed by the level table: read-only, and computed once per table
+    key = (quadrature.SPLIT_POINT, None, 3)
+    t = quadrature._xw(*key)[0]
     with np.errstate(over="ignore", under="ignore"):
-        cached = quadrature._xw(quadrature.SPLIT_POINT, None, 3)[0]
-        assert kernels._nodes(cached) is kernels._nodes(cached)
-        assert not kernels._nodes(cached).log_t.flags.writeable
-    # a read-only array that dies takes its factors with it
-    table = np.linspace(0.1, 1.0, 7)
-    table.flags.writeable = False
-    kernels._nodes(table)
-    key = id(table)
-    assert key in kernels._NODES
-    del table
-    assert key not in kernels._NODES
+        factors = kernels._factors(*key)
+        misses = kernels._factors.cache_info().misses
+        assert kernels._factors(*key) is factors
+        want = [np.log(t), -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t)]
+    assert kernels._factors.cache_info().misses == misses
+    assert not factors.flags.writeable
+    assert np.array_equal(factors, want)
 
 
 def test_kept_nodes_are_cached_read_only_slices():
-    t, w = quadrature._xw(quadrature.SPLIT_POINT, None, 7)
+    key = (quadrature.SPLIT_POINT, None, 7)
+    t, w = quadrature._xw(*key)
     with np.errstate(over="ignore", under="ignore"):
-        kept_t, kept_w = kernels._kept_nodes("sinh_den", 40.0, t, w)
-        assert kernels._kept_nodes("sinh_den", 40.0, t, w)[0] is kept_t
+        kept_t, kept_w = kernels._kept_nodes(1, 40.0, *key)
+        assert kernels._kept_nodes(1, 40.0, *key)[0] is kept_t
         assert not kept_t.flags.writeable and not kept_w.flags.writeable
         # the kept weights carry p = t^40/sinh t, bit for bit
         pw = np.exp(40.0 * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t)) * w
         keep = kernels._keep_mask(pw, t)
         assert keep.sum() < len(t) // 4
         assert np.array_equal(kept_t, t[keep]) and np.array_equal(kept_w, pw[keep])
-        # a kept t is no level table: it has no node factors
-        assert id(kept_t) not in kernels._NODES
         # past the double range every node is kept, so the overflow is reported
-        assert np.array_equal(kernels._kept_nodes("sinh_den", 175.0, t, w)[0], t)
+        assert np.array_equal(kernels._kept_nodes(1, 175.0, *key)[0], t)
 
 
-def test_node_factors_are_kept_for_level_tables_only():
+def test_node_factors_are_kept_for_level_tables_only(monkeypatch):
+    # the picks read the factors of the split's level tables alone, and F,
+    # which keeps every node, reads none
+    keys, factors = [], kernels._factors
+    monkeypatch.setattr(kernels, "_factors", lambda *key: keys.append(key) or factors(*key))
+    kernels._kept_nodes.cache_clear()
     for alpha in np.linspace(0.3, 175.0, 9).tolist():
-        for kind in ("H1", "A0", "F"):
+        for kind in ("H1", "A0"):
             with contextlib.suppress(OverflowError):
                 kernel_values(kind, alpha, [1e-3, 0.5, 2.0, 30.0, 1e3])
     split = quadrature.SPLIT_POINT
     levels = range(quadrature.MAX_LEVELS)
-    tables = {id(quadrature._xw(a, b, n)[0]) for a, b in ((0.0, split), (split, None)) for n in levels}
-    assert set(kernels._NODES) <= tables
-    # a table whose every node is kept still takes its factors with it when it dies
-    t, w = (np.array(a) for a in quadrature._xw(split, None, 3))
-    t.flags.writeable = False
-    with np.errstate(over="ignore", under="ignore"):
-        assert np.array_equal(kernels._kept_nodes("sinh_den", 300.0, t, w)[0], t)
-    key = id(t)
-    del t
-    gc.collect()
-    assert key not in kernels._NODES
+    tables = {(a, b, n) for a, b in ((0.0, split), (split, None)) for n in levels}
+    assert keys and set(keys) <= tables
+    keys.clear()
+    kernel_values("F", 2.5, [1e-3, 0.5, 2.0, 30.0, 1e3])
+    assert keys == []
 
 
 def test_a_new_alpha_selects_once_per_level_table(monkeypatch):
@@ -405,6 +412,7 @@ def test_a_new_alpha_selects_once_per_level_table(monkeypatch):
     keep_mask, xw = kernels._keep_mask, quadrature._xw
     monkeypatch.setattr(kernels, "_keep_mask", lambda pw, t: masks.append(id(t)) or keep_mask(pw, t))
     monkeypatch.setattr(quadrature, "_xw", lambda *key: tables.add(key) or xw(*key))
+    kernels._kept_nodes.cache_clear()
     for call in (lambda: kernel_eval("H1", 2.7182818, 2.0), lambda: C_const(3.1415926)):
         masks.clear()
         tables.clear()
@@ -414,6 +422,28 @@ def test_a_new_alpha_selects_once_per_level_table(monkeypatch):
         masks.clear()
         call()
         assert masks == []
+
+
+def test_an_earlier_alpha_reuses_its_picks(monkeypatch):
+    # the picks of several alphas are kept per table, not the last one alone
+    masks = []
+    keep_mask = kernels._keep_mask
+    monkeypatch.setattr(kernels, "_keep_mask", lambda pw, t: masks.append(len(t)) or keep_mask(pw, t))
+    C_const(math.e)
+    C_const(math.pi)
+    masks.clear()
+    C_const(math.e)
+    assert masks == []
+
+
+def test_node_caches_stay_bounded():
+    before = C_const(2.5)
+    for k in range(1000):
+        C_const(1.0 + (k + 0.5) / 500.0)
+    for cache in (kernels._kept_nodes, kernels._factors):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert C_const(2.5) == before
 
 
 @pytest.mark.parametrize("kind", ["H", "H1", "H2", "A0"])

@@ -218,7 +218,8 @@ def test_a_pick_may_subset_and_reweight():
     # term cannot reach 2^-60 of the level's peak; the integrand is the rest
     tables, seen = [], []
 
-    def pick(xs, ws):
+    def pick(a, b, level):
+        xs, ws = quadrature._xw(a, b, level)
         tables.append(len(xs))
         pw = np.exp(-xs) * ws
         keep = pw > 2.0**-60 * pw.max()
