@@ -2,61 +2,44 @@
 L1/L2 best-approximation constants, sup-norm searches on [0, inf), and the
 lobe abscissa beta(alpha) where the search for sup |H| starts.
 
-All members of the family are integrals over t in (0, inf):
+Every kind is a power of x times I(a, x) = int_0^inf p(t) x/(x^2+t^2) dt
+under one of three weights p (the substitution u = x t brings F and G here):
 
-    H  (a, x) = sin(x) * J(a, x)         J(a, x) = int t^a/sinh(t) * x/(x^2+t^2) dt
-    H1 (a, x) = J(a, x)                  envelope of |H|
+    H1 (a, x) = J(a, x) = I_sinh(a, x)     p = t^a/sinh t; H1 is the envelope of |H|
+    H  (a, x) = sin(x) * J(a, x)
     H2 (a, x) = x * J(a, x)
-    F  (a, x) = int t^a / sinh(x t) * 1/(1+t^2) dt
-    G  (a, x) = int t^a exp(-x t) * 1/(1+t^2) dt
-    R  (a, x) = (x/a) F(a+1, x) - F(a, x)
-    S  (a, x) = (a x^(a-1)/2) (x^2 + a^2) R(a, x)
+    A0 (a, x) = x * I_cosh(a, x)            p = t^(a-1)/cosh t
+    F  (a, x) = x^-a I_sinh(a, x)           = int t^a/sinh(x t) * 1/(1+t^2) dt
+    G  (a, x) = x^-a I_exp(a, x)            = int t^a exp(-x t) * 1/(1+t^2) dt, p = t^a e^-t
+    R  (a, x) = (x/a) F(a+1, x) - F(a, x)   = x^-a (I_sinh(a+1, x)/a - I_sinh(a, x))
+    S  (a, x) = (a x^(a-1)/2) (x^2 + a^2) R(a, x) = (a/2) (x + a^2/x) (I_sinh(a+1, x)/a - I_sinh(a, x))
     F1 (a, x) = (2 - 2^-a)     zeta(a+1) G(a, x)     lower bound on F
     F2 (a, x) = (2 - 2^-(a-2)) zeta(a-1) G(a, x)     upper bound on F, a > 2
-    A0 (a, x) = int t^(a-1)/cosh(t) * x^2/(x^2+t^2) dt
 
 plus the constants C(a) = int t^a/sinh(t) dt and D(a) = int t^(a-1)/cosh(t) dt.
 
-Integrands are evaluated in the log-stable forms
+The weights are evaluated as p = exp(e log t - t) * 2/d, e = a or a - 1,
+d = -expm1(-2t), 1 + exp(-2t) or 2, so nothing overflows on the exp-sinh
+tail nodes; past alpha = 169.5 the sums of C_const and the sup norms do
+(170.5 for D_const), and QuadratureOverflowError names the function.  From
+alpha = 150 on F, G, R and S integrate p/t0^a, t0 = a/e, and take t0^a into
+their factor, so they stay finite wherever their value is a double.
 
-    t^a/sinh t     = exp(a log t - t) * 2/(-expm1(-2t))
-    t^a/cosh t     = exp(a log t - t) * 2/(1 + exp(-2t))
-    t^a/sinh(x t)  = exp(a log t - x t) * 2/(-expm1(-2 x t))
-    t^a e^(-x t)   = exp(a log t - x t)
-
-so nothing overflows on the exp-sinh tail nodes, even for a = 80; a value
-itself past the double range (F(80, 1e-3) ~ 1e352) raises OverflowError.
-C_const, sup_norm_H and sup_norm_H1 work up to alpha = 169.5 (D_const to
-170.5): above, the peak t^a e^-t of the weight, near t = a, comes so close
-to the double range that the quadrature's sums pass it (C(170) ~ 1.45e307
-is a double; computing it is not done here), and from alpha of about 171
-the weights themselves do.  They then raise QuadratureOverflowError, an
-OverflowError naming the function and alpha.
-
-F and G are integrated as (x, t) matrices, 512 x per call of
-quadrature.integrate_zero_to_inf, built in place (out=) in the order of the
-expression in their docstrings, so bit for bit equal to it; alpha is one
-float for all rows, or one per row beside x.  Below 1e-288 (ABS_FLOOR /
-REL_TOL), where the quadrature certifies only its absolute floor, F and G
-raise OverflowError.  One path, kernel_values, serves every kind, and it
-alone holds the limits at x = 0 (0 for H, H2 and A0; pi/2 for H1 at
-alpha = 1, 0 above); kernel_eval is one of its points.
-
-J (so H, H1 and H2), A0, C and D integrate p(t) K(x, t) with the x-free
-weight p = t^a/sinh t or t^(a-1)/cosh t and K = x/(x^2+t^2), x^2/(x^2+t^2)
-or 1.  p rides in the quadrature weights: the quadrature's pick hands the
-rule the read-only (t, p w) of the nodes that can move the sum, and the
-integrand is K alone, built in place.  With k the peak of p w on a level
-table of n nodes, node j is dropped when p_j w_j max(1, (t_k/t_j)^2) <=
-2^-60 p_k w_k / n; every such K is >= 0 with K(x, t_j)/K(x, t_k) <= max(1,
-(t_k/t_j)^2), so the dropped terms of any row sum to at most 2^-60 of its
-sum.  The pick is keyed by level table (a, b, level) and alpha and keeps the
-256 last used; the node-only factors (log t, -expm1(-2t), 1 + exp(-2t)) are
-computed once per table.  An array of alphas goes through J and A0 one
-distinct alpha at a time.  Where p w is not finite every node is kept, so
-the overflow shows in the sums.  Past x = 1.34e154, where x * x overflows, J
-and A0 take their limits C(a)/x and D(a), exact in double (the next terms
-are O(a^2/x^2) relative).
+One path, kernel_values, serves every kind and holds the limits at x = 0;
+kernel_eval is one of its points.  The one integrand is K = x/(x^2+t^2),
+built in place (_J_mat), 512 x per quadrature.integrate_zero_to_inf call.
+A float alpha (or an array of one value) carries p in the weights of the
+quadrature's pick, the read-only (t, p w) of the nodes whose terms can
+reach 2^-60 of a row's sum (_keep_mask), kept per level table and weight;
+C and D integrate 1 on them.  J and A0 go through distinct alphas one at a
+time; F and G keep one alpha per row, a column of p times _J_mat over every
+node.  R and S take I_sinh(a+1) as t times the weight at a, both integrals
+on every node, so that they share the rounding of p, which their difference
+magnifies.  Past x = 1.34e154, where x * x overflows, I = P(a)/x with P =
+int p (C, D or Gamma(a+1)), and x I = P.  An integral below 1e-288
+(ABS_FLOOR / REL_TOL), where the quadrature certifies only its absolute
+floor, and a factor times an integral that is not a normal double (x^-a
+applied in halves, so never a power alone) raise OverflowError.
 """
 
 import math
@@ -103,7 +86,7 @@ _BATCH_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
-# stable t-integrands
+# the three weights and their picks
 # ---------------------------------------------------------------------------
 
 
@@ -112,13 +95,30 @@ def _read_only(a):
     return a
 
 
+# log t and the denominators d of the three weights, the rows of _factors
+_ROWS = (np.log, lambda t: -np.expm1(-2.0 * t), lambda t: 1.0 + np.exp(-2.0 * t), lambda t: 0.0 * t + 2.0)
+
+
 @lru_cache(maxsize=128)
 def _factors(a: float, b: float | None, level: int):
-    """The node-only factors (log t, -expm1(-2t), 1 + exp(-2t)) of the level
-    table quadrature._xw(a, b, level), read-only rows of one array, computed
-    once per table."""
+    """The _ROWS of the nodes of the level table quadrature._xw(a, b, level),
+    as one read-only array, computed once per table."""
     t = quadrature._xw(a, b, level)[0]
-    return _read_only(np.stack((np.log(t), -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t))))
+    return _read_only(np.stack([row(t) for row in _ROWS]))
+
+
+# the weights p(t) = t^tp t^(alpha + shift) e^-t 2/d(t), as (row of d in
+# _factors, shift, tp): t^alpha/sinh t, t^(alpha-1)/cosh t, t^alpha e^-t, and
+# t^(alpha+1)/sinh t as t times the sinh weight at alpha
+_SINH, _COSH, _EXP, _TSINH = (1, 0.0, 0), (2, -1.0, 0), (3, 0.0, 0), (1, 0.0, 1)
+
+
+def _weight(e, log_t, d, t):
+    """exp(e log t - t) * 2.0 / d on the nodes t, for e a float or an (m, 1)
+    column; built in place, so bit for bit that expression."""
+    out = np.subtract(np.multiply(e, log_t), t)
+    np.multiply(np.exp(out, out=out), 2.0, out=out)
+    return np.divide(out, d, out=out)
 
 
 # a node j is dropped when its term p_j w_j, times max(1, (t_k/t_j)^2), is at
@@ -143,29 +143,44 @@ def _keep_mask(pw, t):
     return keep
 
 
-@lru_cache(maxsize=256)
-def _kept_nodes(den: int, alpha: float, a: float, b: float | None, level: int):
-    """The pick for an integral of p(t) K(x, t) on the level table
-    (t, w) = quadrature._xw(a, b, level), with p = exp(alpha log t - t) * 2
-    over the row den of _factors (1 for sinh, 2 for cosh) and K as in
-    _keep_mask: the read-only (t, p w) at the nodes that can move the sum,
-    computed once per table and alpha."""
+def _all_nodes(den: int, e: float, a: float, b: float | None, level: int, tp: int = 0, t0: float = 1.0):
+    """(t, p w) on every node of the level table (t, w) = quadrature._xw(a,
+    b, level), with p = t^tp _weight(e) over the row den of _factors, with
+    log(t/t0) in place of log t."""
     t, w = quadrature._xw(a, b, level)
     factors = _factors(a, b, level)
-    pw = np.exp(alpha * factors[0] - t) * 2.0 / factors[den] * w
+    pw = _weight(e, factors[0] if t0 == 1.0 else np.log(t / t0), factors[den], t) * w
+    return t, pw * t if tp else pw
+
+
+@lru_cache(maxsize=256)
+def _kept_nodes(den: int, e: float, a: float, b: float | None, level: int, tp: int = 0, t0: float = 1.0):
+    """The pick for an integral of p(t) K(x, t), K as in _keep_mask: the
+    read-only (t, p w) of _all_nodes at the nodes that can move the sum,
+    computed once per table and weight."""
+    t, pw = _all_nodes(den, e, a, b, level, tp, t0)
     keep = _keep_mask(pw, t)
     return _read_only(t[keep]), _read_only(pw[keep])
 
 
-def _sinh_pick(alpha: float):
-    """The quadrature's pick for an integrand t^alpha/sinh t times a K >= 0
-    (alpha as a float, which the pick's cache can hold)."""
-    return partial(_kept_nodes, 1, float(alpha))
+def _pick(weight, alpha: float, t0: float = 1.0, every_node: bool = False):
+    """The quadrature's pick for the weight at alpha, over t0^(alpha+shift),
+    times a K >= 0, given every_node on every node (alpha as a float, which
+    the pick's cache can hold)."""
+    den, shift, tp = weight
+    return partial(_all_nodes if every_node else _kept_nodes, den, float(alpha) + shift, tp=tp, t0=float(t0))
 
 
-def _cosh_pick(alpha: float):
-    """The quadrature's pick for an integrand t^(alpha-1)/cosh t times a K >= 0."""
-    return partial(_kept_nodes, 2, alpha - 1.0)
+# from this alpha on, F, G, R and S scale their weights by t0^-alpha with
+# t0 = alpha/e, where t^alpha e^-t peaks; below it t^(alpha+2) e^-t stays
+# under 1e266 and the weights are taken as they are (t0 = 1)
+_SCALE_FROM = 150.0
+
+
+def _t0(alpha):
+    """t0 at alpha, a float or an array; the float 1 if no alpha is scaled."""
+    big = np.asarray(alpha) >= _SCALE_FROM
+    return np.where(big, alpha / math.e, 1.0) if big.any() else 1.0
 
 
 def _require_alpha(alpha, low: float, kind: str):
@@ -192,12 +207,13 @@ def _raise_overflow(name: str, alpha, exc: OverflowError):
     ) from cause
 
 
-def _weight_integral(name: str, pick, alpha: float) -> float:
-    """The integral of the weight p that pick(alpha) carries, 1 on the picked
-    nodes, as name, for finite alpha > 0."""
+def _weight_integral(name: str, weight, alpha: float, t0: float = 1.0) -> float:
+    """P(alpha) = t0^-alpha int_0^inf p(t) dt for the weight p at alpha, as
+    name, for finite alpha > 0: 1 integrated on the picked nodes.  x I(alpha,
+    x) tends to it as x -> inf."""
     _require_alpha(alpha, 0.0, name)
     try:
-        return float(integrate_zero_to_inf(lambda t: np.ones(len(t)), pick(alpha)).value[0])
+        return float(integrate_zero_to_inf(lambda t: np.ones(len(t)), _pick(weight, alpha, t0)).value[0])
     except OverflowError as exc:
         _raise_overflow(name, alpha, exc)
 
@@ -206,38 +222,18 @@ def C_const(alpha: float) -> float:
     """C(alpha) = int_0^inf t^alpha / sinh(t) dt, 0 < alpha <= 169.5; above,
     the sums overflow the double range (module docstring) and
     QuadratureOverflowError names C_const and alpha."""
-    return _weight_integral("C_const", _sinh_pick, alpha)
+    return _weight_integral("C_const", _SINH, alpha)
 
 
 def D_const(alpha: float) -> float:
     """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, 0 < alpha <= 170.5;
     above, QuadratureOverflowError names D_const and alpha, as for C_const."""
-    return _weight_integral("D_const", _cosh_pick, alpha)
+    return _weight_integral("D_const", _COSH, alpha)
 
 
 # ---------------------------------------------------------------------------
 # batched evaluation, one path for every kind
 # ---------------------------------------------------------------------------
-
-
-def _batched_family(fmat, alpha, xs: np.ndarray, pick=None) -> np.ndarray:
-    """int_0^inf fmat(alpha, x, t) dt for every x in xs, _BATCH_CHUNK rows per
-    call; fmat gets x as an (m, 1) column and t as an (n,) row, and alpha as
-    it is when a scalar, else as the (m, 1) column of its rows beside x.
-    Given pick, the nodes and weights it names for the float alpha, fmat
-    gets x and t alone.  Without one (F and G), a value below ABS_FLOOR /
-    REL_TOL, where the quadrature certifies only its absolute floor and a
-    positive value may read 0, is an OverflowError."""
-    out = np.empty(len(xs))
-    for lo in range(0, len(xs), _BATCH_CHUNK):
-        rows = slice(lo, lo + _BATCH_CHUNK)
-        a = alpha if np.ndim(alpha) == 0 else alpha[rows, None]
-        x = xs[rows, None]
-        f = (lambda t: fmat(x, t)) if pick else (lambda t: fmat(a, x, t))
-        out[rows] = integrate_zero_to_inf(f, pick).value
-    if not pick and (out < quadrature.ABS_FLOOR / quadrature.REL_TOL).any():
-        raise OverflowError
-    return out
 
 
 def _J_mat(x, t):
@@ -246,27 +242,22 @@ def _J_mat(x, t):
     return np.divide(x, out, out=out)
 
 
-def _A0_mat(x, t):
-    """x * x / (x * x + t * t)"""
-    xx = x * x
-    out = np.add(xx, t * t)
-    return np.divide(xx, out, out=out)
+def _over_t(a: float, b: float | None, level: int):
+    """Every node of the level table with its weight over t: columns sum p t K
+    against w/t, as p K ~ t^(alpha-1)/x can pass the double range."""
+    t, w = quadrature._xw(a, b, level)
+    return t, w / t
 
 
-def _F_mat(alpha, x, t):
-    """np.exp(alpha * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t), xt = x * t"""
-    xt = np.multiply(x, t)
-    out = np.subtract(np.multiply(alpha, np.log(t)), xt)
-    np.multiply(np.exp(out, out=out), 2.0, out=out)
-    np.negative(np.expm1(np.multiply(-2.0, xt, out=xt), out=xt), out=xt)
-    return np.divide(np.divide(out, xt, out=out), 1.0 + t * t, out=out)
-
-
-def _G_mat(alpha, x, t):
-    """np.exp(alpha * np.log(t) - x * t) / (1.0 + t * t)"""
-    out = np.multiply(x, t)
-    np.exp(np.subtract(np.multiply(alpha, np.log(t)), out, out=out), out=out)
-    return np.divide(out, 1.0 + t * t, out=out)
+def _column_mat(weight, alpha, x, t, t0=1.0):
+    """_J_mat(x, t) times the weight at alpha, over t0^alpha, times t (twice
+    for tp = 1) on the nodes t, for alpha and t0 (m, 1) columns beside x (t0
+    or a float); built in place."""
+    den, shift, tp = weight
+    p = _weight(alpha + shift, np.log(t / t0), _ROWS[den](t), t) * t
+    k = _J_mat(x, t)
+    k *= p * t if tp else p
+    return k
 
 
 def _per_alpha(f, a, x: np.ndarray):
@@ -282,62 +273,87 @@ def _per_alpha(f, a, x: np.ndarray):
     return out
 
 
-# past this x, x * x overflows: J and A0 take their limits there
+# past this x, x * x overflows: the integrals take their limits there
 _X_HUGE = math.sqrt(sys.float_info.max)
 
 
-def _weighted(kmat, pick, limit, alpha: float, xs: np.ndarray) -> np.ndarray:
-    """int_0^inf p(t) kmat(x, t) dt for every x in xs at a float alpha, p in
-    the weights of pick(alpha); past _X_HUGE limit(alpha, x), which is
-    exact in double there, the next terms being O(alpha^2/x^2) relative."""
+def _integral(weight, alpha, xs: np.ndarray, scaled=False, every_node=False, x_times=False) -> np.ndarray:
+    """I(alpha, x) = t0^-alpha int_0^inf p(t) x/(x^2+t^2) dt at every x in xs,
+    times x given x_times, p the weight at alpha and t0 = _t0(alpha) given
+    scaled, else 1: for a float alpha on its pick (every node given
+    every_node), for an array as columns (_column_mat); past _X_HUGE, P/x.  A
+    quadrature value below ABS_FLOOR / REL_TOL, where a positive value may
+    read 0, is an OverflowError."""
+    scalar = np.ndim(alpha) == 0
+    t0 = _t0(alpha) if scaled else 1.0
     out = np.empty(len(xs))
     huge = xs > _X_HUGE
     if huge.any():
-        out[huge] = limit(alpha, xs[huge])
-    out[~huge] = _batched_family(kmat, alpha, xs[~huge], pick(alpha))
+        # P itself given x_times, where x (P/x) may miss it by an ulp
+        limit = lambda v, x: (  # noqa: E731
+            _weight_integral("P", weight, v, _t0(v) if scaled else 1.0) / (1.0 if x_times else x)
+        )
+        out[huge] = _per_alpha(limit, alpha if scalar else alpha[huge], xs[huge])
+    rows = np.flatnonzero(~huge)
+    pick = _pick(weight, alpha, t0, every_node) if scalar else _over_t
+    for lo in range(0, len(rows), _BATCH_CHUNK):
+        r = rows[lo : lo + _BATCH_CHUNK]
+        x = xs[r, None]
+        c = t0 if np.ndim(t0) == 0 else t0[r, None]
+        f = partial(_J_mat, x) if scalar else partial(_column_mat, weight, alpha[r, None], x, t0=c)
+        out[r] = integrate_zero_to_inf(f, pick).value
+    if (out[rows] < quadrature.ABS_FLOOR / quadrature.REL_TOL).any():
+        raise OverflowError
+    if x_times:
+        out[rows] *= xs[rows]
     return out
 
 
-# J and A0 at every x in xs, alpha a float or one per x (_per_alpha), with
-# their limits C(alpha)/x and D(alpha) past _X_HUGE
-_J_values = partial(_per_alpha, partial(_weighted, _J_mat, _sinh_pick, lambda a, x: C_const(a) / x))
-_A0_values = partial(_per_alpha, partial(_weighted, _A0_mat, _cosh_pick, lambda a, x: D_const(a)))
-# F and G carry no x-free weight and keep every node
-_F_values = partial(_batched_family, _F_mat)
-_G_values = partial(_batched_family, _G_mat)
-
-
-def _R_values(a, x: np.ndarray) -> np.ndarray:
-    return (x / a) * _F_values(a + 1.0, x) - _F_values(a, x)
-
-
-def _S_values(a, x: np.ndarray) -> np.ndarray:
-    """(a x^(a-1)/2) (x^2 + a^2) R(a, x), or OverflowError where that factor
-    is not finite."""
-    with np.errstate(over="ignore"):
-        pre = _per_alpha(lambda v, x: 0.5 * v * x ** (v - 1.0) * (x * x + v * v), a, x)
-    if not np.isfinite(pre).all():
+def _times(a, x: np.ndarray, i: np.ndarray, s: bool = False, size=None) -> np.ndarray:
+    """h^2 i, i an integral over t0^a, t0 = _t0(a), or a difference of two,
+    and h^2 = (x/t0)^-a for F, G and R, (a/2) (x + a^2/x) t0^a for S, as
+    (h i) h, so that h^2 alone may pass the double range.  OverflowError
+    where the value passes it, or h^2 size (size = i, or the integral of a
+    difference) is below the smallest normal double."""
+    t0 = _t0(a)
+    with np.errstate(over="ignore", under="ignore"):
+        h = np.sqrt(0.5 * a * (x + a * a / x)) * t0 ** (0.5 * a) if s else (x / t0) ** (-0.5 * a)
+        v = h * i * h
+        low = np.abs(v if size is None else h * size * h)
+    if not ((sys.float_info.min <= low) & (np.abs(v) < math.inf)).all():
         raise OverflowError
-    return pre * _R_values(a, x)
+    return v
+
+
+def _sinh_step(a, x: np.ndarray, s: bool = False) -> np.ndarray:
+    """R, or S given s: the factor times I_sinh(a+1, x)/a - I_sinh(a, x), on
+    every node and I_sinh(a+1) as t times the weight at a, so that the two
+    share the rounding of p; the difference comes first, as the factor may
+    take each term past the double range."""
+    i1, i0 = (_integral(w, a, x, scaled=True, every_node=True) for w in (_TSINH, _SINH))
+    return _times(a, x, i1 / a - i0, s, size=i0)
+
+
+_J_values = partial(_per_alpha, partial(_integral, _SINH))
+
+
+def _times_G(c):
+    """c(alpha) G(alpha, x): F1 and F2."""
+    return lambda a, x: _per_alpha(lambda v, _: c(v), a, x) * _VALUES[KernelKind.G](a, x)
 
 
 # kind -> values at finite x > 0, for alpha a float or an array beside x
 _VALUES = {
     KernelKind.H: lambda a, x: np.sin(x) * _J_values(a, x),
     KernelKind.H1: _J_values,
-    KernelKind.H2: lambda a, x: x * _J_values(a, x),
-    KernelKind.F: _F_values,
-    KernelKind.G: _G_values,
-    KernelKind.R: _R_values,
-    KernelKind.S: _S_values,
-    KernelKind.F1: lambda a, x: (
-        _per_alpha(lambda v, _: (2.0 - 2.0**-v) * specfun.zeta(v + 1.0), a, x) * _G_values(a, x)
-    ),
-    KernelKind.F2: lambda a, x: (
-        _per_alpha(lambda v, _: (2.0 - 2.0 ** -(v - 2.0)) * specfun.zeta(v - 1.0), a, x)
-        * _G_values(a, x)
-    ),
-    KernelKind.A0: _A0_values,
+    KernelKind.H2: partial(_per_alpha, partial(_integral, _SINH, x_times=True)),
+    KernelKind.A0: partial(_per_alpha, partial(_integral, _COSH, x_times=True)),
+    KernelKind.F: lambda a, x: _times(a, x, _integral(_SINH, a, x, scaled=True)),
+    KernelKind.G: lambda a, x: _times(a, x, _integral(_EXP, a, x, scaled=True)),
+    KernelKind.R: _sinh_step,
+    KernelKind.S: partial(_sinh_step, s=True),
+    KernelKind.F1: _times_G(lambda v: (2.0 - 2.0**-v) * specfun.zeta(v + 1.0)),
+    KernelKind.F2: _times_G(lambda v: (2.0 - 2.0 ** -(v - 2.0)) * specfun.zeta(v - 1.0)),
 }
 
 
@@ -352,6 +368,8 @@ def _past_range(name: str, alpha, xs: np.ndarray) -> OverflowError:
 def _values(kind: KernelKind, alpha, xs: np.ndarray) -> np.ndarray:
     """The kind at every x of a checked 1-D array of finite x > 0, with alpha
     checked and a float or an array of the shape of xs."""
+    if np.ndim(alpha) != 0 and (alpha == alpha[0]).all():
+        alpha = float(alpha[0])  # one value takes the pick, with a float's bits
     try:
         return _VALUES[kind](alpha, xs)
     except OverflowError:

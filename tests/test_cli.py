@@ -434,6 +434,33 @@ def test_curves_integrate_in_batches(argv, most, monkeypatch):
     assert 0 < len(calls) <= most
 
 
+def test_curve_r_diag_integrates_one_alpha_column_per_512_rows(monkeypatch):
+    # deterministic work gate: R keeps one alpha per row as a column over
+    # every node, so its two integrals take one call each per 512 rows, not
+    # a pick and two calls per alpha
+    calls = _count_half_line_integrals(monkeypatch)
+    code, out = run_main(["curve", "R_diag", "--alpha", "2.41:40:0.05"])
+    assert code == 0
+    rows = len(out.strip().splitlines()) - 4  # 3 comment lines and the header
+    assert rows == 752
+    assert len(calls) == 2 * -(-rows // cli.kernels._BATCH_CHUNK) == 4
+
+
+def test_prop1a_prop1b_integrate_F_on_their_own(monkeypatch):
+    # the kernels compute F as x^-alpha H1, so the checks of H1 = x^a F and
+    # H2 = x^(a+1) F take F from an integrand of their own
+    kinds = []
+    kernel_eval = cli.kernels.kernel_eval
+    monkeypatch.setattr(
+        cli.kernels, "kernel_eval", lambda kind, *args: kinds.append(kind) or kernel_eval(kind, *args)
+    )
+    entries = [(name, fn) for name, fn, _ in cli._identities() if name.startswith("prop1")]
+    for name, fn in entries[:8]:
+        assert name.startswith(("prop1a", "prop1b"))
+        assert fn() <= 1e-14
+    assert set(kinds) == {"H1", "H2"}
+
+
 def test_growth_proxy_integrates_in_one_batch(monkeypatch):
     (check,) = [c for c in cli.CHECKS if c[1].startswith("growth proxy")]
     calls = _count_half_line_integrals(monkeypatch)
@@ -610,8 +637,8 @@ def test_cli_subprocess_entry():
 
 
 def test_s_increasing_integrates_in_batches(monkeypatch):
-    # deterministic work gate: S on 100 x is one batch for each of the two F
-    # integrals of R, not one integral per x (200 per entry before)
+    # deterministic work gate: S on 100 x is one batch for each of its two
+    # integrals, not one integral per x (200 per entry before)
     calls = _count_half_line_integrals(monkeypatch)
     checks = [c for c in cli.CHECKS if c[1].startswith("S increasing")]
     assert len(checks) == 2

@@ -281,31 +281,131 @@ def test_huge_x_beside_ordinary_x(kind):
 
 @pytest.mark.parametrize("alpha,x", [(80.0, 1e4), (2.5, 1e88), (2.5, 1e100)])
 def test_S_past_the_double_range_raises(alpha, x):
-    # the prefactor overflows (80, 1e4; 2.5, 1e100) or F(alpha+1, x) falls
-    # below the smallest normal double (2.5, 1e88): S would read inf, 0 or nan
-    match = re.escape(f"kernel S at alpha={alpha} and x={x} exceeds the double range")
+    # S = (a/2) (x + a^2/x) (I(a+1, x)/a - I(a, x)) holds no power of x, so it
+    # is finite where the factor a x^(a-1)/2 (x^2 + a^2) of R passes the
+    # double range (80, 1e4; 2.5, 1e100) and where F(a+1, x) is below the
+    # smallest normal double (2.5, 1e88), batched beside x = 1 too
+    s = kernel_eval("S", alpha, x)
+    assert math.isfinite(s)
+    assert kernel_values("S", alpha, [1.0, x])[1] == pytest.approx(s, rel=1e-12)
+    # S tends to (C(a+1) - a C(a))/2, about 3.19 at alpha = 2.5
+    if alpha == 2.5:
+        limit = (C_const(3.5) - 2.5 * C_const(2.5)) / 2.0
+        assert abs(s - limit) <= 1e-13 * limit
+    else:
+        assert s == pytest.approx(7.156e118, rel=1e-3)
+    # what still passes the double range raises, naming S: S(172, 1e4) is
+    # about 172! ~ 1.26e309
+    match = re.escape("kernel S at alpha=172.0 and x=10000.0 exceeds the double range")
     with pytest.raises(OverflowError, match=match):
-        kernel_eval("S", alpha, x)
-    with pytest.raises(OverflowError, match=f"kernel S at alpha={alpha} and some x in"):
-        kernel_values("S", alpha, [1.0, x])
-    # S tends to a constant, about 3.19 at alpha = 2.5
-    assert 3.19 < kernel_eval("S", 2.5, 1e60) < 3.193
+        kernel_eval("S", 172.0, 1e4)
 
 
 @pytest.mark.parametrize("kind,alpha,x", [("F", 3.5, 1e64), ("R", 2.5, 1e64), ("G", 2.5, 1e120)])
 def test_values_below_the_certified_floor_raise(kind, alpha, x):
-    # below ABS_FLOOR / REL_TOL = 1e-288 the quadrature certifies only an
-    # absolute error of 1e-300: F(3.5, 1e64) ~ 2.35e-287 read 0.0, and
-    # R(2.5, 1e64) ~ +2.55e-224 read -6.83e-224
-    match = re.escape(f"kernel {kind} at alpha={alpha} and x={x} exceeds the double range")
+    # F and R take x^-alpha out of the integral, whose value C(alpha)/x stays
+    # far above the quadrature's certified floor ABS_FLOOR / REL_TOL = 1e-288:
+    # F(3.5, 1e64) = C(3.5) x^-4.5 ~ 2.35e-287 and R(2.5, 1e64) = (C(3.5)/2.5
+    # - C(2.5)) x^-3.5 ~ 2.55e-224 are returned.  G(2.5, 1e120) ~ 3.3e-420 is
+    # below the smallest normal double and raises
+    if kind == "G":
+        match = re.escape(f"kernel G at alpha={alpha} and x={x} exceeds the double range")
+        with pytest.raises(OverflowError, match=match):
+            kernel_eval(kind, alpha, x)
+        return
+    c = oracles.C_closed_mp
+    ref = (c(alpha) if kind == "F" else c(3.5) / 2.5 - c(2.5)) / x ** (alpha + 1.0)
+    assert abs(kernel_eval(kind, alpha, x) - ref) <= 1e-13 * ref
+
+
+def _C_closed(alpha):
+    """C(alpha) = Gamma(alpha+1) odd_zeta(alpha+1), by specfun's series."""
+    return specfun.gamma(alpha + 1.0) * specfun.odd_zeta(alpha + 1.0)
+
+
+_LEADING_TERMS = {
+    ("F", 2.5, 1e-100): lambda x: _C_closed(0.5) * x**-1.5,
+    ("F", 0.5, 1e-50): lambda x: (PI / 2.0) / math.sin(PI / 4.0) / x,
+    ("F", 3.5, 1e64): lambda x: _C_closed(3.5) * x**-4.5,
+    ("G", 2.5, 1e-150): lambda x: specfun.gamma(1.5) * x**-1.5,
+    ("G", 0.5, 1e150): lambda x: specfun.gamma(1.5) * x**-1.5,
+    ("A0", 2.5, 1e-150): lambda x: x * x * oracles.D_closed_mp(0.5),
+    ("A0", 10.0, 1e-150): lambda x: x * x * oracles.D_closed_mp(8.0),
+    ("S", 2.5, 1e88): lambda x: (_C_closed(3.5) - 2.5 * _C_closed(2.5)) / 2.0,
+}
+
+
+@pytest.mark.parametrize("kind,alpha,x", sorted(_LEADING_TERMS))
+def test_extreme_x_match_their_leading_terms(kind, alpha, x):
+    # far out or far in, each kind is its leading term, the next terms being
+    # below 1e-70 relative: closed forms through specfun's Gamma and odd zeta
+    # and mpmath's D, which share no code with the quadrature
+    ref = _LEADING_TERMS[kind, alpha, x](x)
+    assert abs(kernel_eval(kind, alpha, x) - ref) <= 1e-14 * abs(ref)
+
+
+def _mp_power_kind(kind, alpha, x):
+    """F, G, R or S at (alpha, x) by 30-digit mpmath in the substituted form
+    x^-a int p(u) x/(x^2+u^2) du, split at 1, at the peak of p near alpha and
+    past it."""
+    with mpmath.workdps(30):
+        a, xm = mpmath.mpf(alpha), mpmath.mpf(x)
+
+        def integral(e, p):
+            points = [0, 1, e / 2, e, 2 * e + 10, mpmath.inf]
+            return mpmath.quad(lambda u: u**e * p(u) * xm / (xm * xm + u * u), points)
+
+        if kind == "G":
+            return xm**-a * integral(a, lambda u: mpmath.exp(-u))
+        step = integral(a + 1, lambda u: 1 / mpmath.sinh(u)) / a - integral(a, lambda u: 1 / mpmath.sinh(u))
+        return {
+            "F": xm**-a * integral(a, lambda u: 1 / mpmath.sinh(u)),
+            "R": xm**-a * step,
+            "S": a / 2 * (xm + a * a / xm) * step,
+        }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind,alpha,x",
+    [("F", 300.0, 100.0), ("G", 300.0, 100.0), ("R", 170.0, 1.0), ("S", 170.0, 1e4), ("F", 400.0, 200.0)],
+)
+def test_large_alpha_where_the_value_is_a_double(kind, alpha, x):
+    # from alpha = 150 F, G, R and S scale their weights by (alpha/e)^-alpha:
+    # unscaled, t^alpha/sinh t and its integral pass the double range where
+    # F(300, 100) ~ 6.1e11 does not, and S(170, 1e4) ~ 7.25e306 is a double
+    # although each of its two terms is about 170 times that
+    ref = _mp_power_kind(kind, alpha, x)
+    got = kernel_eval(kind, alpha, x)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+    assert kernel_values(kind, np.array([2.5, alpha]), [x, x])[1] == pytest.approx(got, rel=1e-12)
+
+
+def test_scaled_picks_still_drop_nodes():
+    # the scaled weight peaks near 1, so past alpha = 170 the pick drops nodes
+    key = (quadrature.SPLIT_POINT, None, 7)
+    with np.errstate(over="ignore", under="ignore"):
+        kept = kernels._kept_nodes(1, 300.0, *key, t0=300.0 / math.e)[0]
+    assert 0 < len(kept) < len(quadrature._xw(*key)[0]) // 4
+
+
+@pytest.mark.parametrize("kind,x", [("A0", 1.243519115459649e155), ("H2", 7.512114737716713e154)])
+def test_x_times_the_limit_is_the_constant_itself(kind, x):
+    # past 1.34e154 A0 = D(alpha) and H2 = C(alpha) exactly, where x (D/x)
+    # and x (C/x) miss them by an ulp at these x
+    const = D_const(2.5) if kind == "A0" else C_const(2.5)
+    assert x * (const / x) != const
+    assert kernel_eval(kind, 2.5, x) == const
+
+
+def test_an_integral_below_the_certified_floor_raises():
+    # J(2.5, 1e-300) ~ C(0.5) x ~ 2.4e-300 is below ABS_FLOOR / REL_TOL,
+    # where the quadrature certifies only an absolute error of 1e-300
+    match = re.escape("kernel H1 at alpha=2.5 and x=1e-300 exceeds the double range")
     with pytest.raises(OverflowError, match=match):
-        kernel_eval(kind, alpha, x)
-    # F(a, x) tends to C(a)/x^(a+1), kept above the floor
-    assert kernel_eval("F", 3.5, 1e63) == pytest.approx(C_const(3.5) / 1e63**4.5, rel=1e-12)
+        kernel_eval("H1", 2.5, 1e-300)
 
 
-# the integrand matrices as plain expressions: the in-place builds must
-# reproduce them bit for bit
+# J and A0 as plain expressions p(t) K(x, t), to be summed on every node
 _REFERENCE_MATS = {
     "J": lambda a, x, t: (
         np.exp(a * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t)) * (x / (x * x + t * t))
@@ -313,18 +413,15 @@ _REFERENCE_MATS = {
     "A0": lambda a, x, t: (
         np.exp((a - 1.0) * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t)) * (x * x / (x * x + t * t))
     ),
-    "F": lambda a, x, t: (
-        lambda xt: np.exp(a * np.log(t) - xt) * 2.0 / (-np.expm1(-2.0 * xt)) / (1.0 + t * t)
-    )(x * t),
-    "G": lambda a, x, t: np.exp(a * np.log(t) - x * t) / (1.0 + t * t),
 }
 
 
-# J and A0 integrate their kernels K alone against weights that carry p
-_KERNEL_MATS = {
-    "J": lambda x, t: x / (x * x + t * t),
-    "A0": lambda x, t: x * x / (x * x + t * t),
-}
+def _column(name, a, x, t, k):
+    """F's or G's weight exp(a log t - t) * 2.0 / d(t), times t^k, times
+    x/(x^2+t^2): the column integrand, summed against the weights w/t."""
+    d = -np.expm1(-2.0 * t) if name == "F" else 2.0
+    p = np.exp(a * np.log(t) - t) * 2.0 / d * t
+    return x / (x * x + t * t) * (p * t if k == 2 else p)
 
 
 def _node_rows():
@@ -336,26 +433,32 @@ def _node_rows():
         yield quadrature._xw(split, None, level)[0]
 
 
-@pytest.mark.parametrize("name", sorted(_REFERENCE_MATS))
+@pytest.mark.parametrize("name", ["F", "G", "J"])
 def test_in_place_integrands_are_bit_equal(name):
-    build = getattr(kernels, f"_{name}_mat")
+    # J's kernel x/(x^2+t^2) is the one integrand matrix, on a whole table and
+    # on a picked part of one.  F and G with an alpha per row multiply their
+    # weight, as an (m, 1) column, into it, and R takes t times it under the
+    # sinh weight; 80 comes back after 1, so that a row kept for a stale
+    # alpha would show, and the last alpha is one per row
     x = np.geomspace(1e-3, 1e3, 49)[:, None]
-    # F and G: 80 comes back after 1, so that a row kept for a stale alpha
-    # would show; the last alpha is an (m, 1) column, one alpha per row of x.
-    # J and A0 are K alone, on a whole table and on a picked part of one
     alphas = (0.05, 80.0, 1.0, 80.0, 2.5, np.geomspace(0.05, 80.0, len(x))[:, None])
-    with np.errstate(all="ignore"):  # F at alpha = 80, x = 1e-3 overflows, as it should
+    with np.errstate(all="ignore"):
         for t in _node_rows():
-            if name in _KERNEL_MATS:
-                cases = [(x, t), (x, t[::3])]
-                ref = _KERNEL_MATS[name]
+            if name == "J":
+                cases = [((x, t), x / (x * x + t * t)), ((x, t[::3]), x / (x * x + t[::3] * t[::3]))]
+                build = kernels._J_mat
             else:
-                cases = [(alpha, x, t) for alpha in alphas]
-                ref = _REFERENCE_MATS[name]
-            for args in cases:
-                got, want = build(*args), ref(*args)
+                weights = [(kernels._SINH, 1), (kernels._TSINH, 2)] if name == "F" else [(kernels._EXP, 1)]
+                cases = [
+                    ((weight, np.full(x.shape, a), x, t), _column(name, a, x, t, k))
+                    for weight, k in weights
+                    for a in alphas
+                ]
+                build = kernels._column_mat
+            for args, want in cases:
+                got = build(*args)
                 assert got.shape == want.shape == (len(x), len(args[-1]))
-                assert np.array_equal(got, want), (args[:-2], len(t))
+                assert np.array_equal(got, want), len(t)
 
 
 def test_node_factors_are_kept_for_read_only_tables_only():
@@ -366,7 +469,7 @@ def test_node_factors_are_kept_for_read_only_tables_only():
         factors = kernels._factors(*key)
         misses = kernels._factors.cache_info().misses
         assert kernels._factors(*key) is factors
-        want = [np.log(t), -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t)]
+        want = [np.log(t), -np.expm1(-2.0 * t), 1.0 + np.exp(-2.0 * t), np.full(len(t), 2.0)]
     assert kernels._factors.cache_info().misses == misses
     assert not factors.flags.writeable
     assert np.array_equal(factors, want)
@@ -389,22 +492,37 @@ def test_kept_nodes_are_cached_read_only_slices():
 
 
 def test_node_factors_are_kept_for_level_tables_only(monkeypatch):
-    # the picks read the factors of the split's level tables alone, and F,
-    # which keeps every node, reads none
+    # the picks read the factors of the split's level tables alone; F reads
+    # J's picks, so it reads those tables too
     keys, factors = [], kernels._factors
     monkeypatch.setattr(kernels, "_factors", lambda *key: keys.append(key) or factors(*key))
     kernels._kept_nodes.cache_clear()
+    split = quadrature.SPLIT_POINT
+    levels = range(quadrature.MAX_LEVELS)
+    tables = {(a, b, n) for a, b in ((0.0, split), (split, None)) for n in levels}
     for alpha in np.linspace(0.3, 175.0, 9).tolist():
         for kind in ("H1", "A0"):
             with contextlib.suppress(OverflowError):
                 kernel_values(kind, alpha, [1e-3, 0.5, 2.0, 30.0, 1e3])
-    split = quadrature.SPLIT_POINT
-    levels = range(quadrature.MAX_LEVELS)
-    tables = {(a, b, n) for a, b in ((0.0, split), (split, None)) for n in levels}
     assert keys and set(keys) <= tables
     keys.clear()
     kernel_values("F", 2.5, [1e-3, 0.5, 2.0, 30.0, 1e3])
-    assert keys == []
+    assert keys and set(keys) <= tables
+
+
+def test_F_reads_the_picks_of_H1(monkeypatch):
+    # F(a, x) = x^-a J(a, x): after H1 at (a, x), F there reads H1's picks
+    # and selects no node
+    masks = []
+    keep_mask = kernels._keep_mask
+    monkeypatch.setattr(kernels, "_keep_mask", lambda pw, t: masks.append(len(t)) or keep_mask(pw, t))
+    kernel_eval("H1", 2.7182818, 3.0)
+    assert masks
+    masks.clear()
+    hits = kernels._kept_nodes.cache_info().hits
+    kernel_eval("F", 2.7182818, 3.0)
+    assert masks == []
+    assert kernels._kept_nodes.cache_info().hits > hits
 
 
 def test_a_new_alpha_selects_once_per_level_table(monkeypatch):
