@@ -18,12 +18,13 @@ under one of three weights p (the substitution u = x t brings F and G here):
 
 plus the constants C(a) = int t^a/sinh(t) dt and D(a) = int t^(a-1)/cosh(t) dt.
 
-The weights are evaluated as p = exp(e log t - t) * 2/d, e = a or a - 1,
-d = -expm1(-2t), 1 + exp(-2t) or 2, so nothing overflows on the exp-sinh
-tail nodes; past alpha = 169.5 the sums of C_const and the sup norms do
-(170.5 for D_const), and QuadratureOverflowError names the function.  From
-alpha = 150 on F, G, R and S integrate p/t0^a, t0 = a/e, and take t0^a into
-their factor, so they stay finite wherever their value is a double.
+The weights are evaluated over t0^e as exp(e log(t/t0) - t) * 2/d, e = a or
+a - 1, d = -expm1(-2t), 1 + exp(-2t) or 2, t0 = 1 below alpha = 150 and a/e
+from there, so that no sum overflows.  Every kind and constant takes t0^e
+back in one checked product, _times: t0^e (times sin x for H, x for H2 and
+A0), (x/t0)^-a for F, G and R, or S's factor.  C_const and the sup norms are
+doubles up to alpha = 170.489 (D_const to 171.489); past that
+QuadratureOverflowError names the function.
 
 One path, kernel_values, serves every kind and holds the limits at x = 0;
 kernel_eval is one of its points.  The one integrand is K = x/(x^2+t^2),
@@ -38,8 +39,8 @@ on every node, so that they share the rounding of p, which their difference
 magnifies.  Past x = 1.34e154, where x * x overflows, I = P(a)/x with P =
 int p (C, D or Gamma(a+1)), and x I = P.  An integral below 1e-288
 (ABS_FLOOR / REL_TOL), where the quadrature certifies only its absolute
-floor, and a factor times an integral that is not a normal double (x^-a
-applied in halves, so never a power alone) raise OverflowError.
+floor, and a factor times an integral that is not a normal double (the
+factor applied in halves, so never a power alone) raise OverflowError.
 """
 
 import math
@@ -163,17 +164,8 @@ def _kept_nodes(den: int, e: float, a: float, b: float | None, level: int, tp: i
     return _read_only(t[keep]), _read_only(pw[keep])
 
 
-def _pick(weight, alpha: float, t0: float = 1.0, every_node: bool = False):
-    """The quadrature's pick for the weight at alpha, over t0^(alpha+shift),
-    times a K >= 0, given every_node on every node (alpha as a float, which
-    the pick's cache can hold)."""
-    den, shift, tp = weight
-    return partial(_all_nodes if every_node else _kept_nodes, den, float(alpha) + shift, tp=tp, t0=float(t0))
-
-
-# from this alpha on, F, G, R and S scale their weights by t0^-alpha with
-# t0 = alpha/e, where t^alpha e^-t peaks; below it t^(alpha+2) e^-t stays
-# under 1e266 and the weights are taken as they are (t0 = 1)
+# from this alpha on, every weight is over t0^(alpha+shift), t0 = alpha/e, where
+# t^alpha e^-t peaks; below it t^(alpha+2) e^-t stays under 1e266 and t0 = 1
 _SCALE_FROM = 150.0
 
 
@@ -181,6 +173,20 @@ def _t0(alpha):
     """t0 at alpha, a float or an array; the float 1 if no alpha is scaled."""
     big = np.asarray(alpha) >= _SCALE_FROM
     return np.where(big, alpha / math.e, 1.0) if big.any() else 1.0
+
+
+def _pick(weight, alpha: float, every_node: bool = False):
+    """The quadrature's pick for the weight at alpha over t0^(alpha+shift), t0
+    = _t0(alpha), times a K >= 0, given every_node on every node (alpha as a
+    float, which the pick's cache can hold)."""
+    den, shift, tp = weight
+    nodes = _all_nodes if every_node else _kept_nodes
+    return partial(nodes, den, float(alpha) + shift, tp=tp, t0=float(_t0(alpha)))
+
+
+def _lift(weight, alpha):
+    """h = t0^((alpha+shift)/2), h^2 the scale of the weight at alpha."""
+    return _t0(alpha) ** (0.5 * (alpha + weight[1]))
 
 
 def _require_alpha(alpha, low: float, kind: str):
@@ -199,36 +205,41 @@ def _require_alpha(alpha, low: float, kind: str):
 
 def _raise_overflow(name: str, alpha, exc: OverflowError):
     """Raise the QuadratureOverflowError of name at alpha for exc, a
-    quadrature sum past the double range, or an inner named call's error
-    for one; the quadrature's error is the cause, and the message repeats it."""
+    quadrature sum or a value past the double range, or an inner named call's
+    error for one; the first error is the cause, and the message repeats it."""
     cause = exc.__cause__ or exc
     raise QuadratureOverflowError(
         f"{name} at alpha={alpha}: the integrand overflows the double range ({cause})"
     ) from cause
 
 
-def _weight_integral(name: str, weight, alpha: float, t0: float = 1.0) -> float:
-    """P(alpha) = t0^-alpha int_0^inf p(t) dt for the weight p at alpha, as
-    name, for finite alpha > 0: 1 integrated on the picked nodes.  x I(alpha,
-    x) tends to it as x -> inf."""
+def _weight_integral(weight, alpha: float) -> float:
+    """P(alpha) = t0^-(alpha+shift) int_0^inf p(t) dt for the weight p at
+    alpha, 1 integrated on its pick: the limit of x I(alpha, x)."""
+    return float(integrate_zero_to_inf(lambda t: np.ones(len(t)), _pick(weight, alpha)).value[0])
+
+
+def _constant(name: str, weight, alpha: float) -> float:
+    """t0^(alpha+shift) P(alpha) = int_0^inf p(t) dt as name, alpha > 0."""
     _require_alpha(alpha, 0.0, name)
     try:
-        return float(integrate_zero_to_inf(lambda t: np.ones(len(t)), _pick(weight, alpha, t0)).value[0])
+        with np.errstate(over="ignore"):
+            return float(_times(_lift(weight, alpha), _weight_integral(weight, alpha)))
     except OverflowError as exc:
         _raise_overflow(name, alpha, exc)
 
 
 def C_const(alpha: float) -> float:
-    """C(alpha) = int_0^inf t^alpha / sinh(t) dt, 0 < alpha <= 169.5; above,
-    the sums overflow the double range (module docstring) and
-    QuadratureOverflowError names C_const and alpha."""
-    return _weight_integral("C_const", _SINH, alpha)
+    """C(alpha) = int_0^inf t^alpha / sinh(t) dt, 0 < alpha <= 170.489; above,
+    C passes the double range and QuadratureOverflowError names C_const and
+    alpha."""
+    return _constant("C_const", _SINH, alpha)
 
 
 def D_const(alpha: float) -> float:
-    """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, 0 < alpha <= 170.5;
+    """D(alpha) = int_0^inf t^(alpha-1) / cosh(t) dt, 0 < alpha <= 171.489;
     above, QuadratureOverflowError names D_const and alpha, as for C_const."""
-    return _weight_integral("D_const", _COSH, alpha)
+    return _constant("D_const", _COSH, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +261,7 @@ def _over_t(a: float, b: float | None, level: int):
 
 
 def _column_mat(weight, alpha, x, t, t0=1.0):
-    """_J_mat(x, t) times the weight at alpha, over t0^alpha, times t (twice
+    """_J_mat(x, t) times the weight at alpha, over t0^(alpha+shift), times t (twice
     for tp = 1) on the nodes t, for alpha and t0 (m, 1) columns beside x (t0
     or a float); built in place."""
     den, shift, tp = weight
@@ -277,25 +288,21 @@ def _per_alpha(f, a, x: np.ndarray):
 _X_HUGE = math.sqrt(sys.float_info.max)
 
 
-def _integral(weight, alpha, xs: np.ndarray, scaled=False, every_node=False, x_times=False) -> np.ndarray:
-    """I(alpha, x) = t0^-alpha int_0^inf p(t) x/(x^2+t^2) dt at every x in xs,
-    times x given x_times, p the weight at alpha and t0 = _t0(alpha) given
-    scaled, else 1: for a float alpha on its pick (every node given
-    every_node), for an array as columns (_column_mat); past _X_HUGE, P/x.  A
-    quadrature value below ABS_FLOOR / REL_TOL, where a positive value may
-    read 0, is an OverflowError."""
+def _integral(weight, alpha, xs: np.ndarray, every_node=False, x_times=False) -> np.ndarray:
+    """I(alpha, x) = t0^-(alpha+shift) int_0^inf p(t) x/(x^2+t^2) dt at every
+    x in xs, p the weight at alpha: for a float alpha on its pick (every node
+    given every_node), for an array as columns (_column_mat); past _X_HUGE,
+    P/x, or given x_times P itself, where x (P/x) may miss it by an ulp.  A
+    value below ABS_FLOOR / REL_TOL, which may read 0, is an OverflowError."""
     scalar = np.ndim(alpha) == 0
-    t0 = _t0(alpha) if scaled else 1.0
+    t0 = 1.0 if scalar else _t0(alpha)  # a float alpha's t0 is in its pick
     out = np.empty(len(xs))
     huge = xs > _X_HUGE
     if huge.any():
-        # P itself given x_times, where x (P/x) may miss it by an ulp
-        limit = lambda v, x: (  # noqa: E731
-            _weight_integral("P", weight, v, _t0(v) if scaled else 1.0) / (1.0 if x_times else x)
-        )
+        limit = lambda v, x: _weight_integral(weight, v) / (1.0 if x_times else x)  # noqa: E731
         out[huge] = _per_alpha(limit, alpha if scalar else alpha[huge], xs[huge])
     rows = np.flatnonzero(~huge)
-    pick = _pick(weight, alpha, t0, every_node) if scalar else _over_t
+    pick = _pick(weight, alpha, every_node) if scalar else _over_t
     for lo in range(0, len(rows), _BATCH_CHUNK):
         r = rows[lo : lo + _BATCH_CHUNK]
         x = xs[r, None]
@@ -304,54 +311,55 @@ def _integral(weight, alpha, xs: np.ndarray, scaled=False, every_node=False, x_t
         out[r] = integrate_zero_to_inf(f, pick).value
     if (out[rows] < quadrature.ABS_FLOOR / quadrature.REL_TOL).any():
         raise OverflowError
-    if x_times:
-        out[rows] *= xs[rows]
     return out
 
 
-def _times(a, x: np.ndarray, i: np.ndarray, s: bool = False, size=None) -> np.ndarray:
-    """h^2 i, i an integral over t0^a, t0 = _t0(a), or a difference of two,
-    and h^2 = (x/t0)^-a for F, G and R, (a/2) (x + a^2/x) t0^a for S, as
-    (h i) h, so that h^2 alone may pass the double range.  OverflowError
-    where the value passes it, or h^2 size (size = i, or the integral of a
-    difference) is below the smallest normal double."""
-    t0 = _t0(a)
-    with np.errstate(over="ignore", under="ignore"):
-        h = np.sqrt(0.5 * a * (x + a * a / x)) * t0 ** (0.5 * a) if s else (x / t0) ** (-0.5 * a)
-        v = h * i * h
-        low = np.abs(v if size is None else h * size * h)
+def _times(h, i, size=None, g=1.0):
+    """(h i) (g h): i, an integral over t0^e or a difference of two, times
+    h^2 g, with h^2 in halves, as it may pass the double range alone.
+    OverflowError unless the value and h^2 g size (size = i) are normal."""
+    v = h * i * (g * h)
+    low = np.abs(v if size is None else h * size * (g * h))
     if not ((sys.float_info.min <= low) & (np.abs(v) < math.inf)).all():
-        raise OverflowError
+        raise OverflowError("a factor times its integral is not a normal double")
     return v
 
 
-def _sinh_step(a, x: np.ndarray, s: bool = False) -> np.ndarray:
-    """R, or S given s: the factor times I_sinh(a+1, x)/a - I_sinh(a, x), on
-    every node and I_sinh(a+1) as t times the weight at a, so that the two
-    share the rounding of p; the difference comes first, as the factor may
-    take each term past the double range."""
-    i1, i0 = (_integral(w, a, x, scaled=True, every_node=True) for w in (_TSINH, _SINH))
-    return _times(a, x, i1 / a - i0, s, size=i0)
+def _power_h(a, x: np.ndarray):
+    """h = (x/t0)^(-a/2), half of the factor x^-a t0^a of F, G and R."""
+    return (x / _t0(a)) ** (-0.5 * a)
 
 
-_J_values = partial(_per_alpha, partial(_integral, _SINH))
+def _sinh_step(h, a, x: np.ndarray):
+    """R or S: h^2 (I_sinh(a+1, x)/a - I_sinh(a, x)), on every node and
+    I_sinh(a+1) as t times the weight at a, so that the two share the rounding
+    of p; the difference comes first, as h^2 may take each term past range."""
+    i1, i0 = (_integral(w, a, x, every_node=True) for w in (_TSINH, _SINH))
+    return _times(h, i1 / a - i0, size=i0)
+
+
+def _scaled(weight, a, x: np.ndarray, g=1.0, x_times=False):
+    """t0^(a+shift) I(a, x) times g: H1, H given g = sin x, and H2 or A0
+    given x_times, g = x there but 1 past _X_HUGE, where x I is P itself."""
+    i = _per_alpha(partial(_integral, weight, x_times=x_times), a, x)
+    return _times(_lift(weight, a), i, g=np.where(x > _X_HUGE, 1.0, x) if x_times else g)
 
 
 def _times_G(c):
     """c(alpha) G(alpha, x): F1 and F2."""
-    return lambda a, x: _per_alpha(lambda v, _: c(v), a, x) * _VALUES[KernelKind.G](a, x)
+    return lambda a, x: _times(1.0, _VALUES[KernelKind.G](a, x), g=_per_alpha(lambda v, _: c(v), a, x))
 
 
 # kind -> values at finite x > 0, for alpha a float or an array beside x
 _VALUES = {
-    KernelKind.H: lambda a, x: np.sin(x) * _J_values(a, x),
-    KernelKind.H1: _J_values,
-    KernelKind.H2: partial(_per_alpha, partial(_integral, _SINH, x_times=True)),
-    KernelKind.A0: partial(_per_alpha, partial(_integral, _COSH, x_times=True)),
-    KernelKind.F: lambda a, x: _times(a, x, _integral(_SINH, a, x, scaled=True)),
-    KernelKind.G: lambda a, x: _times(a, x, _integral(_EXP, a, x, scaled=True)),
-    KernelKind.R: _sinh_step,
-    KernelKind.S: partial(_sinh_step, s=True),
+    KernelKind.H: lambda a, x: _scaled(_SINH, a, x, np.sin(x)),
+    KernelKind.H1: partial(_scaled, _SINH),
+    KernelKind.H2: partial(_scaled, _SINH, x_times=True),
+    KernelKind.A0: partial(_scaled, _COSH, x_times=True),
+    KernelKind.F: lambda a, x: _times(_power_h(a, x), _integral(_SINH, a, x)),
+    KernelKind.G: lambda a, x: _times(_power_h(a, x), _integral(_EXP, a, x)),
+    KernelKind.R: lambda a, x: _sinh_step(_power_h(a, x), a, x),
+    KernelKind.S: lambda a, x: _sinh_step(np.sqrt(0.5 * a * (x + a * a / x)) * _lift(_SINH, a), a, x),
     KernelKind.F1: _times_G(lambda v: (2.0 - 2.0**-v) * specfun.zeta(v + 1.0)),
     KernelKind.F2: _times_G(lambda v: (2.0 - 2.0 ** -(v - 2.0)) * specfun.zeta(v - 1.0)),
 }
@@ -371,7 +379,8 @@ def _values(kind: KernelKind, alpha, xs: np.ndarray) -> np.ndarray:
     if np.ndim(alpha) != 0 and (alpha == alpha[0]).all():
         alpha = float(alpha[0])  # one value takes the pick, with a float's bits
     try:
-        return _VALUES[kind](alpha, xs)
+        with np.errstate(all="ignore"):  # _times checks every value
+            return _VALUES[kind](alpha, xs)
     except OverflowError:
         raise _past_range(f"kernel {kind.value}", alpha, xs) from None
 
@@ -503,12 +512,12 @@ def _certified_sup(name: str, alpha: float, outer, grid, x_cut: float, xtol: flo
     call with part = J, so on interpolants of J, every value returned being
     outer of a quadrature at the polished x; then x_cut doubles, scanning
     only the new part, until C(alpha)/x_cut < norm/2.
-    A sum past the double range is a QuadratureOverflowError naming name
+    A value past the double range is a QuadratureOverflowError naming name
     and alpha.
     """
 
     def part(x):
-        return _J_values(alpha, x)
+        return _scaled(_SINH, alpha, x)
 
     maxima: list = []
     lo = 0.0

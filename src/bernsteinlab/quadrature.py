@@ -41,8 +41,8 @@ weights.  Keyed by the table, not by its arrays, a pick may cache what it
 returns.  The kernels' pick carries t^a/sinh t or t^(a-1)/cosh t in the
 weights (see kernels) and drops only nodes worth at most 2^-60 of each
 row's sum; the other integrands get every node.  A weight past the double
-range (t^a/sinh t from a of about 171) makes its row sums inf, so it is
-reported as a sum that overflowed, not as an integrand value.
+range (the kernels scale theirs so that none is) makes its row sums inf, so
+it is reported as a sum that overflowed, not as an integrand value.
 """
 
 import functools
@@ -142,9 +142,10 @@ def _run_levels(a: float, b: float | None, f, pick=None):
     integrands (f returning an (m, n) matrix) work unchanged.
     """
     value = prev = err = None
-    # underflow to 0 (and inf intermediates cancelling to 0) are routine on
-    # the deepest nodes; only a non-finite *result* is an error
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    # underflow to 0 (and inf intermediates cancelling to 0, or x/0 where x * x
+    # and t * t underflow) are routine on the deepest nodes; only a non-finite
+    # *result* is an error
+    with np.errstate(under="ignore", over="ignore", invalid="ignore", divide="ignore"):
         for level in range(MAX_LEVELS):
             xs, ws = (pick or _xw)(a, b, level)
             fx = np.atleast_2d(f(xs))

@@ -64,6 +64,13 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_jobs_is_a_table_option():
+    # only c_constants and convergence run a pool; a curve has no --jobs to ignore
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curve", "H", "--alpha", "1", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 def _exits_2_with_one_error_line(argv, capsys):
     code = cli.main(argv)
     err = capsys.readouterr().err
@@ -241,9 +248,9 @@ def test_negative_value_needs_no_equals_sign(kind, options):
 
 
 def test_quadrature_failure_exits_2(capsys):
-    # C(170) and C(172) are past what the half-line quadrature can sum in
-    # double precision: one error line each, not a traceback
-    for alpha in ("170", "172"):
+    # C(171) ~ 2.5e309 and C(172) are past the double range: one error line
+    # each, not a traceback
+    for alpha in ("171", "172"):
         argv = ["table", "envelope", "--alpha", alpha]
         assert _exits_2_with_one_error_line(argv, capsys), argv
 

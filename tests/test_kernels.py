@@ -1,13 +1,16 @@
 import contextlib
+import itertools
 import math
 import re
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from bernsteinlab import kernels, quadrature, specfun
-from bernsteinlab.entire import beta_point
+from bernsteinlab.entire import G_alpha, beta_point
 from bernsteinlab.kernels import (
     C_const,
     D_const,
@@ -57,28 +60,55 @@ def test_constants_domain():
         D_const(-1.0)
 
 
+def _mp_H1(alpha, x):
+    """H1(alpha, x) = int t^a/sinh t x/(x^2+t^2) dt by 30-digit mpmath, split
+    at 1, at the peak of t^a/sinh t near alpha and past it."""
+    with mpmath.workdps(30):
+        a, xm = mpmath.mpf(alpha), mpmath.mpf(x)
+        points = [0, 1, a / 2, a, 2 * a + 10, mpmath.inf]
+        return mpmath.quad(lambda t: t**a / mpmath.sinh(t) * xm / (xm * xm + t * t), points)
+
+
+def _check_in_range(name, alpha):
+    """name at alpha returns its value: C against Gamma(a+1) odd_zeta(a+1),
+    a sup norm against mpmath's H1 at its argmax."""
+    got = getattr(kernels, name)(alpha)
+    if name == "C_const":
+        assert abs(got - _C_closed(alpha)) <= 1e-13 * _C_closed(alpha)
+        return
+    assert math.isfinite(got.norm) and got.tail_bound < got.norm
+    ref = _mp_H1(alpha, got.argmax)
+    if name == "sup_norm_H":
+        ref *= abs(mpmath.sin(got.argmax))
+    assert abs(got.norm - ref) <= 1e-13 * ref
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: C_const(170.0),
-        lambda: C_const(171.0),
-        lambda: D_const(172.0),
-        lambda: sup_norm_H1(170.0),
-    ],
+    "name,alpha",
+    [("C_const", 170.0), ("C_const", 171.0), ("D_const", 172.0), ("sup_norm_H1", 170.0)],
     ids=["C_const-170", "C_const-171", "D_const-172", "sup_norm_H1-170"],
 )
-def test_overflowed_row_sum_raises_not_inf(call):
-    # C(170) ~ 1.45e307 is a double and so is every integrand value, but the
-    # quadrature's row sums overflow: that is an error, not an inf result
-    with pytest.raises(QuadratureError, match="did not converge: value=inf"):
-        call()
+def test_overflowed_row_sum_raises_not_inf(name, alpha):
+    # from alpha = 150 the weights are scaled by t0^-(alpha+shift), t0 =
+    # alpha/e, so the quadrature's sums stay finite: C(170) ~ 1.45e307 and
+    # sup H1(170) ~ 4.26e304 are returned, while C(171) ~ 2.5e309 and D(172)
+    # ~ 2.5e309 are a QuadratureError naming the function, not an inf value
+    if alpha == 170.0:
+        _check_in_range(name, alpha)
+        return
+    with pytest.raises(QuadratureError, match=rf"^{name} at alpha={alpha}: .* double range"):
+        getattr(kernels, name)(alpha)
 
 
 @pytest.mark.parametrize("alpha", [170.0, 172.0])
 @pytest.mark.parametrize("name", ["C_const", "sup_norm_H", "sup_norm_H1"])
 def test_past_the_double_range_names_the_function_and_alpha(name, alpha):
-    # the quadrature's sums overflow at 170, its integrand at 172 (at a node
-    # the caller never passed); both are one OverflowError naming the call
+    # C(170) ~ 1.45e307 and the sup norms at 170 are doubles and returned;
+    # C(172) ~ 4.3e311 is not, and the sup norms need it: one OverflowError
+    # naming the call, not a node the caller never passed
+    if alpha == 170.0:
+        _check_in_range(name, alpha)
+        return
     with pytest.raises(
         OverflowError, match=rf"^{name} at alpha={alpha}: the integrand overflows the double range"
     ) as info:
@@ -345,9 +375,9 @@ def test_extreme_x_match_their_leading_terms(kind, alpha, x):
 
 
 def _mp_power_kind(kind, alpha, x):
-    """F, G, R or S at (alpha, x) by 30-digit mpmath in the substituted form
-    x^-a int p(u) x/(x^2+u^2) du, split at 1, at the peak of p near alpha and
-    past it."""
+    """A kind at (alpha, x) by 30-digit mpmath in the substituted form, a
+    power of x times int p(u) x/(x^2+u^2) du, split at 1, at the peak of p
+    near alpha and past it."""
     with mpmath.workdps(30):
         a, xm = mpmath.mpf(alpha), mpmath.mpf(x)
 
@@ -355,29 +385,48 @@ def _mp_power_kind(kind, alpha, x):
             points = [0, 1, e / 2, e, 2 * e + 10, mpmath.inf]
             return mpmath.quad(lambda u: u**e * p(u) * xm / (xm * xm + u * u), points)
 
+        def sinh(e):
+            return integral(e, lambda u: 1 / mpmath.sinh(u))
+
         if kind == "G":
             return xm**-a * integral(a, lambda u: mpmath.exp(-u))
-        step = integral(a + 1, lambda u: 1 / mpmath.sinh(u)) / a - integral(a, lambda u: 1 / mpmath.sinh(u))
-        return {
-            "F": xm**-a * integral(a, lambda u: 1 / mpmath.sinh(u)),
-            "R": xm**-a * step,
-            "S": a / 2 * (xm + a * a / xm) * step,
-        }[kind]
+        if kind == "A0":
+            return xm * integral(a - 1, lambda u: 1 / mpmath.cosh(u))
+        if kind in ("H1", "H2"):
+            return sinh(a) * (xm if kind == "H2" else 1)
+        step = sinh(a + 1) / a - sinh(a)
+        return {"F": xm**-a * sinh(a), "R": xm**-a * step, "S": a / 2 * (xm + a * a / xm) * step}[kind]
 
 
 @pytest.mark.parametrize(
     "kind,alpha,x",
-    [("F", 300.0, 100.0), ("G", 300.0, 100.0), ("R", 170.0, 1.0), ("S", 170.0, 1e4), ("F", 400.0, 200.0)],
+    [
+        ("F", 300.0, 100.0),
+        ("G", 300.0, 100.0),
+        ("R", 170.0, 1.0),
+        ("S", 170.0, 1e4),
+        ("F", 400.0, 200.0),
+        ("H1", 160.0, 1e-3),
+        ("H1", 175.0, 1e300),
+        ("H1", 300.0, 1e308),
+        ("H2", 160.0, 1e3),
+        ("H2", 175.0, 1e-100),
+        ("H2", 300.0, 1e-200),
+        ("A0", 160.0, 1.0),
+        ("A0", 175.0, 1e-10),
+        ("A0", 300.0, 1e-200),
+    ],
 )
 def test_large_alpha_where_the_value_is_a_double(kind, alpha, x):
-    # from alpha = 150 F, G, R and S scale their weights by (alpha/e)^-alpha:
+    # from alpha = 150 every weight is scaled by (alpha/e)^-(alpha+shift):
     # unscaled, t^alpha/sinh t and its integral pass the double range where
-    # F(300, 100) ~ 6.1e11 does not, and S(170, 1e4) ~ 7.25e306 is a double
-    # although each of its two terms is about 170 times that
+    # F(300, 100) ~ 6.1e11 and H1(175, 1e300) ~ 2.2e18 do not, and S(170,
+    # 1e4) ~ 7.25e306 is a double although each of its two terms is about
+    # 170 times that
     ref = _mp_power_kind(kind, alpha, x)
     got = kernel_eval(kind, alpha, x)
     assert abs(got - ref) <= 1e-13 * abs(ref)
-    assert kernel_values(kind, np.array([2.5, alpha]), [x, x])[1] == pytest.approx(got, rel=1e-12)
+    assert kernel_values(kind, np.array([2.5, alpha]), [1.0, x])[1] == pytest.approx(got, rel=1e-12)
 
 
 def test_scaled_picks_still_drop_nodes():
@@ -405,13 +454,58 @@ def test_an_integral_below_the_certified_floor_raises():
         kernel_eval("H1", 2.5, 1e-300)
 
 
-# J and A0 as plain expressions p(t) K(x, t), to be summed on every node
+@pytest.mark.parametrize(
+    "name,alpha,x",
+    [
+        ("H1", 0.5, 1e-200),
+        ("G", 0.5, 1e-300),
+        *((kind, alpha, 1e-200) for kind in ("R", "S") for alpha in (0.5, 2.5, 10.0, 160.0)),
+        ("G_alpha", 0.5, 1e-170),
+        ("H", 2.5, 1e-200),
+        ("H2", 2.5, 1e-170),
+        ("A0", 2.5, 1e-170),
+        ("A0", 2.5, 1e-160),
+    ],
+)
+def test_tiny_x_raises_the_named_error_not_a_warning(name, alpha, x):
+    # below x ~ 1e-162 x * x + t * t underflows to 0 at the smallest nodes,
+    # and x/0 is an infinite integrand: the named OverflowError, not a
+    # RuntimeWarning leaked from the quadrature.  H, H2 and A0 at alpha = 2.5
+    # (about x^2 C(0.5) or x^2 D(0.5)) are below the smallest normal double
+    # here, where they once read 0.0, or 2.367e-320 for A0 at 1e-160
+    match = rf"^kernel \w+ at alpha={alpha} and x={x} exceeds the double range$"
+    with pytest.raises(OverflowError, match=match):
+        G_alpha(alpha, x) if name == "G_alpha" else kernel_eval(name, alpha, x)
+
+
+_SWEEP_ALPHAS = (0.05, 0.5, 2.5, 10.0, 160.0, 300.0)
+_SWEEP_XS = (1e-320, 1e-200, 1e-155, 1e-10, 1.0, 1e10, 1e155, 1e300)
+
+
+def test_every_kind_returns_a_normal_double_or_raises():
+    # every kind, over alphas and x from a subnormal to past x * x's range:
+    # a finite normal double or a named error, never 0.0, a subnormal or a
+    # warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, alpha, x in itertools.product(KernelKind, _SWEEP_ALPHAS, _SWEEP_XS):
+            try:
+                v = kernel_eval(kind, alpha, x)
+            except (ValueError, OverflowError, QuadratureError):
+                continue
+            assert math.isfinite(v) and abs(v) >= sys.float_info.min, (kind, alpha, x, v)
+
+
+# J and A0 as plain expressions p(t) K(x, t), and C and D as p(t), p over
+# t0^e (e = a for J and C, a - 1 for A0 and D), to be summed on every node
 _REFERENCE_MATS = {
-    "J": lambda a, x, t: (
-        np.exp(a * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t)) * (x / (x * x + t * t))
+    "C": lambda a, x, t, t0: np.exp(a * np.log(t / t0) - t) * 2.0 / (-np.expm1(-2.0 * t)),
+    "D": lambda a, x, t, t0: np.exp((a - 1.0) * np.log(t / t0) - t) * 2.0 / (1.0 + np.exp(-2.0 * t)),
+    "J": lambda a, x, t, t0: (
+        np.exp(a * np.log(t / t0) - t) * 2.0 / (-np.expm1(-2.0 * t)) * (x / (x * x + t * t))
     ),
-    "A0": lambda a, x, t: (
-        np.exp((a - 1.0) * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t)) * (x * x / (x * x + t * t))
+    "A0": lambda a, x, t, t0: (
+        np.exp((a - 1.0) * np.log(t / t0) - t) * 2.0 / (1.0 + np.exp(-2.0 * t)) * (x * x / (x * x + t * t))
     ),
 }
 
@@ -511,18 +605,23 @@ def test_node_factors_are_kept_for_level_tables_only(monkeypatch):
 
 
 def test_F_reads_the_picks_of_H1(monkeypatch):
-    # F(a, x) = x^-a J(a, x): after H1 at (a, x), F there reads H1's picks
-    # and selects no node
+    # F(a, x) = x^-a J(a, x), both over the same t0^a: after H1 at (a, x), F
+    # there reads H1's picks and selects no node.  H1(300, 100) ~ 1e611 is
+    # past the double range, but its picks are built before its factor raises
     masks = []
     keep_mask = kernels._keep_mask
     monkeypatch.setattr(kernels, "_keep_mask", lambda pw, t: masks.append(len(t)) or keep_mask(pw, t))
-    kernel_eval("H1", 2.7182818, 3.0)
-    assert masks
-    masks.clear()
-    hits = kernels._kept_nodes.cache_info().hits
-    kernel_eval("F", 2.7182818, 3.0)
-    assert masks == []
-    assert kernels._kept_nodes.cache_info().hits > hits
+    kernels._kept_nodes.cache_clear()
+    for alpha, x in ((2.7182818, 3.0), (300.0, 100.0)):
+        masks.clear()
+        with contextlib.suppress(OverflowError):
+            kernel_eval("H1", alpha, x)
+        assert masks
+        masks.clear()
+        hits = kernels._kept_nodes.cache_info().hits
+        kernel_eval("F", alpha, x)
+        assert masks == []
+        assert kernels._kept_nodes.cache_info().hits > hits
 
 
 def test_a_new_alpha_selects_once_per_level_table(monkeypatch):
@@ -591,20 +690,24 @@ _SELECTION_ALPHAS = (0.05, 0.3, 1.0, 2.5, 10.0, 40.0, 80.0, 160.0)
 _SELECTION_XS = np.geomspace(1e-3, 1e3, 61)
 
 
+def _every_node_reference(name, alpha, x):
+    """The every-node sum of name's plain expression p K, with p over t0^e
+    as in the kernels from alpha = 150, times t0^e, applied in halves."""
+    t0 = float(kernels._t0(alpha))
+    h = t0 ** (0.5 * (alpha if name in ("J", "C") else alpha - 1.0))
+    ref = _every_node_integral(lambda t: _REFERENCE_MATS[name](alpha, x[:, None], t, t0))
+    return h * ref * h
+
+
 @pytest.mark.parametrize("alpha", _SELECTION_ALPHAS)
 def test_kept_nodes_agree_with_every_node(alpha):
     # the kernels skip the nodes whose terms stay below 2^-60 of every row's
     # sum; the plain expressions summed on every node agree to 4 ulps
     x = _SELECTION_XS
     for kind, name in (("H1", "J"), ("A0", "A0")):
-        ref = _every_node_integral(lambda t: _REFERENCE_MATS[name](alpha, x[:, None], t))
-        assert _within_ulps(kernel_values(kind, alpha, x), ref, 4), kind
-    c = _every_node_integral(lambda t: np.exp(alpha * np.log(t) - t) * 2.0 / (-np.expm1(-2.0 * t)))
-    d = _every_node_integral(
-        lambda t: np.exp((alpha - 1.0) * np.log(t) - t) * 2.0 / (1.0 + np.exp(-2.0 * t))
-    )
-    assert _within_ulps(C_const(alpha), c[0], 4)
-    assert _within_ulps(D_const(alpha), d[0], 4)
+        assert _within_ulps(kernel_values(kind, alpha, x), _every_node_reference(name, alpha, x), 4), kind
+    assert _within_ulps(C_const(alpha), _every_node_reference("C", alpha, x), 4)
+    assert _within_ulps(D_const(alpha), _every_node_reference("D", alpha, x), 4)
 
 
 def test_kept_nodes_agree_with_every_node_alpha_per_row():
@@ -616,8 +719,7 @@ def test_kept_nodes_agree_with_every_node_alpha_per_row():
         got = kernel_values(kind, alphas, x)
         for alpha in _SELECTION_ALPHAS:
             rows = alphas == alpha
-            ref = _every_node_integral(lambda t: _REFERENCE_MATS[name](alpha, x[rows, None], t))
-            assert _within_ulps(got[rows], ref, 4), (kind, alpha)
+            assert _within_ulps(got[rows], _every_node_reference(name, alpha, x[rows]), 4), (kind, alpha)
 
 
 @pytest.mark.parametrize("alpha", [2.5, 40.0, 160.0])
