@@ -1,6 +1,7 @@
-"""Search helpers over arrays of brackets, advanced in lockstep, and the
+"""Search helpers over arrays of brackets, advanced in lockstep, the
 piecewise Chebyshev interpolant that nearbest's kernel cache and the
-polish of refine_grid_maxima share.
+polish of refine_grid_maxima share, and the DCT-I that sums a cosine
+series on a uniform grid for chebinterp's and remez's grid scans.
 
 A piece [lo, hi] is interpolated in degree _DEGREE on the Chebyshev points
 of the first kind mapped onto it, by the barycentric formula; its error
@@ -36,15 +37,23 @@ def golden_max(f, a, b, xtol: float):
     Assumes a single interior maximum in each bracket; callers locate the
     brackets with a coarse grid first.  f takes and returns arrays: every
     bracket takes its own golden steps, and f is called once per step on the
-    brackets still open.
+    brackets still open.  A bracket closes once it is at most xtol wide, or
+    at most 16 ulps of its larger end wide, where a step may no longer
+    narrow it (xtol below the spacing of the doubles in it).  Raises
+    ValueError naming xtol unless it is positive and finite.
     """
+    if not 0.0 < xtol < math.inf:
+        raise ValueError(f"xtol must be positive and finite, got {xtol}")
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1 = np.array(f(x1), dtype=float)
     f2 = np.array(f(x2), dtype=float)
-    live = np.flatnonzero(b - a > xtol)
+    # a step narrows any bracket wider than 16 ulps of its larger end; one
+    # narrower may stay as it was, so it closes there
+    tol = np.maximum(xtol, 16.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    live = np.flatnonzero(b - a > tol)
     while live.size:
         up = f1[live] < f2[live]
         u, d = live[up], live[~up]
@@ -54,7 +63,7 @@ def golden_max(f, a, b, xtol: float):
         x1[d] = b[d] - _INVPHI * (b[d] - a[d])
         fv = f(np.concatenate([x2[u], x1[d]]))
         f2[u], f1[d] = fv[: len(u)], fv[len(u) :]
-        live = live[b[live] - a[live] > xtol]
+        live = live[b[live] - a[live] > tol[live]]
     xm = 0.5 * (a + b)
     fm = np.array(f(xm), dtype=float)
     for x, fx in ((x1, f1), (x2, f2)):
@@ -92,6 +101,31 @@ def bisect_root(f, a, b, xtol: float):
         b[live[zero | ~left]] = m[zero | ~left]
         live = live[b[live] - a[live] > xtol]
     return 0.5 * (a + b)
+
+
+def cos_series(coef, m: int) -> np.ndarray:
+    """sum_k coef[k] cos(k phi_i) at phi_i = i pi / (m - 1), i < m, by one
+    DCT-I: irfft(X, 2N)[i] = (X_0 + 2 sum_l X_l cos(pi l i / N)) / (2N) for
+    i <= N = m - 1, so X = N coef, zero-padded, with X_0 doubled.  coef may
+    hold at most m - 1 terms.  numpy loads its fft module on first use, not
+    at import.
+    """
+    half = m - 1
+    x = np.asarray(coef, dtype=float) * half
+    x[0] *= 2.0
+    return np.fft.irfft(x, 2 * half)[:m]
+
+
+def grid_maxima(values, floor=-math.inf) -> np.ndarray:
+    """Indices of the local maxima of sampled values, ends included, that
+    are not below floor (a scalar, or one per sample)."""
+    values = np.asarray(values, dtype=float)
+    last = len(values) - 1
+    idx = np.flatnonzero(~(values < floor))
+    v = values[idx]
+    left = np.where(idx > 0, values[np.maximum(idx - 1, 0)], -math.inf)
+    right = np.where(idx < last, values[np.minimum(idx + 1, last)], -math.inf)
+    return idx[~((v < left) | (v < right))]
 
 
 def cheb_points(lo, hi) -> np.ndarray:
@@ -167,7 +201,8 @@ def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf, par
     """Polish every local maximum of sampled values with golden sections.
 
     xs must be increasing and f takes and returns arrays.  Every grid local
-    maximum, endpoints included, whose sampled value is not below floor is
+    maximum, endpoints included, whose sampled value is not below floor (a
+    scalar, or one per sample, see grid_maxima) is
     bracketed by its grid neighbours and all brackets are polished in one
     array golden_max call.  Returns arrays x and f(x), one entry per maximum.
     Golden section never evaluates the ends of its bracket, so a maximum at
@@ -197,8 +232,7 @@ def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf, par
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(values)
-    padded = np.concatenate([[-math.inf], values, [-math.inf]])
-    idx = np.flatnonzero(~((values < padded[:-2]) | (values < padded[2:]) | (values < floor)))
+    idx = grid_maxima(values, floor)
     a, b = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, n - 1)]
     x, v = golden_max(f, a, b, xtol) if part is None else _polish_on_pieces(f, part, a, b, xtol)
     end = ((idx == 0) | (idx == n - 1)) & (values[idx] > v)

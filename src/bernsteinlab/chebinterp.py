@@ -16,16 +16,20 @@ sup_error scans the error on its grid from the interpolant's Chebyshev
 coefficients (one DCT-II of the values at the first-kind zeros, then one
 DCT-I of the zero-padded coefficients, both by numpy.fft; Trefethen,
 Approximation Theory and Approximation Practice, ch. 3), and polishes with
-the barycentric form only the lobes that can hold the sup.
+the barycentric form only the lobes that can hold the sup: those whose
+top, taken on a 10-point local interpolant of the scan, lies within a
+derived bound of the best (see sup_error).  The bits are those of
+polishing every lobe within 1e-2 of the top.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import refine_grid_maxima
+from ._search import cos_series, grid_maxima, refine_grid_maxima
 
 __all__ = [
     "NodeSystem",
@@ -40,6 +44,16 @@ __all__ = [
 _GRID_PER_N = 40  # theta-uniform sup_error grid points per unit of n
 _LOBE_RTOL = 1e-2  # sup_error polishes the grid maxima within this of the largest
 _FLOOR_ULPS = 2.0**16  # sup_error raises below this many roundings of _bary
+_XTOL = 1e-10  # sup_error's golden-section tolerance in x
+# sup_error's screen interpolates p(cos theta) at these grid steps s from a
+# lobe's sampled top, and takes the top of its lobe in _NEWTON_STEPS steps
+_STENCIL = np.arange(-4, 6)
+_NEWTON_STEPS = 5
+# over _STENCIL, rounded up: the largest |prod_k (s - k)| (1075.107 at
+# s = -0.5425) and sum_k |l_k(s)| (1.6977 at s = -0.505) for s in [-1, 1],
+# and of their derivatives (2906.68 and 2.8312) for s in [-1/2, 1/2]
+_OMEGA, _LEBESGUE_10 = 1075.2, 1.698
+_OMEGA_PRIME, _LEBESGUE_PRIME = 2906.7, 2.832
 # entries of _bary's (rows, nodes) block: 2^16 doubles (512 kB) measured
 # fastest from 2^14 to 2^20; one matrix of a large batch's rows spills out of cache
 _BLOCK_ENTRIES = 1 << 16
@@ -178,17 +192,15 @@ def check_order(n: int, alpha: float) -> None:
         raise ValueError(f"need 2n > alpha for a meaningful scaled error, got n={n} and alpha={alpha}")
 
 
-def _scan(system: NodeSystem, fvals: np.ndarray, m: int) -> np.ndarray:
-    """The interpolant at cos(theta_i), theta_i = i pi / (2(m - 1)), i < m, by FFT.
+def _coefficients(system: NodeSystem, fvals: np.ndarray) -> np.ndarray:
+    """The interpolant's even Chebyshev coefficients c_2l, l <= n, by FFT.
 
-    A DCT-II of the values at the first-kind zeros gives the even Chebyshev
-    coefficients c_2l; P1 adds g T_2n with g fixed by p(0) = 0.  Since
-    p(cos theta) = sum c_2l cos(2 l theta), the m values are one DCT-I in
-    phi = 2 theta over [0, pi] of the zero-padded c_2l.
+    A DCT-II of the values at the first-kind zeros gives the c_2l; P1 adds
+    g T_2n with g fixed by p(0) = 0.
     """
     fft = np.fft  # numpy loads it on first use, not at import
     n = system.n
-    f = fvals if system.scheme == "P2" else np.delete(fvals, n)  # at the zeros of T_len(f)
+    f = _first_kind(system, fvals)
     k = np.arange(0, 2 * n + 1, 2)
     # the real FFT of f's even extension is 2 e^(i pi k / (2 len(f))) times
     # the DCT-II sum_j f_j cos(pi k (2j + 1) / (2 len(f))), which is
@@ -199,11 +211,21 @@ def _scan(system: NodeSystem, fvals: np.ndarray, m: int) -> np.ndarray:
     if system.scheme == "P1":
         q0 = np.dot(coef[:n], np.where(k[:n] % 4 == 0, 1.0, -1.0))  # T_2l(0) = (-1)^l
         coef[n] = -q0 * (-1.0) ** n
-    # irfft(X, 2N)[i] = (X_0 + 2 sum_l X_l cos(pi l i / N)) / (2N) for i <= N
-    half = m - 1
-    coef *= half
-    coef[0] *= 2.0
-    return fft.irfft(coef, 2 * half)[:m]
+    return coef
+
+
+def _first_kind(system: NodeSystem, fvals: np.ndarray) -> np.ndarray:
+    # the values at the zeros of T_len: all of P2's, P1's without the node 0
+    return fvals if system.scheme == "P2" else np.delete(fvals, system.n)
+
+
+def _scan(system: NodeSystem, fvals: np.ndarray, m: int) -> np.ndarray:
+    """The interpolant at cos(theta_i), theta_i = i pi / (2(m - 1)), i < m, by FFT.
+
+    Since p(cos theta) = sum c_2l cos(2 l theta), the m values are one DCT-I
+    (cos_series) in phi = 2 theta over [0, pi] of the zero-padded c_2l.
+    """
+    return cos_series(_coefficients(system, fvals), m)
 
 
 def _rounding(system: NodeSystem, fvals: np.ndarray, x: float) -> float:
@@ -213,23 +235,186 @@ def _rounding(system: NodeSystem, fvals: np.ndarray, x: float) -> float:
         return float(np.finfo(float).eps * np.abs(q * fvals).sum() / abs(q.sum()))
 
 
+@functools.cache
+def _stencil_monomials() -> np.ndarray:
+    """Row k: the ascending monomial coefficients of the Lagrange basis
+    polynomial l_k of the node _STENCIL[k]; the nodes are small integers, so
+    np.poly's products are exact and each entry is one division off."""
+    rows = []
+    for k in _STENCIL:
+        others = _STENCIL[_STENCIL != k]
+        rows.append(np.poly(others)[::-1] / np.prod(k - others))
+    return np.array(rows)
+
+
+def _local_fits(ext: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Row by row, the monomial coefficients in s of p~(s) = y_0 + sum_k
+    l_k(s) (y_k - y_0), which interpolates y_k = ext[center + 5 + k] at
+    s = k in _STENCIL; the y_k - y_0 are small, so p~ rounds as y_0 does."""
+    y = ext[centers[:, None] + 5 + _STENCIL]
+    a = (y - y[:, 4:5]) @ _stencil_monomials()
+    a[:, 0] = y[:, 4]
+    return a
+
+
+def _horner(a: np.ndarray, s: np.ndarray):
+    """Row by row, the polynomial sum_j a[:, j] s^j and its first two derivatives."""
+    v, d1, d2 = a[:, -1], 0.0, 0.0
+    for c in a[:, -2::-1].T:
+        d2 = d2 * s + d1
+        d1 = d1 * s + v
+        v = v * s + c
+    return v, d1, 2.0 * d2
+
+
+def _screen_bounds(system, alpha, fvals, coef, p, ext, x_lo):
+    """sup_error's B (one per lobe, x_lo the lower end of its bracket) and
+    R, the first-order rounding bounds in its docstring."""
+    eps = np.finfo(float).eps
+    m, n = len(p), system.n
+    h = 0.5 * math.pi / (m - 1)
+    f = _first_kind(system, fvals)
+    # the scan: 7 eps per FFT stage; the DCT-II's in the 2-norm, carried to
+    # a value by Cauchy-Schwarz and, for P1, once more through g; P1's sum
+    # for g; the DCT-I's, value by value
+    scan = eps * (
+        28.0 * math.sqrt(n + 1) * math.log2(2 * len(f)) * math.sqrt(np.mean(f * f))
+        + (n + 7.0 * math.log2(2 * m - 2) + 5.0) * np.abs(coef).sum()
+    )
+    norm = np.abs(p).max() / math.cos(math.pi / 80) + scan  # ||p||
+    # p~'s rounding: y_k - y_0 <= |k| pi/40 ||p|| (Bernstein), and the sums
+    # and Horner's rule take at most 30 roundings of each term
+    lagrange = np.abs(_stencil_monomials()) * np.abs(_STENCIL)[:, None]
+    ulps = 1.0 + 30.0 * math.pi / 40 * lagrange.sum()
+    ulps_slope = 30.0 * math.pi / 40 * (lagrange * np.arange(len(_STENCIL))).sum()
+    lebesgue = 2.0 / math.pi * math.log(len(f)) + 1.0  # of the first-kind zeros
+    if system.scheme == "P1":
+        # l_j(x) x / x_j = l_j(x) + T_2n(x) / (x_j T_2n'(x_j)), |that| <= |w_j|
+        lebesgue += np.abs(system.bary_weights).sum()
+    # _bary interpolates at the rounded first-kind nodes, x_j off by at most
+    # eps (2 sin(theta_j) + |x_j| / 2), which moves p by at most lebesgue
+    # max_j |p'(x_j)| times that; p_theta from p~ at theta_j, to within the
+    # remainder of its derivative, the scan's rounding and p~'s
+    r = (np.arange(1, n + 1) - 0.5) * 2 * (m - 1) / len(f)  # theta_j / h
+    centers = np.rint(r).astype(int)
+    _, d1, _ = _horner(_local_fits(ext, centers), r - centers)
+    remainder = 2 * n * (
+        (math.pi / 40) ** 9 / math.factorial(10) * _OMEGA_PRIME
+        + (math.pi / 40) ** 10 / math.factorial(11) * _OMEGA
+    )
+    slope = (np.abs(d1) + _LEBESGUE_PRIME * scan + ulps_slope * eps * norm) / h + remainder * norm
+    nodes = eps * lebesgue * np.max(slope * (0.5 / np.tan(r * h) + 2.0))
+    band = (
+        (math.pi / 40) ** 10 / math.factorial(10) * _OMEGA * norm
+        + _LEBESGUE_10 * scan
+        + ulps * eps * norm
+        + nodes
+        + eps * (1.0 + alpha + 4.0 * alpha * np.maximum(1.0, x_lo ** (alpha - 1.0)))
+    )
+    # _bary: 2 roundings per term, numpy's pairwise sums log2 + 12 deep, a
+    # division; relative to sum_j |l_j(x)| (|f_j| + |p(x)|) <= lebesgue (1 + ||p||)
+    bary = eps * ((math.log2(len(system.nodes)) + 15.0) * lebesgue * (1.0 + norm) + norm + 1.0)
+    return band, bary
+
+
+def _screen(system, alpha, fvals, coef, p, xs, scanned, idx) -> np.ndarray:
+    """Which of the grid maxima idx of sup_error's scan can hold the sup:
+    True for the ends and for every lobe the bounds in sup_error's
+    docstring cannot rule out."""
+    m = len(xs)
+    keep = np.ones(len(idx), dtype=bool)
+    inner = (idx > 0) & (idx < m - 1)
+    if inner.sum() < 2:
+        return keep
+    h = 0.5 * math.pi / (m - 1)
+    # p(cos theta) is even about theta = 0 and pi/2: 5 samples reflected past either end
+    ext = np.concatenate([p[5:0:-1], p, p[-2:-7:-1]])
+    i = m - 1 - idx[inner]  # the sampled tops, in steps h of theta
+    a = _local_fits(ext, i)
+    sign = np.sign(xs[idx[inner]] ** alpha - p[i])
+
+    def top(s):
+        # sign (x^alpha - p~) at theta = (i + s) h and its first two s-derivatives
+        v, d1, d2 = _horner(a, s)
+        theta = (i + s) * h
+        t = np.tan(theta)
+        c0 = np.cos(theta) ** alpha
+        c1 = -alpha * h * c0 * t
+        c2 = alpha * h * h * c0 * ((alpha - 1.0) * t * t - 1.0)
+        return sign * (c0 - v), sign * (c1 - d1), sign * (c2 - d2)
+
+    s = np.zeros(len(i))
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            g, g1, g2 = top(s)
+            s = np.clip(s - g1 / g2, -1.0, 1.0)
+        g, g1, g2 = top(s)
+        curv = -g2
+        settled = (g > 0.0) & (curv > 0.0) & (np.abs(g1) <= 1e-6 * curv)
+        band, bary = _screen_bounds(system, alpha, fvals, coef, p, ext, xs[idx[inner] - 1])
+        upper = g + g1 * g1 / curv + band + bary
+        # golden section's last bracket of _XTOL in x leaves its point within
+        # 0.382 _XTOL of the top, where x'' = curv / (h sin(theta))^2
+        polish = 0.5 * curv / (h * np.sin((i + s) * h)) ** 2 * (0.382 * _XTOL) ** 2
+        lower = g - band - 3.0 * bary - polish
+    best = max(lower[settled].max(initial=-math.inf), scanned[idx[~inner]].max(initial=-math.inf))
+    keep[inner] = ~settled | (upper >= best)
+    return keep
+
+
 def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     """(2n)^alpha * sup over [0, 1] of | |x|^alpha - P(x) |.
 
     The sup is taken over [0, 1] only (the error is even), on a theta-uniform
-    grid x = cos(theta) of 40 n + 1 points.  The grid is scanned in
-    O(n log n) by _scan's two FFTs; the scan only chooses which grid maxima
-    to polish, and every value returned is a _bary value.
+    grid x = cos(theta) of 40 n + 1 points, theta_i = i h with h = pi/(80 n).
+    The grid is scanned in O(n log n) by two FFTs (_coefficients, then
+    cos_series); the scan only chooses which grid maxima to polish, and
+    every value returned is a _bary value.
 
     Each lobe of |err| spans about 40 grid steps, so a sampled lobe top is
     within a phase of pi/80 of the true top and at least cos(pi/80), about
     1 - 7.7e-4, of it.  A lobe whose sampled top lies more than _LOBE_RTOL
     (1e-2, left wide for lobes that are not quite cosine-shaped) below the
-    largest sample cannot hold the sup, so only the other grid maxima are
-    polished, together by one array golden section whose every step is one
-    batched _bary call.  P2 keeps about one lobe; P1, whose lobes all lie
-    near the top, keeps nearly all of them.  The end x = 1, where the P1
-    error peaks, is sampled by _bary and kept when it is the larger.
+    largest sample cannot hold the sup.  P2 keeps about one lobe; P1, whose
+    lobes all lie near the top, keeps nearly all of them, so when two or
+    more interior lobes pass, each is screened without _bary (_screen).
+    Its screened top S is the top of |x^alpha - p~(theta)|, by Newton's
+    method on s = theta/h - i in [-1, 1], where p~ interpolates the scanned
+    p(cos theta) at the 10 grid steps s = -4..5 from its sampled top i.
+    The lobe's true top lies within S +- B, where B is the sum of
+      * the remainder of p~: p(cos theta) is a trigonometric polynomial of
+        degree 2n, so by Bernstein's inequality its 10th derivative is at
+        most (2n)^10 ||p||, and |p - p~| <= (pi/40)^10 / 10! * Omega * ||p||,
+        Omega = 1075.2 the largest |prod_k (s - k)| on [-1, 1]; ||p|| is at
+        most the largest scanned |p| over cos(pi/80) (the same inequality);
+      * the rounding of the scan, carried through p~ (its Lebesgue constant
+        on [-1, 1] is 1.698): 7 eps per FFT stage, the DCT-II's error
+        bounded in the 2-norm (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 24) and carried to a value by Cauchy-Schwarz, once
+        more for P1 through its coefficient g, plus n eps sum |c_2l| for
+        the sum that gives g;
+      * the rounding of the nodes: _bary interpolates at the rounded nodes,
+        each within eps (2 sin(theta_j) + |x_j|/2) of its cosine, which
+        moves p by at most the Lebesgue constant of the nodes times the
+        largest |p'(x_j)| times that, p' taken from p~;
+      * the rounding of p~ itself and of x^alpha at the double theta.
+    A polished value lies within R of its lobe's true top: R bounds the
+    rounding of _bary by the Lebesgue constant of the nodes, at most
+    (2/pi) log(2n + 1) + 1 for P2 and (2/pi) log(2n) + 1 + sum_j |w_j|
+    for P1 with its weights w_j.  These are first-order bounds; on every
+    scheme, n <= 2048 and alpha <= 5.5 tried, the polished values stayed
+    within a 75th of them.  Lobe i is
+    polished unless S_i + B_i + R lies below the best lower bound L: the
+    larger of an end sample (a _bary value the polish keeps) and the largest
+    S_j - B_j - 3 R - G_j, where G_j is what golden section's last bracket
+    of _XTOL may cost at lobe j's curvature.  So the sup and its argmax
+    have the bits of polishing every lobe.  Near the rounding floor B and R
+    are a large share of the sup, and more lobes, up to all of them, are
+    polished; a lobe where Newton's method does not settle is polished too.
+    The polish is the same for every lobe kept: one array golden section to
+    _XTOL over the bracket of the lobe's grid neighbours, whose every step
+    is one batched _bary call.  The end x = 1, where the P1 error peaks, is
+    sampled by _bary and kept when it is the larger.
 
     An even alpha (0 included) is reproduced exactly, so its error is 0 at
     x = 0.  Otherwise ValueError names the scheme, n and alpha when the sup
@@ -251,10 +436,17 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     def abserr(x: np.ndarray) -> np.ndarray:
         return np.abs(x**alpha - _bary(system, fvals, x))
 
-    scanned = np.abs(xs**alpha - _scan(system, fvals, m)[::-1])
+    coef = _coefficients(system, fvals)
+    p = cos_series(coef, m)  # at theta, increasing
+    scanned = np.abs(xs**alpha - p[::-1])
     scanned[[0, -1]] = abserr(xs[[0, -1]])  # the polish may return these samples
     floor = (1.0 - _LOBE_RTOL) * scanned.max()
-    peaks, values = refine_grid_maxima(abserr, xs, scanned, xtol=1e-10, floor=floor)
+    idx = grid_maxima(scanned, floor)
+    keep = _screen(system, alpha, fvals, coef, p, xs, scanned, idx)
+    if not keep.all():  # a floor that only the kept maxima pass
+        floor = np.full(m, math.inf)
+        floor[idx[keep]] = -math.inf
+    peaks, values = refine_grid_maxima(abserr, xs, scanned, xtol=_XTOL, floor=floor)
     k = int(np.argmax(values))
     sup, x = float(values[k]), float(peaks[k])
     rho = _rounding(system, fvals, x)

@@ -6,6 +6,13 @@ the problem is a hypernormal Haar system of dimension n+2: the alternation
 set has n+2 points, one of them pinned near y = 0.  The solver is a
 multi-point Remez exchange in the Chebyshev basis of the working interval.
 
+Each exchange scans the error on a theta-uniform grid of [0, y_hi] of
+max(50n, 200) + 1 points, where the polynomial is one DCT-I of its
+coefficients (Trefethen, Approximation Theory and Approximation Practice,
+ch. 3); Clenshaw's recurrence evaluates it at the old reference points
+merged into the grid, at the interpolation nodes of every bracket and at
+the polished peaks.  The scan only picks the brackets to polish.
+
 Exchange robustness: the leveled linear system forces the new error to be
 exactly +/-E alternating on the old reference, so merging the old reference
 into the polished extremum candidates guarantees an alternating set of at
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import refine_grid_maxima
+from ._search import cos_series, refine_grid_maxima
 
 __all__ = [
     "ReferenceSet",
@@ -31,6 +38,7 @@ __all__ = [
 ]
 
 _EQUALIZE_RTOL = 1e-10
+_TINY = float(np.finfo(float).tiny)  # the smallest positive normal double
 _MAX_EXCHANGES = 50
 
 
@@ -102,6 +110,12 @@ def _eval_cheb(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u * b1 - b2 + coeffs[0]
 
 
+def _base_values(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The series at best_poly's base grid u, increasing, where u_i is
+    cos(theta) for len(u) theta-uniform points of [0, pi], by one DCT-I."""
+    return cos_series(coeffs, len(u))[::-1]
+
+
 def eval_approx(approx: BestApprox, x) -> np.ndarray:
     """Evaluate the best polynomial at x in [-sqrt(y_hi), sqrt(y_hi)]."""
     y = np.atleast_1d(np.asarray(x, dtype=float)) ** 2
@@ -115,7 +129,8 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
     the working interval to [0, y_hi], i.e. x in [-sqrt(y_hi), sqrt(y_hi)].
     Raises RemezError (carrying the last reference) on exchange stagnation,
     and ValueError naming alpha, n or y_hi when one is outside its domain:
-    alpha and y_hi finite and positive, n an integer >= 0.
+    alpha finite and positive, y_hi a positive normal double (so that the
+    polish's tolerance 1e-12 y_hi is positive), n an integer >= 0.
 
     For an even alpha with n >= alpha/2, |x|^alpha is itself a polynomial
     of degree <= 2n: the first leveled solve interpolates it, and the result
@@ -125,8 +140,8 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    if not 0.0 < y_hi < math.inf:
-        raise ValueError(f"y_hi must be finite and positive, got {y_hi}")
+    if not _TINY <= y_hi < math.inf:
+        raise ValueError(f"y_hi must be a finite, positive normal double, got {y_hi}")
     exact = alpha == 2.0 * round(alpha / 2.0) and n >= alpha / 2.0
     half = 0.5 * alpha
 
@@ -144,6 +159,7 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
     theta = np.linspace(0.0, np.pi, m_grid)
     base_grid = 0.5 * y_hi * (1.0 + np.cos(theta))[::-1]
     base_grid[0] = 0.0
+    base_u = scale(base_grid)
 
     coeffs = None
     level = 0.0
@@ -159,11 +175,14 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
         def err(y):
             return f(y) - poly(y)
 
-        # the polish interpolates the polynomial alone: y^half, singular at
-        # y = 0, and the cancellation in f - p stay exact
-        grid = np.unique(np.concatenate([base_grid, ref]))
+        # the grid scan takes p on the base grid from one DCT and on the
+        # merged reference points from Clenshaw; the polish interpolates the
+        # polynomial alone: y^half, singular at y = 0, and the cancellation
+        # in f - p stay exact
+        grid, first = np.unique(np.concatenate([base_grid, ref]), return_index=True)
+        p_grid = np.concatenate([_base_values(coeffs, base_u), poly(ref)])[first]
         peaks, _ = refine_grid_maxima(
-            lambda y, p: np.abs(f(y) - p), grid, np.abs(err(grid)), xtol=1e-12 * y_hi, part=poly
+            lambda y, p: np.abs(f(y) - p), grid, np.abs(f(grid) - p_grid), xtol=1e-12 * y_hi, part=poly
         )
         cand = list(zip(peaks.tolist(), err(peaks).tolist()))
         # the old reference is exactly leveled, guaranteeing alternation
@@ -206,9 +225,13 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
 
 
 def scaling_check(alpha: float, n: int, b: float) -> float:
-    """Ratio of best errors on [-b, b] vs [-1, 1]; equals b^alpha in sup norm."""
-    if not (b > 0.0 and 0.0 < b * b < math.inf):
-        raise ValueError(f"b must be positive with a finite, nonzero square, got {b}")
+    """Ratio of best errors on [-b, b] vs [-1, 1]; equals b^alpha in sup norm.
+
+    Raises ValueError naming b unless b > 0 and b^2, best_poly's y_hi, is a
+    finite normal double.
+    """
+    if not (b > 0.0 and _TINY <= b * b < math.inf):
+        raise ValueError(f"b must be positive with a finite, normal square, got {b}")
     on_b = best_poly(alpha, n, y_hi=b * b)
     on_1 = best_poly(alpha, n)
     return on_b.E_n / on_1.E_n

@@ -145,6 +145,9 @@ def test_domain_validation():
         ((1.0, 4, math.inf), "y_hi"),
         ((1.0, 4, 0.0), "y_hi"),
         ((1.0, 4, -1.0), "y_hi"),
+        # a subnormal y_hi made the polish's xtol = 1e-12 y_hi underflow to
+        # 0, and golden section never closed its brackets
+        ((1.0, 8, 1e-312), "y_hi"),
     ],
 )
 def test_best_poly_names_the_bad_argument(args, name):
@@ -152,7 +155,7 @@ def test_best_poly_names_the_bad_argument(args, name):
         remez.best_poly(*args)
 
 
-@pytest.mark.parametrize("b", [-2.0, math.nan, math.inf, 1e200, 1e-200])
+@pytest.mark.parametrize("b", [-2.0, math.nan, math.inf, 1e200, 1e-200, 1e-160])
 def test_scaling_check_names_b(b):
     with pytest.raises(ValueError, match="^b must"):
         remez.scaling_check(1.0, 1, b)
@@ -184,9 +187,10 @@ def test_stagnation_raises_with_reference(monkeypatch):
 
 
 def test_polish_evaluates_all_candidates_together(monkeypatch):
-    # deterministic work gate: per exchange, the grid scan, the interpolation
-    # nodes of every bracket, the polished peaks and the candidate errors are
-    # one Clenshaw call each; a golden section on the error itself takes ~30
+    # deterministic work gate: per exchange, the reference points merged
+    # into the grid, the interpolation nodes of every bracket, the polished
+    # peaks and the candidate errors are one Clenshaw call each (the base
+    # grid is one DCT); a golden section on the error itself takes ~30
     calls = {"exchanges": 0, "clenshaw": 0}
     cheb_vander, eval_cheb = remez._cheb_vander, remez._eval_cheb
 
@@ -202,7 +206,35 @@ def test_polish_evaluates_all_candidates_together(monkeypatch):
     monkeypatch.setattr(remez, "_eval_cheb", counting_eval)
     remez.best_poly(1.0, 64)
     assert calls["exchanges"] >= 1
-    assert calls["clenshaw"] <= 5 * calls["exchanges"]
+    assert calls["clenshaw"] <= 4 * calls["exchanges"]
+
+
+@pytest.mark.parametrize("alpha,n", [(0.966318, 256), (1.007543, 64), (1.034272, 16)])
+def test_dct_scan_gives_the_fits_of_a_clenshaw_scan(alpha, n, monkeypatch):
+    # the DCT and Clenshaw round differently on the base grid, which only
+    # picks the brackets to polish: at these fits every output keeps its bits
+    dct = remez.best_poly(alpha, n)
+    monkeypatch.setattr(remez, "_base_values", remez._eval_cheb)
+    clenshaw = remez.best_poly(alpha, n)
+    assert dct.E_n == clenshaw.E_n
+    assert np.array_equal(dct.coeffs, clenshaw.coeffs)
+    assert np.array_equal(dct.reference.points, clenshaw.reference.points)
+    assert np.array_equal(dct.reference.signs, clenshaw.reference.signs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 64, 256])
+def test_dct_base_values_match_clenshaw(n):
+    # the DCT sums at cos(theta_i) itself, Clenshaw at the rounded u_i of
+    # best_poly's base grid; coefficients that fall as k^-3 keep |p'| <=
+    # sum k^2 |c_k| small, so that the grid's rounding stays below an ulp
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal(n + 1) / (np.arange(n + 1) + 1.0) ** 3
+    theta = np.linspace(0.0, math.pi, max(50 * n, 200) + 1)
+    y = 0.5 * (1.0 + np.cos(theta))[::-1]
+    y[0] = 0.0
+    u = 2.0 * y - 1.0
+    gap = np.abs(remez._base_values(coeffs, u) - remez._eval_cheb(coeffs, u)).max()
+    assert gap <= 4.0 * np.finfo(float).eps * np.abs(coeffs).sum()
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.3])

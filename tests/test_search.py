@@ -58,6 +58,21 @@ def test_golden_max_scalar_bracket_matches_reference_loop():
             assert (x[0], fx[0]) == _reference_golden_max(_f, a, b, xtol)
 
 
+@pytest.mark.parametrize("xtol", [0.0, -1e-9, math.nan, math.inf])
+def test_golden_max_names_a_bad_xtol(xtol):
+    with pytest.raises(ValueError, match="^xtol must be positive and finite"):
+        golden_max(_f, [0.0], [1.0], xtol)
+
+
+def test_golden_max_closes_a_bracket_narrower_than_xtol_cannot_get():
+    # the doubles near 1e10 are 1.9e-6 apart, so no step narrows the bracket
+    # to 1e-9; it once looped forever.  The other bracket is polished as alone
+    a, b = [1e10, -0.6], [1e10 + 1e-3, 0.1]
+    x, fx = golden_max(lambda x: np.where(x > 1e9, -((x - a[0] - 4e-4) ** 2), _f(x)), a, b, 1e-9)
+    assert a[0] <= x[0] <= b[0]
+    assert (x[1], fx[1]) == _reference_golden_max(_f, a[1], b[1], 1e-9)
+
+
 def test_refine_grid_maxima_polishes_each_bracket_as_scalar_runs():
     # _f rises towards both ends of [-0.9, 2]: two end maxima and one interior lobe
     xs = np.linspace(-0.9, 2.0, 41)
