@@ -30,6 +30,13 @@ _TAIL = 2.0 / (_DEGREE + 1) * np.cos(_CHEB_ANGLES[:, None] * np.array([_DEGREE -
 _TAIL_RTOL = 2.0**-40
 
 
+def _closing_width(a, b, xtol: float):
+    """Each bracket's closing width, as golden_max states it."""
+    if not 0.0 < xtol < math.inf:
+        raise ValueError(f"xtol must be positive and finite, got {xtol}")
+    return np.maximum(xtol, 16.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
 def golden_max(f, a, b, xtol: float):
     """Maximize f on each bracket [a[i], b[i]] by golden-section search;
     returns arrays x and f(x), one entry per bracket.
@@ -42,17 +49,13 @@ def golden_max(f, a, b, xtol: float):
     narrow it (xtol below the spacing of the doubles in it).  Raises
     ValueError naming xtol unless it is positive and finite.
     """
-    if not 0.0 < xtol < math.inf:
-        raise ValueError(f"xtol must be positive and finite, got {xtol}")
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
+    tol = _closing_width(a, b, xtol)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1 = np.array(f(x1), dtype=float)
     f2 = np.array(f(x2), dtype=float)
-    # a step narrows any bracket wider than 16 ulps of its larger end; one
-    # narrower may stay as it was, so it closes there
-    tol = np.maximum(xtol, 16.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     live = np.flatnonzero(b - a > tol)
     while live.size:
         up = f1[live] < f2[live]
@@ -78,11 +81,13 @@ def bisect_root(f, a, b, xtol: float):
     f takes and returns arrays: it is called on all a, on all b, then once per
     step on the midpoints of the brackets still open, so each bracket takes a
     scalar bisection's midpoints and closes onto an end or midpoint where f = 0.
-    The first bracket where f(a) and f(b) do not differ in sign is named in a
-    ValueError.
+    A bracket closes as in golden_max, and ValueError names xtol unless it is
+    positive and finite, or the first bracket where f(a) and f(b) do not
+    differ in sign.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
+    tol = _closing_width(a, b, xtol)
     fa = np.array(f(a), dtype=float)
     fb = np.array(f(b), dtype=float)
     same = (fa != 0.0) & (fb != 0.0) & (np.signbit(fa) == np.signbit(fb))
@@ -91,7 +96,7 @@ def bisect_root(f, a, b, xtol: float):
         raise ValueError(f"no sign change on [{a[i]}, {b[i]}]: f(a)={fa[i]}, f(b)={fb[i]}")
     b = np.where(fa == 0.0, a, b)
     a = np.where(fb == 0.0, b, a)
-    live = np.flatnonzero(b - a > xtol)
+    live = np.flatnonzero(b - a > tol)
     while live.size:
         m = 0.5 * (a[live] + b[live])
         fm = np.array(f(m), dtype=float)
@@ -99,7 +104,7 @@ def bisect_root(f, a, b, xtol: float):
         left = zero | (np.signbit(fm) == np.signbit(fa[live]))
         a[live[left]], fa[live[left]] = m[left], fm[left]
         b[live[zero | ~left]] = m[zero | ~left]
-        live = live[b[live] - a[live] > xtol]
+        live = live[b[live] - a[live] > tol[live]]
     return 0.5 * (a + b)
 
 

@@ -1,36 +1,34 @@
-"""Double-exponential quadrature on finite and semi-infinite intervals.
+"""Double-exponential quadrature on finite and semi-infinite intervals
+(Takahasi and Mori, Publ. RIMS 9, 1974), with u = (pi/2) sinh(t):
 
-Two transforms are used:
-
-* tanh-sinh for (a, b):   x = (a+b)/2 + (b-a)/2 * tanh(u),  u = (pi/2) sinh(t)
+* tanh-sinh for (a, b):   x = (a+b)/2 + (b-a)/2 * tanh(u)
 * exp-sinh  for (a, inf): x = a + exp(u)
 
-Both place nodes double-exponentially close to the finite endpoints, so
-integrable algebraic endpoint singularities such as t**(alpha-1) near t = 0
-converge at machine precision without any special casing.  Each refinement
-level halves the trapezoidal step in t and reuses all previously evaluated
-nodes; for smooth or endpoint-singular integrands the number of correct
-digits roughly doubles per level.
+Both place nodes double-exponentially close to the finite end, and exp-sinh
+double-exponentially far out too, so t**(alpha-1) at t = 0 and an e^-t tail
+converge at machine precision with no special casing: integrate_zero_to_inf,
+the one (0, inf) entry, is a single exp-sinh rule from 0.  Its nodes reach
+x ~ 1e-304 (u > -700), the tanh-sinh offsets 1e-300, so t**(alpha-1) is
+handled at full accuracy for alpha down to roughly 0.05.  Each level halves
+the trapezoidal step in t and reuses every earlier node; the correct digits
+roughly double per level.
 
 Integrands must be vectorized: they receive a 1-D numpy array of abscissas
 and return either a same-length array or an (m, n) matrix for m integrands
 sharing the same nodes (the batch form is what the kernel module uses to
 evaluate one integral at many outer arguments at once).
 
-Exponent range: node offsets below ~1e-300 are discarded, so singularities
-t**(alpha-1) are handled at full accuracy for alpha down to roughly 0.05.
-
-Every rule works to the fixed tolerances below.  integrate_zero_to_inf is
-the one (0, inf) entry; it raises rather than return an unconverged value.
-Every rule, scalar or batch, reads one node table per interval and level,
-built from the t-grid in one cached step (_xw) and kept read-only, so an
-integrand that writes to its nodes fails instead of corrupting them; _xw
-keeps the 128 tables last used (the library reads 4 intervals x 12 levels).
-A NaN integrand is a QuadratureError, an infinite one an OverflowError,
-naming the node; each level scans the integrand only when a row sum is not
-finite.  A row whose sum overflows although every integrand value is finite
-never converges, so integrate_zero_to_inf raises a QuadratureOverflowError,
-both a QuadratureError and an OverflowError, for it.
+Every rule works to the fixed tolerances below; integrate_zero_to_inf
+raises rather than return an unconverged value.  Every rule, scalar or
+batch, reads one node table per interval and level, built from the t-grid in
+one cached step (_xw) and kept read-only, so an integrand that writes to its
+nodes fails instead of corrupting them; _xw keeps the 128 tables last used
+(the half-line integrals read 12, one per level).  A NaN integrand is a
+QuadratureError, an infinite one an OverflowError, naming the node; each
+level scans the integrand only when a row sum is not finite.  A row whose
+sum overflows although every integrand value is finite never converges, so
+integrate_zero_to_inf raises a QuadratureOverflowError, both a
+QuadratureError and an OverflowError, for it.
 
 An integrand family that knows which nodes of a level can move its sums
 names them through pick: pick(a, b, level) returns a read-only (xs, ws),
@@ -65,11 +63,11 @@ REL_TOL = 1e-12
 ABS_FLOOR = 1e-300
 # cap on trapezoidal refinements (level 0 has step 1 in t)
 MAX_LEVELS = 12
-# (0, inf) integrals are cut into (0, s) + (s, inf) here
-SPLIT_POINT = 1.0
 
-# |t| range of the trapezoidal grid.  Offsets underflow past ~6.1 anyway.
+# t range of the trapezoidal grid: tanh-sinh offsets underflow past |t| ~ 6.1
+# anyway, exp-sinh weights are finite up to 6.5 and its nodes stop at u > -700
 _T_MAX = 6.5
+_T_MIN = -7.0
 _LEVEL0_H = 1.0
 # smallest admissible node offset from a finite endpoint (see module docstring)
 _MIN_OFFSET = 1e-300
@@ -102,12 +100,13 @@ def _xw(a: float, b: float | None, level: int):
     when b is None, built in one step from the t-grid points new at this
     level and kept read-only for every rule."""
     h = _LEVEL0_H / 2**level
-    ts = np.arange(h, _T_MAX, h if level == 0 else 2.0 * h)
+    step = h if level == 0 else 2.0 * h
+    ts = np.arange(h, _T_MAX, step)
     if b is None:
         # both signs of t; level 0 adds t = 0.  Node at a + exp(u).
-        ts = np.concatenate([[0.0] if level == 0 else [], ts, -ts])
+        ts = np.concatenate([[0.0] if level == 0 else [], ts, -np.arange(h, -_T_MIN, step)])
         u = 0.5 * np.pi * np.sinh(ts)
-        keep = (u > -700.0) & (u < 708.0)
+        keep = u > -700.0
         eu = np.exp(u[keep])
         xs, ws = a + eu, 0.5 * np.pi * np.cosh(ts[keep]) * eu
     else:
@@ -196,26 +195,21 @@ def integrate_semi_infinite(f: Callable, a: float) -> QuadResult:
 
 
 def integrate_zero_to_inf(f: Callable, pick: Callable | None = None) -> QuadResult:
-    """Integrate f over (0, inf): tanh-sinh on (0, SPLIT_POINT) plus exp-sinh
-    on (SPLIT_POINT, inf).  f may return (n,) or (m, n); value and
-    err_estimate have shape (m,).  pick, if given, names the nodes of each
-    level f needs (module docstring).  Raises QuadratureError when a row
-    misses the tolerance on either part, or in its summed error, and
-    QuadratureOverflowError, naming that row, when a row's sum is not finite.
-    """
-    v1, e1, l1, ok1 = integrate_finite_batch(f, 0.0, SPLIT_POINT, pick)
-    v2, e2, l2, ok2 = integrate_semi_infinite_batch(f, SPLIT_POINT, pick)
-    value = v1 + v2
-    err = e1 + e2
-    tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
-    if not (ok1 and ok2 and (err <= tol).all()):
+    """Integrate f over (0, inf) by one exp-sinh rule from 0.  f may return
+    (n,) or (m, n); value and err_estimate have shape (m,).  pick, if given,
+    names the nodes of each level f needs (module docstring).  Raises
+    QuadratureError when a row misses the tolerance, QuadratureOverflowError,
+    naming that row, when its sum is not finite."""
+    value, err, levels, ok = integrate_semi_infinite_batch(f, 0.0, pick)
+    if not ok:
         overflow = ~np.isfinite(value)
+        tol = np.maximum(REL_TOL * np.abs(value), ABS_FLOOR)
         row = int(np.argmax(overflow if overflow.any() else err / tol))
         raise (QuadratureOverflowError if overflow[row] else QuadratureError)(
             f"half-line integral did not converge: value={value[row]}, "
             f"err={err[row]} (row {row} of {len(value)})"
         )
-    return QuadResult(value, err, max(l1, l2), True)
+    return QuadResult(value, err, levels, True)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,16 @@ def test_D_closed_forms():
     assert abs(D_const(2.0) / (2.0 * oracles.CATALAN) - 1.0) <= 1e-11
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+def test_small_alpha_constants_reach_the_left_end(alpha):
+    # both integrands are about t^(alpha-1) near 0, whose integral over (0,
+    # eps) is eps^alpha/alpha: at alpha = 0.05 a rule whose nodes stop at
+    # eps ~ 1e-227 misses 5e-12 of C and D
+    for const, ref in ((C_const, oracles.C_closed_mp), (D_const, oracles.D_closed_mp)):
+        want = float(ref(alpha))
+        assert abs(const(alpha) - want) <= 1e-14 * want, const.__name__
+
+
 def test_D_vs_midpoint_oracle():
     oracle = oracles.midpoint_power_cosh(3.0)
     assert abs(D_const(3.0) - oracle) <= 1e-9
@@ -359,6 +369,7 @@ _LEADING_TERMS = {
     ("F", 3.5, 1e64): lambda x: _C_closed(3.5) * x**-4.5,
     ("G", 2.5, 1e-150): lambda x: specfun.gamma(1.5) * x**-1.5,
     ("G", 0.5, 1e150): lambda x: specfun.gamma(1.5) * x**-1.5,
+    ("H1", 0.5, 1.5e-154): lambda x: (PI / 2.0) / math.sin(PI / 4.0) * x**-0.5,
     ("A0", 2.5, 1e-150): lambda x: x * x * oracles.D_closed_mp(0.5),
     ("A0", 10.0, 1e-150): lambda x: x * x * oracles.D_closed_mp(8.0),
     ("S", 2.5, 1e88): lambda x: (_C_closed(3.5) - 2.5 * _C_closed(2.5)) / 2.0,
@@ -431,13 +442,13 @@ def test_large_alpha_where_the_value_is_a_double(kind, alpha, x):
 
 def test_scaled_picks_still_drop_nodes():
     # the scaled weight peaks near 1, so past alpha = 170 the pick drops nodes
-    key = (quadrature.SPLIT_POINT, None, 7)
+    key = (0.0, None, 7)
     with np.errstate(over="ignore", under="ignore"):
         kept = kernels._kept_nodes(1, 300.0, *key, t0=300.0 / math.e)[0]
     assert 0 < len(kept) < len(quadrature._xw(*key)[0]) // 4
 
 
-@pytest.mark.parametrize("kind,x", [("A0", 1.243519115459649e155), ("H2", 7.512114737716713e154)])
+@pytest.mark.parametrize("kind,x", [("A0", 1.3268041237113403e155), ("H2", 7.512114737716713e154)])
 def test_x_times_the_limit_is_the_constant_itself(kind, x):
     # past 1.34e154 A0 = D(alpha) and H2 = C(alpha) exactly, where x (D/x)
     # and x (C/x) miss them by an ulp at these x
@@ -519,12 +530,10 @@ def _column(name, a, x, t, k):
 
 
 def _node_rows():
-    """Each level's nodes on both sides of the split: the cached read-only
-    tables every rule reads, whose factors kernels keeps."""
-    split = quadrature.SPLIT_POINT
+    """Each level's nodes of (0, inf): the cached read-only tables the
+    half-line rule reads, whose factors kernels keeps."""
     for level in range(quadrature.MAX_LEVELS):
-        yield quadrature._xw(0.0, split, level)[0]
-        yield quadrature._xw(split, None, level)[0]
+        yield quadrature._xw(0.0, None, level)[0]
 
 
 @pytest.mark.parametrize("name", ["F", "G", "J"])
@@ -557,7 +566,7 @@ def test_in_place_integrands_are_bit_equal(name):
 
 def test_node_factors_are_kept_for_read_only_tables_only():
     # keyed by the level table: read-only, and computed once per table
-    key = (quadrature.SPLIT_POINT, None, 3)
+    key = (0.0, None, 3)
     t = quadrature._xw(*key)[0]
     with np.errstate(over="ignore", under="ignore"):
         factors = kernels._factors(*key)
@@ -570,7 +579,7 @@ def test_node_factors_are_kept_for_read_only_tables_only():
 
 
 def test_kept_nodes_are_cached_read_only_slices():
-    key = (quadrature.SPLIT_POINT, None, 7)
+    key = (0.0, None, 7)
     t, w = quadrature._xw(*key)
     with np.errstate(over="ignore", under="ignore"):
         kept_t, kept_w = kernels._kept_nodes(1, 40.0, *key)
@@ -586,14 +595,12 @@ def test_kept_nodes_are_cached_read_only_slices():
 
 
 def test_node_factors_are_kept_for_level_tables_only(monkeypatch):
-    # the picks read the factors of the split's level tables alone; F reads
-    # J's picks, so it reads those tables too
+    # the picks read the factors of the half line's level tables alone; F
+    # reads J's picks, so it reads those tables too
     keys, factors = [], kernels._factors
     monkeypatch.setattr(kernels, "_factors", lambda *key: keys.append(key) or factors(*key))
     kernels._kept_nodes.cache_clear()
-    split = quadrature.SPLIT_POINT
-    levels = range(quadrature.MAX_LEVELS)
-    tables = {(a, b, n) for a, b in ((0.0, split), (split, None)) for n in levels}
+    tables = {(0.0, None, n) for n in range(quadrature.MAX_LEVELS)}
     for alpha in np.linspace(0.3, 175.0, 9).tolist():
         for kind in ("H1", "A0"):
             with contextlib.suppress(OverflowError):
@@ -676,10 +683,8 @@ def test_mixed_alpha_array_is_bit_equal_to_per_alpha_calls(kind):
 def _every_node_integral(expr):
     """expr integrated over (0, inf) on every node of every level: the rule's
     refinement loop with no node selection."""
-    split = quadrature.SPLIT_POINT
     with np.errstate(all="ignore"):
-        head = quadrature._run_levels(0.0, split, expr)[0]
-        return head + quadrature._run_levels(split, None, expr)[0]
+        return quadrature._run_levels(0.0, None, expr)[0]
 
 
 def _within_ulps(got, ref, ulps):

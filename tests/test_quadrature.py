@@ -167,8 +167,8 @@ def test_finite_rows_whose_sums_overflow_do_not_converge():
 @pytest.mark.parametrize(
     "integrate",
     [
-        lambda f: quadrature.integrate_finite_batch(f, 0.0, quadrature.SPLIT_POINT)[:2],
-        lambda f: quadrature.integrate_semi_infinite_batch(f, quadrature.SPLIT_POINT)[:2],
+        lambda f: quadrature.integrate_finite_batch(f, 0.0, 1.0)[:2],
+        lambda f: quadrature.integrate_semi_infinite_batch(f, 1.0)[:2],
         lambda f: (lambda r: (r.value, r.err_estimate))(integrate_zero_to_inf(f)),
         lambda f: (lambda r: (r.value, r.err_estimate))(integrate_finite(f, 0.0, 1.0)),
         lambda f: (lambda r: (r.value, r.err_estimate))(integrate_semi_infinite(f, 1.0)),

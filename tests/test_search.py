@@ -246,6 +246,23 @@ def test_bisect_root_brackets_match_scalar_runs():
         assert calls[3] == calls[2] - 1  # the midpoint root is done
 
 
+@pytest.mark.parametrize("xtol", [0.0, -1e-9, math.nan, math.inf])
+def test_bisect_root_names_a_bad_xtol(xtol):
+    with pytest.raises(ValueError, match="^xtol must be positive and finite"):
+        bisect_root(_g, [0.0], [1.0], xtol)
+
+
+def test_bisect_root_closes_a_bracket_narrower_than_xtol_cannot_get():
+    # the doubles near 1e10 are 1.9e-6 apart, so the midpoint rounds to an
+    # end before the bracket is 1e-9 wide; it once looped forever.  Beside
+    # another bracket, each is bisected as alone
+    x = bisect_root(lambda x: x - 1e10 - 4e-4, [1e10], [1e10 + 1e-3], 1e-9)
+    assert abs(x[0] - (1e10 + 4e-4)) <= 16.0 * np.spacing(1e10)
+    a, b = [1e10, 0.0], [1e10 + 1e-3, 0.9]
+    both = bisect_root(lambda x: np.where(x > 1e9, x - 1e10 - 4e-4, _g(x)), a, b, 1e-9)
+    assert both.tolist() == [x[0], _reference_bisect_root(_g, a[1], b[1], 1e-9)]
+
+
 def test_bisect_root_names_bracket_without_sign_change():
     with pytest.raises(ValueError, match=r"no sign change on \[0\.6, 1\.0\]"):
         bisect_root(_g, [0.0, 0.6, 1.5], [1.0, 1.0, 2.0], 1e-8)

@@ -56,8 +56,8 @@ def test_benchmark_values_serialize_as_floats():
 
 
 def test_half_line_integral_is_counted_once(monkeypatch):
-    # one half-line integral is one call of each rule, on either side of the
-    # split, and the tracer counts every node the integrand sees exactly once
+    # one half-line integral is one call of the exp-sinh rule on one row, and
+    # the tracer counts every node the integrand sees exactly once
     seen = {"nodes": 0}
     run_levels = quadrature._run_levels
 
@@ -77,8 +77,8 @@ def test_half_line_integral_is_counted_once(monkeypatch):
             seen["nodes"] = 0
             call()
             added = tracer.counts - before
-            assert added["quadrature.calls"] == 2
-            assert added["quadrature.rows"] == 2
+            assert added["quadrature.calls"] == 1
+            assert added["quadrature.rows"] == 1
             assert added["quadrature.nodes"] == seen["nodes"] > 0
         # kernel_eval is one point of kernel_values' body, not a traced call of
         # it, and its limits at x = 0 need no quadrature
