@@ -123,7 +123,7 @@ def cos_series(coef, m: int) -> np.ndarray:
 
 def grid_maxima(values, floor=-math.inf) -> np.ndarray:
     """Indices of the local maxima of sampled values, ends included, that
-    are not below floor (a scalar, or one per sample)."""
+    are not below floor."""
     values = np.asarray(values, dtype=float)
     last = len(values) - 1
     idx = np.flatnonzero(~(values < floor))
@@ -206,8 +206,7 @@ def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf, par
     """Polish every local maximum of sampled values with golden sections.
 
     xs must be increasing and f takes and returns arrays.  Every grid local
-    maximum, endpoints included, whose sampled value is not below floor (a
-    scalar, or one per sample, see grid_maxima) is
+    maximum, endpoints included, whose sampled value is not below floor is
     bracketed by its grid neighbours and all brackets are polished in one
     array golden_max call.  Returns arrays x and f(x), one entry per maximum.
     Golden section never evaluates the ends of its bracket, so a maximum at

@@ -15,11 +15,10 @@ standard product-formula update, rescaled by a common factor).
 sup_error scans the error on its grid from the interpolant's Chebyshev
 coefficients (one DCT-II of the values at the first-kind zeros, then one
 DCT-I of the zero-padded coefficients, both by numpy.fft; Trefethen,
-Approximation Theory and Approximation Practice, ch. 3), and polishes with
-the barycentric form only the lobes that can hold the sup: those whose
-top, taken on a 10-point local interpolant of the scan, lies within a
-derived bound of the best (see sup_error).  The bits are those of
-polishing every lobe within 1e-2 of the top.
+Approximation Theory and Approximation Practice, ch. 3), takes each lobe's
+top by Newton's method on a 10-point local interpolant of the scan, and
+evaluates the barycentric form once, at the tops of the lobes that a
+derived bound cannot rule out (see sup_error).
 """
 
 import functools
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import cos_series, grid_maxima, refine_grid_maxima
+from ._search import cos_series, grid_maxima
 
 __all__ = [
     "NodeSystem",
@@ -42,9 +41,8 @@ __all__ = [
 ]
 
 _GRID_PER_N = 40  # theta-uniform sup_error grid points per unit of n
-_LOBE_RTOL = 1e-2  # sup_error polishes the grid maxima within this of the largest
+_LOBE_RTOL = 1e-2  # sup_error screens the grid maxima within this of the largest
 _FLOOR_ULPS = 2.0**16  # sup_error raises below this many roundings of _bary
-_XTOL = 1e-10  # sup_error's golden-section tolerance in x
 # sup_error's screen interpolates p(cos theta) at these grid steps s from a
 # lobe's sampled top, and takes the top of its lobe in _NEWTON_STEPS steps
 _STENCIL = np.arange(-4, 6)
@@ -247,10 +245,12 @@ def _stencil_monomials() -> np.ndarray:
     return np.array(rows)
 
 
-def _local_fits(ext: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _local_fits(p: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Row by row, the monomial coefficients in s of p~(s) = y_0 + sum_k
-    l_k(s) (y_k - y_0), which interpolates y_k = ext[center + 5 + k] at
-    s = k in _STENCIL; the y_k - y_0 are small, so p~ rounds as y_0 does."""
+    l_k(s) (y_k - y_0), which interpolates y_k = p[center + k] at s = k in
+    _STENCIL; the y_k - y_0 are small, so p~ rounds as y_0 does."""
+    # p(cos theta) is even about theta = 0 and pi/2: 5 samples reflected past either end
+    ext = np.concatenate([p[5:0:-1], p, p[-2:-7:-1]])
     y = ext[centers[:, None] + 5 + _STENCIL]
     a = (y - y[:, 4:5]) @ _stencil_monomials()
     a[:, 0] = y[:, 4]
@@ -267,7 +267,7 @@ def _horner(a: np.ndarray, s: np.ndarray):
     return v, d1, 2.0 * d2
 
 
-def _screen_bounds(system, alpha, fvals, coef, p, ext, x_lo):
+def _screen_bounds(system, alpha, fvals, coef, p, x_lo):
     """sup_error's B (one per lobe, x_lo the lower end of its bracket) and
     R, the first-order rounding bounds in its docstring."""
     eps = np.finfo(float).eps
@@ -297,7 +297,7 @@ def _screen_bounds(system, alpha, fvals, coef, p, ext, x_lo):
     # remainder of its derivative, the scan's rounding and p~'s
     r = (np.arange(1, n + 1) - 0.5) * 2 * (m - 1) / len(f)  # theta_j / h
     centers = np.rint(r).astype(int)
-    _, d1, _ = _horner(_local_fits(ext, centers), r - centers)
+    _, d1, _ = _horner(_local_fits(p, centers), r - centers)
     remainder = 2 * n * (
         (math.pi / 40) ** 9 / math.factorial(10) * _OMEGA_PRIME
         + (math.pi / 40) ** 10 / math.factorial(11) * _OMEGA
@@ -317,20 +317,16 @@ def _screen_bounds(system, alpha, fvals, coef, p, ext, x_lo):
     return band, bary
 
 
-def _screen(system, alpha, fvals, coef, p, xs, scanned, idx) -> np.ndarray:
-    """Which of the grid maxima idx of sup_error's scan can hold the sup:
-    True for the ends and for every lobe the bounds in sup_error's
-    docstring cannot rule out."""
+def _screen(system, alpha, fvals, coef, p, xs, scanned, idx):
+    """sup_error's tops of the grid maxima idx of its scan: their x (the
+    ends keep theirs) and which can hold the sup, True for the ends and for
+    every lobe the bounds in sup_error's docstring cannot rule out."""
     m = len(xs)
-    keep = np.ones(len(idx), dtype=bool)
-    inner = (idx > 0) & (idx < m - 1)
-    if inner.sum() < 2:
-        return keep
     h = 0.5 * math.pi / (m - 1)
-    # p(cos theta) is even about theta = 0 and pi/2: 5 samples reflected past either end
-    ext = np.concatenate([p[5:0:-1], p, p[-2:-7:-1]])
+    x, keep = xs[idx], np.ones(len(idx), dtype=bool)
+    inner = (idx > 0) & (idx < m - 1)
     i = m - 1 - idx[inner]  # the sampled tops, in steps h of theta
-    a = _local_fits(ext, i)
+    a = _local_fits(p, i)
     sign = np.sign(xs[idx[inner]] ** alpha - p[i])
 
     def top(s):
@@ -351,15 +347,13 @@ def _screen(system, alpha, fvals, coef, p, xs, scanned, idx) -> np.ndarray:
         g, g1, g2 = top(s)
         curv = -g2
         settled = (g > 0.0) & (curv > 0.0) & (np.abs(g1) <= 1e-6 * curv)
-        band, bary = _screen_bounds(system, alpha, fvals, coef, p, ext, xs[idx[inner] - 1])
+        band, bary = _screen_bounds(system, alpha, fvals, coef, p, xs[idx[inner] - 1])
         upper = g + g1 * g1 / curv + band + bary
-        # golden section's last bracket of _XTOL in x leaves its point within
-        # 0.382 _XTOL of the top, where x'' = curv / (h sin(theta))^2
-        polish = 0.5 * curv / (h * np.sin((i + s) * h)) ** 2 * (0.382 * _XTOL) ** 2
-        lower = g - band - 3.0 * bary - polish
+        lower = g - band - bary
     best = max(lower[settled].max(initial=-math.inf), scanned[idx[~inner]].max(initial=-math.inf))
+    x[inner] = np.cos((i + s) * h)
     keep[inner] = ~settled | (upper >= best)
-    return keep
+    return x, keep
 
 
 def sup_error(system: NodeSystem, alpha: float) -> InterpError:
@@ -368,20 +362,20 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     The sup is taken over [0, 1] only (the error is even), on a theta-uniform
     grid x = cos(theta) of 40 n + 1 points, theta_i = i h with h = pi/(80 n).
     The grid is scanned in O(n log n) by two FFTs (_coefficients, then
-    cos_series); the scan only chooses which grid maxima to polish, and
-    every value returned is a _bary value.
+    cos_series), and its ends x = 0 and 1 by _bary; every value returned is
+    a _bary value.
 
     Each lobe of |err| spans about 40 grid steps, so a sampled lobe top is
     within a phase of pi/80 of the true top and at least cos(pi/80), about
     1 - 7.7e-4, of it.  A lobe whose sampled top lies more than _LOBE_RTOL
     (1e-2, left wide for lobes that are not quite cosine-shaped) below the
-    largest sample cannot hold the sup.  P2 keeps about one lobe; P1, whose
-    lobes all lie near the top, keeps nearly all of them, so when two or
-    more interior lobes pass, each is screened without _bary (_screen).
-    Its screened top S is the top of |x^alpha - p~(theta)|, by Newton's
-    method on s = theta/h - i in [-1, 1], where p~ interpolates the scanned
+    largest sample cannot hold the sup: P2 keeps about one lobe, P1 nearly
+    all.  Each interior lobe left has its top S taken without _bary
+    (_screen): the top of |x^alpha - p~(theta)|, by Newton's method on
+    s = theta/h - i in [-1, 1], where p~ interpolates the scanned
     p(cos theta) at the 10 grid steps s = -4..5 from its sampled top i.
-    The lobe's true top lies within S +- B, where B is the sum of
+    p~ lies within B of the interpolant that _bary evaluates, so the lobe's
+    true top lies within S +- B; B is the sum of
       * the remainder of p~: p(cos theta) is a trigonometric polynomial of
         degree 2n, so by Bernstein's inequality its 10th derivative is at
         most (2n)^10 ||p||, and |p - p~| <= (pi/40)^10 / 10! * Omega * ||p||,
@@ -398,23 +392,20 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
         moves p by at most the Lebesgue constant of the nodes times the
         largest |p'(x_j)| times that, p' taken from p~;
       * the rounding of p~ itself and of x^alpha at the double theta.
-    A polished value lies within R of its lobe's true top: R bounds the
+    A _bary value lies within R of the error at its x: R bounds the
     rounding of _bary by the Lebesgue constant of the nodes, at most
     (2/pi) log(2n + 1) + 1 for P2 and (2/pi) log(2n) + 1 + sum_j |w_j|
-    for P1 with its weights w_j.  These are first-order bounds; on every
-    scheme, n <= 2048 and alpha <= 5.5 tried, the polished values stayed
-    within a 75th of them.  Lobe i is
-    polished unless S_i + B_i + R lies below the best lower bound L: the
-    larger of an end sample (a _bary value the polish keeps) and the largest
-    S_j - B_j - 3 R - G_j, where G_j is what golden section's last bracket
-    of _XTOL may cost at lobe j's curvature.  So the sup and its argmax
-    have the bits of polishing every lobe.  Near the rounding floor B and R
-    are a large share of the sup, and more lobes, up to all of them, are
-    polished; a lobe where Newton's method does not settle is polished too.
-    The polish is the same for every lobe kept: one array golden section to
-    _XTOL over the bracket of the lobe's grid neighbours, whose every step
-    is one batched _bary call.  The end x = 1, where the P1 error peaks, is
-    sampled by _bary and kept when it is the larger.
+    for P1 with its weights w_j.  Lobe i is evaluated unless S_i + B_i + R
+    lies below the best lower bound L: the larger of an end sample and the
+    largest S_j - B_j - R.  One _bary call takes the tops of all the lobes
+    kept, and a lobe where Newton's method does not settle is kept and
+    taken at its last step.  So the sup and its argmax have the bits of
+    evaluating every lobe's top, and the sup lies within 2 B + R of the
+    true sup, B that of the lobe holding it.  These are first-order
+    bounds; against golden section on every grid maximum, over both
+    schemes, n <= 2048 and alpha <= 5.5, the sup stayed within 1.5e-3 of
+    them.  Near the rounding floor B and R are a large share of the sup,
+    and more lobes, up to all of them, are kept.
 
     An even alpha (0 included) is reproduced exactly, so its error is 0 at
     x = 0.  Otherwise ValueError names the scheme, n and alpha when the sup
@@ -439,16 +430,14 @@ def sup_error(system: NodeSystem, alpha: float) -> InterpError:
     coef = _coefficients(system, fvals)
     p = cos_series(coef, m)  # at theta, increasing
     scanned = np.abs(xs**alpha - p[::-1])
-    scanned[[0, -1]] = abserr(xs[[0, -1]])  # the polish may return these samples
-    floor = (1.0 - _LOBE_RTOL) * scanned.max()
-    idx = grid_maxima(scanned, floor)
-    keep = _screen(system, alpha, fvals, coef, p, xs, scanned, idx)
-    if not keep.all():  # a floor that only the kept maxima pass
-        floor = np.full(m, math.inf)
-        floor[idx[keep]] = -math.inf
-    peaks, values = refine_grid_maxima(abserr, xs, scanned, xtol=_XTOL, floor=floor)
+    scanned[[0, -1]] = abserr(xs[[0, -1]])  # the ends keep these samples
+    idx = grid_maxima(scanned, (1.0 - _LOBE_RTOL) * scanned.max())
+    tops, keep = _screen(system, alpha, fvals, coef, p, xs, scanned, idx)
+    tops, values = tops[keep], scanned[idx[keep]]
+    inner = (idx[keep] > 0) & (idx[keep] < m - 1)
+    values[inner] = abserr(tops[inner])
     k = int(np.argmax(values))
-    sup, x = float(values[k]), float(peaks[k])
+    sup, x = float(values[k]), float(tops[k])
     rho = _rounding(system, fvals, x)
     if sup < _FLOOR_ULPS * rho:
         raise ValueError(

@@ -570,4 +570,4 @@ def sup_norm_H1(alpha: float) -> SupNormReport:
         return np.linspace(lo, hi, 301 if lo else 601)[1:]
 
     x_cut = alpha + 20.0 * math.pi
-    return _certified_sup("sup_norm_H1", alpha, lambda x, j: j, grid, x_cut, xtol=1e-6)
+    return _certified_sup("sup_norm_H1", alpha, lambda x, j: j, grid, x_cut, xtol=1e-8)

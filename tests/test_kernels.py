@@ -878,6 +878,15 @@ def test_sup_norm_H1_vs_dense_grid(h1_norm):
     assert abs(rep.norm - vals.max()) <= 1e-6 * rep.norm
 
 
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 10.0, 30.0])
+def test_sup_norm_H1_is_the_top_of_J_to_a_few_ulps(h1_norm, alpha):
+    # the polish closes at xtol = 1e-8, where the top of J is flat to about
+    # an ulp; at 1e-6 the norm sat 20 ulps below this scan at alpha = 2
+    rep = h1_norm(alpha)
+    top = kernel_values("H1", alpha, rep.argmax + np.linspace(-1e-6, 1e-6, 2001)).max()
+    assert abs(top - rep.norm) <= 4.0 * np.spacing(top)
+
+
 @pytest.mark.parametrize("search", [sup_norm_H, sup_norm_H1])
 def test_sup_norms_make_no_scalar_quadrature_call(search, monkeypatch):
     # deterministic work gate: every lobe is polished on batched kernel values
