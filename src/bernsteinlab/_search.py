@@ -1,7 +1,7 @@
 """Search helpers over arrays of brackets, advanced in lockstep, the
-piecewise Chebyshev interpolant that nearbest's kernel cache and the
-polish of refine_grid_maxima share, and the DCT-I that sums a cosine
-series on a uniform grid for chebinterp's and remez's grid scans.
+piecewise Chebyshev interpolant that nearbest's kernel cache, the polish
+of refine_grid_maxima and remez's Newton polish share, and the DCT-I that
+sums a cosine series on a uniform grid for chebinterp's and remez's scans.
 
 A piece [lo, hi] is interpolated in degree _DEGREE on the Chebyshev points
 of the first kind mapped onto it, by the barycentric formula; its error
@@ -20,11 +20,12 @@ _CHEB_ANGLES = math.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)  # first kind, on [-1, 1]
 _BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
 _BLOCK = 512  # points interpolated per block, bounding the temporaries
-# a piece's last two Chebyshev coefficients are sum_j f_j _TAIL[j] for its
-# node values f_j: the columns k = _DEGREE - 1 and _DEGREE of the (25 x 25)
-# map c_k = 2/(_DEGREE + 1) sum_j f_j cos(k theta_j), taken by ufuncs and
-# not a BLAS product, which would load and touch more library code
-_TAIL = 2.0 / (_DEGREE + 1) * np.cos(_CHEB_ANGLES[:, None] * np.array([_DEGREE - 1.0, _DEGREE]))
+# a piece's Chebyshev coefficients, c_0 doubled, are c_k = sum_j f_j
+# _CHEB_MAP[j, k] = 2/(_DEGREE + 1) sum_j f_j cos(k theta_j) for its node
+# values f_j; its last two are sum_j f_j _TAIL[j], taken by ufuncs and not
+# a BLAS product, which would load and touch more library code
+_CHEB_MAP = 2.0 / (_DEGREE + 1) * np.cos(_CHEB_ANGLES[:, None] * np.arange(_DEGREE + 1.0))
+_TAIL = _CHEB_MAP[:, -2:].copy()
 # a bracket whose tail exceeds this share of the largest |part| at any
 # bracket's nodes is polished on f itself
 _TAIL_RTOL = 2.0**-40
@@ -214,24 +215,23 @@ def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf, par
     polished interior point.
 
     Given part, the objective is split as f(x, part(x)): part is the costly
-    smooth factor (a Clenshaw sum, a batch of quadratures) and f the cheap,
-    exact rest, which keeps any kink or singularity (|.|, y^(alpha/2) near
-    0) and any cancellation.  part is then called once at the _DEGREE + 1
-    Chebyshev points of every bracket, golden section runs on
-    f(x, I(x)) with I the bracket's interpolant of part, and part is called
-    once more at the polished x: every value returned is f(x, part(x)),
-    never an interpolated one.  I is the middle node's value plus the
-    interpolant of part's offsets from it, so that the barycentric sum
-    rounds relative to part's change across the bracket and not to its
-    size; the golden steps then take the turns they take on f to within an
-    ulp or two of part.  A bracket whose interpolant may err, its
-    last two Chebyshev coefficients summing above 2^-40 of the largest
-    |part| at any bracket's nodes, is polished on f(x, part(x)) itself, as
-    without part.  The scale is that global largest and not the bracket's
-    own: part may be tiny on one bracket (a polynomial near a zero) while
-    its rounding, the floor under any tail, is set by its size elsewhere.
-    Brackets that overlap (equal neighbouring samples) read x from the
-    later one's interpolant.
+    smooth factor (a batch of quadratures) and f the cheap, exact rest,
+    which keeps any kink (|.|) and any cancellation.  part is then called
+    once at the _DEGREE + 1 Chebyshev points of every bracket, golden
+    section runs on f(x, I(x)) with I the bracket's interpolant of part,
+    and part is called once more at the polished x: every value returned
+    is f(x, part(x)), never an interpolated one.  I is the middle node's
+    value plus the interpolant of part's offsets from it, so that the
+    barycentric sum rounds relative to part's change across the bracket
+    and not to its size; the golden steps then take the turns they take on
+    f to within an ulp or two of part.  A bracket whose interpolant may
+    err, its last two Chebyshev coefficients summing above 2^-40 of the
+    largest |part| at any bracket's nodes, is polished on f(x, part(x))
+    itself, as without part.  The scale is that global largest and not the
+    bracket's own: part may be tiny on one bracket while its rounding, the
+    floor under any tail, is set by its size elsewhere.  Brackets that
+    overlap (equal neighbouring samples) read x from the later one's
+    interpolant.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -9,9 +9,9 @@ multi-point Remez exchange in the Chebyshev basis of the working interval.
 Each exchange scans the error on a theta-uniform grid of [0, y_hi] of
 max(50n, 200) + 1 points, where the polynomial is one DCT-I of its
 coefficients (Trefethen, Approximation Theory and Approximation Practice,
-ch. 3); Clenshaw's recurrence evaluates it at the old reference points
-merged into the grid, at the interpolation nodes of every bracket and at
-the polished peaks.  The scan only picks the brackets to polish.
+ch. 3).  It only picks the brackets, whose tops Newton's method polishes on
+p's local Chebyshev series (_tops); Clenshaw evaluates p at the old
+reference merged into the grid, at every bracket's points and at the tops.
 
 Exchange robustness: the leveled linear system forces the new error to be
 exactly +/-E alternating on the old reference, so merging the old reference
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import cos_series, refine_grid_maxima
+from ._search import _CHEB_MAP, _DEGREE, cheb_points, cos_series, grid_maxima
 
 __all__ = [
     "ReferenceSet",
@@ -40,6 +40,8 @@ __all__ = [
 _EQUALIZE_RTOL = 1e-10
 _TINY = float(np.finfo(float).tiny)  # the smallest positive normal double
 _MAX_EXCHANGES = 50
+_NEWTON_STEPS = 10
+_STEP_TOL = 4.0 * float(np.finfo(float).eps)  # a few ulps of t in [-1, 1]
 
 
 class RemezError(RuntimeError):
@@ -116,10 +118,64 @@ def _base_values(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cos_series(coeffs, len(u))[::-1]
 
 
+def _chebder(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of each row's derivative (c_0 is not read)."""
+    d = np.zeros((len(c), c.shape[1] + 1))
+    for k in range(c.shape[1] - 1, 0, -1):
+        d[:, k - 1] = d[:, k + 1] + 2.0 * k * c[:, k]
+    d[:, 0] *= 0.5
+    return d[:, :-2]
+
+
+def _tops(half, coeffs, scale, grid, values):
+    """y and e = y^half - p(y) at the top of every grid maximum of the
+    sampled |e| values, by Newton's method on e'(t) = 0 with t in [-1, 1]
+    across the maximum's grid neighbours and p's derivatives from its local
+    Chebyshev series there.  Each bracket starts at its middle (y^(half - 1)
+    is infinite at y = 0), clamps every step to itself, and stops once its
+    step is a few ulps of t or no smaller than its last, where rounding sets
+    the steps.  The end samples that are grid maxima follow the tops, and
+    the exchange keeps the larger of each and its polished top."""
+    idx = grid_maxima(values)
+    lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
+    mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes = _eval_cheb(coeffs, scale(cheb_points(lo, hi).ravel())).reshape(len(idx), _DEGREE + 1)
+    # the offsets from the middle node have p's derivatives and round
+    # relative to p's change across the bracket, not to its size
+    nodes -= nodes[:, _DEGREE // 2, None]
+    d1 = _chebder(nodes @ _CHEB_MAP)
+    d2 = _chebder(d1)
+    t, last, live = np.zeros(len(idx)), np.full(len(idx), np.inf), np.arange(len(idx))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            tl, r = t[live], rad[live]
+            y = mid[live] + r * tl
+            cheb = np.cos(np.arccos(tl)[:, None] * np.arange(_DEGREE))  # T_k(t)
+            q = r / y  # so that no power of r or 1/y alone under- or overflows
+            f1 = half * q * y**half  # df/dt, and f1 (half - 1) q is d2f/dt2
+            de = f1 - np.einsum("ij,ij->i", cheb, d1[live])
+            dde = f1 * (half - 1.0) * q - np.einsum("ij,ij->i", cheb[:, :-1], d2[live])
+            step = np.clip(tl - de / dde, -1.0, 1.0) - tl
+            step[np.isnan(step)] = 0.0
+            t[live] = tl + step
+            moving = (np.abs(step) > _STEP_TOL) & (np.abs(step) < last[live])
+            last[live] = np.abs(step)
+            live = live[moving]
+            if not live.size:
+                break
+    y = np.concatenate([np.clip(mid + rad * t, lo, hi), grid[idx[(idx == 0) | (idx == len(grid) - 1)]]])
+    return y, y**half - _eval_cheb(coeffs, scale(y))
+
+
 def eval_approx(approx: BestApprox, x) -> np.ndarray:
-    """Evaluate the best polynomial at x in [-sqrt(y_hi), sqrt(y_hi)]."""
-    y = np.atleast_1d(np.asarray(x, dtype=float)) ** 2
-    return _eval_cheb(approx.coeffs, 2.0 * y / approx.y_hi - 1.0)
+    """Evaluate the best polynomial at x in [-sqrt(y_hi), sqrt(y_hi)]; raises
+    ValueError naming x where it is not finite or outside, the bound taken
+    in x so that x = +/-sqrt(y_hi) passes where x^2 rounds above y_hi."""
+    x, bound = np.atleast_1d(np.asarray(x, dtype=float)), math.sqrt(approx.y_hi)
+    bad = ~(np.abs(x) <= bound)
+    if bad.any():
+        raise ValueError(f"x must be finite with |x| <= sqrt(y_hi) = {bound}, got {x[bad][0]}")
+    return _eval_cheb(approx.coeffs, 2.0 * x**2 / approx.y_hi - 1.0)
 
 
 def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
@@ -128,9 +184,11 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
     n is the degree in y = x^2 (n = 0 gives the best constant).  y_hi scales
     the working interval to [0, y_hi], i.e. x in [-sqrt(y_hi), sqrt(y_hi)].
     Raises RemezError (carrying the last reference) on exchange stagnation,
-    and ValueError naming alpha, n or y_hi when one is outside its domain:
-    alpha finite and positive, y_hi a positive normal double (so that the
-    polish's tolerance 1e-12 y_hi is positive), n an integer >= 0.
+    which is also how a top the polish misses by more than the equalization
+    tolerance shows, as every candidate error is f - p at a real point, and
+    ValueError naming alpha, n or y_hi when one is outside its domain:
+    alpha finite and positive, y_hi a positive normal double (so that
+    2 y / y_hi - 1 keeps full precision), n an integer >= 0.
 
     For an even alpha with n >= alpha/2, |x|^alpha is itself a polynomial
     of degree <= 2n: the first leveled solve interpolates it, and the result
@@ -169,22 +227,12 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
         if exact:
             return BestApprox(alpha, coeffs, 0.0, ReferenceSet(ref, 0.0, parity), y_hi)
 
-        def poly(y):
-            return _eval_cheb(coeffs, scale(y))
-
-        def err(y):
-            return f(y) - poly(y)
-
         # the grid scan takes p on the base grid from one DCT and on the
-        # merged reference points from Clenshaw; the polish interpolates the
-        # polynomial alone: y^half, singular at y = 0, and the cancellation
-        # in f - p stay exact
+        # merged reference points from Clenshaw; it only picks the brackets
         grid, first = np.unique(np.concatenate([base_grid, ref]), return_index=True)
-        p_grid = np.concatenate([_base_values(coeffs, base_u), poly(ref)])[first]
-        peaks, _ = refine_grid_maxima(
-            lambda y, p: np.abs(f(y) - p), grid, np.abs(f(grid) - p_grid), xtol=1e-12 * y_hi, part=poly
-        )
-        cand = list(zip(peaks.tolist(), err(peaks).tolist()))
+        p_grid = np.concatenate([_base_values(coeffs, base_u), _eval_cheb(coeffs, scale(ref))])[first]
+        tops, top_errs = _tops(half, coeffs, scale, grid, np.abs(f(grid) - p_grid))
+        cand = list(zip(tops.tolist(), top_errs.tolist()))
         # the old reference is exactly leveled, guaranteeing alternation
         cand.extend(zip(ref, parity * level))
         cand.sort()

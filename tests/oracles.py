@@ -187,3 +187,50 @@ def direct_alternating_odd_sum(s: float, terms: int = 2_000_000) -> float:
     total = float(np.sum(t))
     # average of the last two partial sums kills the leading remainder
     return total - 0.5 * float(t[-1])
+
+
+def lobe_maxima_mp(alpha: float, coeffs, samples: int, at):
+    """The maximum of |e|, e(y) = y^(alpha/2) - sum_k coeffs[k] T_k(2y - 1),
+    on every interior lobe of [0, 1], and |e| at the points `at`, in mpmath
+    at 40 digits.
+
+    e is sampled in double (numpy's chebval) at `samples` theta-uniform
+    points; its sign changes split [0, 1] into lobes, and the first and
+    last lobe, which reach an end, are dropped.  Each interior lobe's top
+    is the root of e' = (alpha/2) y^(alpha/2 - 1) - 2 sum_k k c_k U_(k-1)(u)
+    that mpmath's findroot finds in the two sample spacings about the
+    lobe's largest sample, by the bracketing Anderson-Bjorck solver; p' is
+    summed by the U-series recurrence.  Returns the lobes' bounds as sample
+    points (lobe j lies between bounds[j] and bounds[j + 1]), the maxima
+    and |e(at)|.
+    """
+    theta = np.linspace(0.0, np.pi, samples)
+    y = 0.5 * (1.0 + np.cos(theta))[::-1]
+    y[0] = 0.0
+    e = y ** (0.5 * alpha) - np.polynomial.chebyshev.chebval(2.0 * y - 1.0, coeffs)
+    flips = np.flatnonzero(np.signbit(e[1:]) != np.signbit(e[:-1])) + 1
+    with mpmath.workdps(40):
+        half = mpmath.mpf(alpha) / 2
+        c = [mpmath.mpf(float(v)) for v in coeffs]
+        kc = [k * c[k] for k in range(1, len(c))]
+
+        def abs_e(yy):
+            u = 2 * yy - 1
+            b1 = b2 = mpmath.mpf(0)
+            for ck in reversed(c[1:]):
+                b1, b2 = 2 * u * b1 - b2 + ck, b1
+            return float(abs(yy**half - (u * b1 - b2 + c[0])))
+
+        def de(yy):
+            u = 2 * yy - 1
+            b1 = b2 = mpmath.mpf(0)
+            for a in reversed(kc):
+                b1, b2 = 2 * u * b1 - b2 + a, b1
+            return half * yy ** (half - 1) - 2 * b1
+
+        maxima = []
+        for lo, hi in zip(flips[:-1], flips[1:]):
+            i = lo + int(np.argmax(np.abs(e[lo:hi])))
+            top = mpmath.findroot(de, (mpmath.mpf(y[i - 1]), mpmath.mpf(y[i + 1])), solver="anderson")
+            maxima.append(abs_e(top))
+        return y[flips], np.array(maxima), np.array([abs_e(mpmath.mpf(float(v))) for v in at])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bernsteinlab import remez
+from bernsteinlab import _search, remez
 from bernsteinlab.chebinterp import build_nodes, sup_error
 from bernsteinlab.kernels import delta_1_closed, delta_2_closed
 from bernsteinlab.specfun import gamma
@@ -58,6 +58,23 @@ def test_eval_approx_reproduces_leveled_error():
     assert np.allclose(np.abs(np.abs(xs) - remez.eval_approx(ba, xs)), 0.125, atol=1e-9)
 
 
+@pytest.mark.parametrize("x", [2.0, -1.0000000000000002, math.nan, math.inf, [0.5, -math.inf]])
+def test_eval_approx_names_x_outside_the_interval(x):
+    # the polynomial is no approximation past sqrt(y_hi): at x = 2 it reads
+    # -868.8 for |x| = 4
+    with pytest.raises(ValueError, match="^x must"):
+        remez.eval_approx(remez.best_poly(1.0, 4), x)
+
+
+def test_eval_approx_takes_the_interval_ends():
+    # sqrt(2)^2 rounds one ulp above 2: the bound is taken in x, not in x^2
+    ba = remez.best_poly(1.0, 4, y_hi=2.0)
+    end = math.sqrt(2.0)
+    assert end * end > 2.0
+    u = 2.0 * end**2 / 2.0 - 1.0
+    assert np.array_equal(remez.eval_approx(ba, [-end, end]), remez._eval_cheb(ba.coeffs, np.array([u, u])))
+
+
 def test_optimality_sandwich_vs_interpolation():
     # the best error can never exceed the interpolation error
     for alpha, n in ((0.5, 8), (1.0, 6)):
@@ -75,6 +92,9 @@ def test_scaling_identity():
     assert abs(remez.scaling_check(1.0, 1, 2.0) - 2.0) <= 1e-8
     assert abs(remez.scaling_check(0.5, 2, 4.0) - 2.0) <= 1e-8
     assert abs(remez.scaling_check(1.0, 1, 1.0) - 1.0) <= 1e-12
+    # at the ends of y_hi's range the polish's derivatives stay in range
+    for b in (1e-150, 1e150):
+        assert abs(remez.scaling_check(0.5, 2, b) / b**0.5 - 1.0) <= 1e-10
 
 
 def test_extrapolation_alpha_one():
@@ -188,9 +208,10 @@ def test_stagnation_raises_with_reference(monkeypatch):
 
 def test_polish_evaluates_all_candidates_together(monkeypatch):
     # deterministic work gate: per exchange, the reference points merged
-    # into the grid, the interpolation nodes of every bracket, the polished
-    # peaks and the candidate errors are one Clenshaw call each (the base
-    # grid is one DCT); a golden section on the error itself takes ~30
+    # into the grid, the interpolation nodes of every bracket and the
+    # candidate errors are one Clenshaw call each (the base grid is one
+    # DCT); Newton runs on each bracket's local series, so no golden section
+    # runs, where it took about 47 steps per exchange
     calls = {"exchanges": 0, "clenshaw": 0}
     cheb_vander, eval_cheb = remez._cheb_vander, remez._eval_cheb
 
@@ -202,11 +223,38 @@ def test_polish_evaluates_all_candidates_together(monkeypatch):
         calls["clenshaw"] += 1
         return eval_cheb(*args)
 
+    def no_golden(*args, **kwargs):
+        raise AssertionError("golden section ran")
+
     monkeypatch.setattr(remez, "_cheb_vander", counting_vander)
     monkeypatch.setattr(remez, "_eval_cheb", counting_eval)
+    monkeypatch.setattr(_search, "golden_max", no_golden)
     remez.best_poly(1.0, 64)
     assert calls["exchanges"] >= 1
-    assert calls["clenshaw"] <= 4 * calls["exchanges"]
+    assert calls["clenshaw"] <= 3 * calls["exchanges"]
+
+
+@pytest.mark.parametrize("alpha,n", [(1.0, 16), (0.5, 64), (1.5, 256)])
+def test_polished_tops_reach_each_lobes_mpmath_maximum(alpha, n, monkeypatch):
+    # the last exchange polishes the tops of the returned polynomial; the
+    # oracle finds every interior lobe's top by 40-digit findroot on e' and
+    # shares no code with the polish.  |e| at each polished top, taken in
+    # mpmath, is its lobe's maximum to 4 eps max|p|: the rounding of f - p
+    # in double is what the exchange sees, and a top missed by more than
+    # that would move E_n
+    calls = []
+    tops = remez._tops
+    monkeypatch.setattr(remez, "_tops", lambda *args: calls.append(tops(*args)) or calls[-1])
+    ba = remez.best_poly(alpha, n)
+    y_top, _ = calls[-1]
+    bounds, maxima, at_top = oracles.lobe_maxima_mp(alpha, ba.coeffs, 40 * (n + 2), y_top)
+    assert len(maxima) == n  # n + 2 lobes, the two end ones dropped
+    lobe = np.searchsorted(bounds, y_top, side="right") - 1
+    inner = (lobe >= 0) & (lobe < n)
+    assert set(lobe[inner]) == set(range(n))
+    p_max = np.abs(np.polynomial.chebyshev.chebval(np.linspace(-1.0, 1.0, 1001), ba.coeffs)).max()
+    gap = np.abs(at_top[inner] - maxima[lobe[inner]])
+    assert gap.max() <= 4.0 * np.finfo(float).eps * p_max
 
 
 @pytest.mark.parametrize("alpha,n", [(0.966318, 256), (1.007543, 64), (1.034272, 16)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bernsteinlab import _search
 from bernsteinlab._search import bisect_root, golden_max, refine_grid_maxima
 
 
@@ -188,6 +189,18 @@ def test_refine_grid_maxima_polishes_a_kinked_bracket_on_f():
     assert calls[0] == 25 * len(x) and calls[-1] == len(x) - 1
     assert set(calls[1:-1]) == {1} and len(calls) > 20
     assert (v == f(x)).all()
+
+
+def test_cheb_map_takes_node_values_to_chebyshev_coefficients():
+    # T_k at a piece's 25 first-kind points maps to the k-th unit vector,
+    # c_0 doubled; _TAIL, which the sup norms read, keeps the bits of its
+    # own two-column cosine
+    t = np.cos(np.arange(_search._DEGREE + 1)[:, None] * np.arccos(_search._CHEB_NODES))
+    want = np.eye(_search._DEGREE + 1)
+    want[0, 0] = 2.0
+    assert np.abs(t @ _search._CHEB_MAP - want).max() <= 1e-14
+    angles = _search._CHEB_ANGLES[:, None] * np.array([_search._DEGREE - 1.0, _search._DEGREE])
+    assert np.array_equal(_search._TAIL, 2.0 / (_search._DEGREE + 1) * np.cos(angles))
 
 
 def _g(x):
