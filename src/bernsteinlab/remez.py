@@ -10,8 +10,10 @@ Each exchange scans the error on a theta-uniform grid of [0, y_hi] of
 max(50n, 200) + 1 points, where the polynomial is one DCT-I of its
 coefficients (Trefethen, Approximation Theory and Approximation Practice,
 ch. 3).  It only picks the brackets, whose tops Newton's method polishes on
-p's local Chebyshev series (_tops); Clenshaw evaluates p at the old
-reference merged into the grid, at every bracket's points and at the tops.
+p's local Chebyshev series (_tops); Clenshaw evaluates p at every bracket's
+points, and f - p at the tops and the old reference, in long double after
+one refinement of the solve once the spread is within _FINE_RTOL: 1e-10 E_n
+can lie below double's rounding of f - p.
 
 Exchange robustness: the leveled linear system forces the new error to be
 exactly +/-E alternating on the old reference, so merging the old reference
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 _EQUALIZE_RTOL = 1e-10
+_FINE_RTOL = 1e-5  # see the module docstring
 _TINY = float(np.finfo(float).tiny)  # the smallest positive normal double
 _MAX_EXCHANGES = 50
 _NEWTON_STEPS = 10
@@ -119,7 +122,8 @@ def _base_values(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _chebder(c: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of each row's derivative (c_0 is not read)."""
+    """Each row's derivative (c_0 is not read): numpy.polynomial's chebder,
+    which the package does not import, as it adds about 3 ms at import."""
     d = np.zeros((len(c), c.shape[1] + 1))
     for k in range(c.shape[1] - 1, 0, -1):
         d[:, k - 1] = d[:, k + 1] + 2.0 * k * c[:, k]
@@ -128,20 +132,16 @@ def _chebder(c: np.ndarray) -> np.ndarray:
 
 
 def _tops(half, coeffs, scale, grid, values):
-    """y and e = y^half - p(y) at the top of every grid maximum of the
-    sampled |e| values, by Newton's method on e'(t) = 0 with t in [-1, 1]
-    across the maximum's grid neighbours and p's derivatives from its local
-    Chebyshev series there.  Each bracket starts at its middle (y^(half - 1)
-    is infinite at y = 0), clamps every step to itself, and stops once its
-    step is a few ulps of t or no smaller than its last, where rounding sets
-    the steps.  The end samples that are grid maxima follow the tops, and
-    the exchange keeps the larger of each and its polished top."""
+    """y at the top of each grid maximum of |e| = |y^half - p(y)|: Newton on
+    e'(t) = 0, t in [-1, 1] across its grid neighbours, p's derivatives from
+    its local Chebyshev series.  Steps start at the middle (y^(half - 1) is
+    infinite at 0), clamp to the bracket and stop at a few ulps of t or once
+    no smaller than the last.  End samples that are grid maxima follow."""
     idx = grid_maxima(values)
     lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
     mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = _eval_cheb(coeffs, scale(cheb_points(lo, hi).ravel())).reshape(len(idx), _DEGREE + 1)
-    # the offsets from the middle node have p's derivatives and round
-    # relative to p's change across the bracket, not to its size
+    # offsets from the middle node round relative to p's change, not its size
     nodes -= nodes[:, _DEGREE // 2, None]
     d1 = _chebder(nodes @ _CHEB_MAP)
     d2 = _chebder(d1)
@@ -163,14 +163,18 @@ def _tops(half, coeffs, scale, grid, values):
             live = live[moving]
             if not live.size:
                 break
-    y = np.concatenate([np.clip(mid + rad * t, lo, hi), grid[idx[(idx == 0) | (idx == len(grid) - 1)]]])
-    return y, y**half - _eval_cheb(coeffs, scale(y))
+    return np.concatenate([np.clip(mid + rad * t, lo, hi), grid[idx[(idx == 0) | (idx == len(grid) - 1)]]])
+
+
+def _errors(half, coeffs, y_hi, y, dtype):
+    """f - p at y in dtype (long double is plain double on some platforms)."""
+    y = y.astype(dtype)
+    return y**half - _eval_cheb(coeffs.astype(dtype), 2.0 * y / y_hi - 1.0)
 
 
 def eval_approx(approx: BestApprox, x) -> np.ndarray:
     """Evaluate the best polynomial at x in [-sqrt(y_hi), sqrt(y_hi)]; raises
-    ValueError naming x where it is not finite or outside, the bound taken
-    in x so that x = +/-sqrt(y_hi) passes where x^2 rounds above y_hi."""
+    ValueError naming x elsewhere (bounded in x, not in x^2, which rounds)."""
     x, bound = np.atleast_1d(np.asarray(x, dtype=float)), math.sqrt(approx.y_hi)
     bad = ~(np.abs(x) <= bound)
     if bad.any():
@@ -219,23 +223,25 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
     base_grid[0] = 0.0
     base_u = scale(base_grid)
 
-    coeffs = None
-    level = 0.0
+    fine = False  # the spread is within _FINE_RTOL: f - p in long double
     for _ in range(_MAX_EXCHANGES):
-        sol = np.linalg.solve(_cheb_vander(scale(ref), n, parity), f(ref))
+        vander = _cheb_vander(scale(ref), n, parity)
+        sol = np.linalg.solve(vander, f(ref))
+        if fine:  # one refinement on the residual at the exact points
+            res = _errors(half, sol[:-1], y_hi, ref, np.longdouble) - parity * sol[-1]
+            sol += np.linalg.solve(vander, res.astype(float))
         coeffs, level = sol[:-1], sol[-1]
         if exact:
             return BestApprox(alpha, coeffs, 0.0, ReferenceSet(ref, 0.0, parity), y_hi)
 
-        # the grid scan takes p on the base grid from one DCT and on the
-        # merged reference points from Clenshaw; it only picks the brackets
+        # the scan takes p on the base grid from one DCT, |level| at ref
         grid, first = np.unique(np.concatenate([base_grid, ref]), return_index=True)
-        p_grid = np.concatenate([_base_values(coeffs, base_u), _eval_cheb(coeffs, scale(ref))])[first]
-        tops, top_errs = _tops(half, coeffs, scale, grid, np.abs(f(grid) - p_grid))
-        cand = list(zip(tops.tolist(), top_errs.tolist()))
-        # the old reference is exactly leveled, guaranteeing alternation
-        cand.extend(zip(ref, parity * level))
-        cand.sort()
+        e_base = f(base_grid) - _base_values(coeffs, base_u)
+        e_grid = np.abs(np.concatenate([e_base, np.full_like(ref, level)]))
+        # the old reference, leveled by the solve, keeps alternation
+        pts = np.concatenate([_tops(half, coeffs, scale, grid, e_grid[first]), ref])
+        e_pts = _errors(half, coeffs, y_hi, pts, np.longdouble if fine else float).astype(float)
+        cand = sorted(zip(pts.tolist(), e_pts.tolist()))
 
         # collapse same-sign runs, keeping the largest magnitude
         sel: list[tuple[float, float]] = []
@@ -246,24 +252,20 @@ def best_poly(alpha: float, n: int, y_hi: float = 1.0) -> BestApprox:
             else:
                 sel.append((y_c, e_c))
         while len(sel) > n + 2:
-            if abs(sel[0][1]) < abs(sel[-1][1]):
-                sel.pop(0)
-            else:
-                sel.pop()
+            sel.pop(0 if abs(sel[0][1]) < abs(sel[-1][1]) else -1)
         if len(sel) < n + 2:
             raise RemezError(
                 f"alternation lost: {len(sel)} < {n + 2} points",
                 ReferenceSet(ref, abs(level), parity * math.copysign(1.0, level)),
             )
 
-        new_ref = np.array([y for y, _ in sel])
-        errs = np.array([e_c for _, e_c in sel])
+        ref, errs = map(np.array, zip(*sel))
         emax, emin = np.abs(errs).max(), np.abs(errs).min()
         parity = np.sign(errs)
-        ref = new_ref
-        if emax - emin <= _EQUALIZE_RTOL * emax:
+        if fine and emax - emin <= _EQUALIZE_RTOL * emax:
             reference = ReferenceSet(ref, emax, parity.copy())
             return BestApprox(alpha, coeffs, float(emax), reference, y_hi)
+        fine = emax - emin <= _FINE_RTOL * emax
 
     raise RemezError(
         f"no equalization within {_MAX_EXCHANGES} exchanges "

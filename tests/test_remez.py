@@ -207,11 +207,12 @@ def test_stagnation_raises_with_reference(monkeypatch):
 
 
 def test_polish_evaluates_all_candidates_together(monkeypatch):
-    # deterministic work gate: per exchange, the reference points merged
-    # into the grid, the interpolation nodes of every bracket and the
-    # candidate errors are one Clenshaw call each (the base grid is one
-    # DCT); Newton runs on each bracket's local series, so no golden section
-    # runs, where it took about 47 steps per exchange
+    # deterministic work gate: per exchange, the interpolation nodes of
+    # every bracket, the candidate errors and, in the last exchanges, the
+    # solve's residual are one Clenshaw call each (the base grid is one DCT,
+    # and the reference merged into it reads |level|); Newton runs on each
+    # bracket's local series, so no golden section runs, where it took
+    # about 47 steps per exchange
     calls = {"exchanges": 0, "clenshaw": 0}
     cheb_vander, eval_cheb = remez._cheb_vander, remez._eval_cheb
 
@@ -239,14 +240,13 @@ def test_polished_tops_reach_each_lobes_mpmath_maximum(alpha, n, monkeypatch):
     # the last exchange polishes the tops of the returned polynomial; the
     # oracle finds every interior lobe's top by 40-digit findroot on e' and
     # shares no code with the polish.  |e| at each polished top, taken in
-    # mpmath, is its lobe's maximum to 4 eps max|p|: the rounding of f - p
-    # in double is what the exchange sees, and a top missed by more than
-    # that would move E_n
+    # mpmath, is its lobe's maximum to 4 eps max|p|, the rounding of f - p
+    # in double: a top missed by more than that would move E_n
     calls = []
     tops = remez._tops
     monkeypatch.setattr(remez, "_tops", lambda *args: calls.append(tops(*args)) or calls[-1])
     ba = remez.best_poly(alpha, n)
-    y_top, _ = calls[-1]
+    y_top = calls[-1]
     bounds, maxima, at_top = oracles.lobe_maxima_mp(alpha, ba.coeffs, 40 * (n + 2), y_top)
     assert len(maxima) == n  # n + 2 lobes, the two end ones dropped
     lobe = np.searchsorted(bounds, y_top, side="right") - 1
@@ -301,3 +301,18 @@ def test_closed_form_constants_cross_check(alpha):
         pi / (2.0 * alpha + 1.0)
     )
     assert abs(delta_2_closed(alpha) - b2) <= 1e-10
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is plain double here")
+@pytest.mark.parametrize("alpha,n", [(2.1, 96), (2.2, 96), (2.6, 48), (2.5, 60)])
+def test_equalization_below_double_rounding_holds_in_mpmath(alpha, n):
+    # 1e-10 E_n is 7.6e-17 to 2.4e-16 here, at most two roundings of f - p
+    # in double near y = 1: the last exchanges refine the solve and take
+    # f - p in long double, so the lobes of the returned polynomial, found
+    # and measured at 40 digits, are level to the tolerance.  An exchange in
+    # double returned these four with true spreads of 1.5 to 4.4 times it
+    ba = remez.best_poly(alpha, n)
+    _, maxima, at_ends = oracles.lobe_maxima_mp(alpha, ba.coeffs, 40 * (n + 2), ba.reference.points[[0, -1]])
+    assert len(maxima) == n
+    heights = np.concatenate([maxima, at_ends])
+    assert np.abs(heights - ba.E_n).max() <= remez._EQUALIZE_RTOL * ba.E_n
