@@ -1,7 +1,6 @@
-"""Search helpers over arrays of brackets, advanced in lockstep, the
-piecewise Chebyshev interpolant that nearbest's kernel cache, the polish
-of refine_grid_maxima and remez's Newton polish share, and the DCT-I that
-sums a cosine series on a uniform grid for chebinterp's and remez's scans.
+"""Search helpers over arrays of brackets, advanced in lockstep (the one
+maximum polisher among them), the piecewise Chebyshev interpolant of
+nearbest's cache, and the DCT-I that sums a cosine series on a uniform grid.
 
 A piece [lo, hi] is interpolated in degree _DEGREE on the Chebyshev points
 of the first kind mapped onto it, by the barycentric formula; its error
@@ -22,13 +21,14 @@ _BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
 _BLOCK = 512  # points interpolated per block, bounding the temporaries
 # a piece's Chebyshev coefficients, c_0 doubled, are c_k = sum_j f_j
 # _CHEB_MAP[j, k] = 2/(_DEGREE + 1) sum_j f_j cos(k theta_j) for its node
-# values f_j; its last two are sum_j f_j _TAIL[j], taken by ufuncs and not
-# a BLAS product, which would load and touch more library code
+# values f_j; its last two are sum_j f_j _TAIL[j]
 _CHEB_MAP = 2.0 / (_DEGREE + 1) * np.cos(_CHEB_ANGLES[:, None] * np.arange(_DEGREE + 1.0))
 _TAIL = _CHEB_MAP[:, -2:].copy()
-# a bracket whose tail exceeds this share of the largest |part| at any
-# bracket's nodes is polished on f itself
+# a bracket whose tail exceeds this share of the largest |f| at any
+# bracket's nodes is polished by golden section on f
 _TAIL_RTOL = 2.0**-40
+_NEWTON_STEPS = 10
+_STEP_TOL = 4.0 * float(np.finfo(float).eps)  # a few ulps of t in [-1, 1]
 
 
 def _closing_width(a, b, xtol: float):
@@ -170,75 +170,94 @@ def interpolate_pieces(starts, ends, node_vals, x) -> np.ndarray:
     return np.einsum("...kj,...j->...k", node_vals[k], q) / q.sum(axis=-1)[..., None]
 
 
-def _polish_on_pieces(outer, part, a, b, xtol: float):
-    """golden_max of outer(x, part(x)) on every bracket [a[i], b[i]], where
-    golden section reads part from the bracket's interpolant wherever its
-    tail is small enough (see refine_grid_maxima)."""
+def _chebder(c: np.ndarray) -> np.ndarray:
+    """Each row's derivative (c_0 is not read): numpy.polynomial's chebder,
+    which the package does not import, as it adds about 3 ms at import."""
+    d = np.zeros((len(c), c.shape[1] + 1))
+    for k in range(c.shape[1] - 1, 0, -1):
+        d[:, k - 1] = d[:, k + 1] + 2.0 * k * c[:, k]
+    d[:, 0] *= 0.5
+    return d[:, :-2]
+
+
+def newton_tops(vals: np.ndarray, t, closed=None) -> np.ndarray:
+    """Each bracket's t in [-1, 1], its own coordinate, where g'(t) = 0, by
+    Newton's method from t: g is the series through vals[i], at bracket i's
+    cheb_points, or h minus it, closed(t, live) giving h', h'' at t for the
+    brackets live.  vals is overwritten by its offsets from the middle node,
+    so the coefficients round relative to its change, not its size.  Steps
+    are clamped to [-1, 1]; a bracket stops after _NEWTON_STEPS, at a step
+    of at most _STEP_TOL or no smaller than its last, or at a NaN step."""
+    vals -= vals[:, _DEGREE // 2, None]
+    d1 = _chebder(vals @ _CHEB_MAP)
+    d2 = _chebder(d1)
+    t = np.array(t, dtype=float)
+    last, live = np.full(len(t), np.inf), np.arange(len(t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            tl = t[live]
+            h1, h2 = (0.0, 0.0) if closed is None else closed(tl, live)
+            cheb = np.cos(np.arccos(tl)[:, None] * np.arange(_DEGREE))  # T_k(t)
+            de = h1 - np.einsum("ij,ij->i", cheb, d1[live])
+            dde = h2 - np.einsum("ij,ij->i", cheb[:, :-1], d2[live])
+            step = np.clip(tl - de / dde, -1.0, 1.0) - tl
+            step[np.isnan(step)] = 0.0
+            t[live] = tl + step
+            moving = (np.abs(step) > _STEP_TOL) & (np.abs(step) < last[live])
+            last[live] = np.abs(step)
+            live = live[moving]
+            if not live.size:
+                break
+    return t
+
+
+def polish_brackets(f, a, b, t, xtol: float):
+    """x and f(x) at the top of f on every bracket [a[i], b[i]]: newton_tops
+    from t[i] on the series through f at the bracket's cheb_points.  f takes
+    and returns arrays, and is called at every bracket's points and at the
+    tops, so every value returned is f's own.  A bracket whose last two
+    Chebyshev coefficients sum above _TAIL_RTOL of the largest |f| at any
+    bracket's points (a kink, say) takes golden_max on f to xtol instead: f
+    may be tiny on one bracket while its rounding, the floor under any
+    tail, is set by its size elsewhere."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x, v = np.empty(len(a)), np.empty(len(a))
-    # every (brackets, 25) temporary is dropped once used, or reused in
-    # place, so that the heap, and the peak RSS, stays where the plain polish
-    # left it
-    nodes = cheb_points(a, b).ravel()
-    vals = np.asarray(part(nodes), dtype=float).reshape(len(a), _DEGREE + 1)
-    del nodes
+    # (brackets, 25) arrays are dropped once used or reused, for the peak RSS
+    vals = np.asarray(f(cheb_points(a, b).ravel()), dtype=float).reshape(len(a), _DEGREE + 1)
     tail = np.abs((vals * _TAIL[:, 0]).sum(axis=1)) + np.abs((vals * _TAIL[:, 1]).sum(axis=1))
     scale = max(vals.max(initial=0.0), -vals.min(initial=0.0))
-    smooth = tail <= _TAIL_RTOL * scale  # NaN goes direct
-    direct = ~smooth
-    if direct.any():
-        x[direct], v[direct] = golden_max(lambda x: outer(x, part(x)), a[direct], b[direct], xtol)
+    smooth = tail <= _TAIL_RTOL * scale  # NaN goes to golden section
+    rough = ~smooth
+    if rough.any():
+        x[rough], v[rough] = golden_max(f, a[rough], b[rough], xtol)
     if smooth.any():
         lo, hi = a[smooth], b[smooth]
-        node_vals = vals[smooth]
-        center = node_vals[:, _DEGREE // 2].copy()
-        node_vals -= center[:, None]
-        node_vals = node_vals[:, None, :]
-
-        def interpolated(x):
-            k = np.searchsorted(lo[1:], x, side="right")
-            return outer(x, center[k] + interpolate_pieces(lo, hi, node_vals, x)[..., 0])
-
-        xm, _ = golden_max(interpolated, lo, hi, xtol)
-        x[smooth], v[smooth] = xm, outer(xm, part(xm))
+        vals = vals[smooth]
+        t = newton_tops(vals, t[smooth])
+        x[smooth] = np.clip(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, lo, hi)
+        v[smooth] = f(x[smooth])
     return x, v
 
 
 def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf, part=None):
-    """Polish every local maximum of sampled values with golden sections.
+    """Polish every local maximum of sampled values to its top.
 
     xs must be increasing and f takes and returns arrays.  Every grid local
-    maximum, endpoints included, whose sampled value is not below floor is
-    bracketed by its grid neighbours and all brackets are polished in one
-    array golden_max call.  Returns arrays x and f(x), one entry per maximum.
-    Golden section never evaluates the ends of its bracket, so a maximum at
-    either end of the grid keeps the sampled endpoint when that beats the
-    polished interior point.
-
-    Given part, the objective is split as f(x, part(x)): part is the costly
-    smooth factor (a batch of quadratures) and f the cheap, exact rest,
-    which keeps any kink (|.|) and any cancellation.  part is then called
-    once at the _DEGREE + 1 Chebyshev points of every bracket, golden
-    section runs on f(x, I(x)) with I the bracket's interpolant of part,
-    and part is called once more at the polished x: every value returned
-    is f(x, part(x)), never an interpolated one.  I is the middle node's
-    value plus the interpolant of part's offsets from it, so that the
-    barycentric sum rounds relative to part's change across the bracket
-    and not to its size; the golden steps then take the turns they take on
-    f to within an ulp or two of part.  A bracket whose interpolant may
-    err, its last two Chebyshev coefficients summing above 2^-40 of the
-    largest |part| at any bracket's nodes, is polished on f(x, part(x))
-    itself, as without part.  The scale is that global largest and not the
-    bracket's own: part may be tiny on one bracket while its rounding, the
-    floor under any tail, is set by its size elsewhere.  Brackets that
-    overlap (equal neighbouring samples) read x from the later one's
-    interpolant.
+    maximum, ends included, whose sampled value is not below floor is
+    bracketed by its grid neighbours, and all are polished by one
+    polish_brackets call from the sampled maximum.  Returns arrays x and
+    f(x), one entry per maximum, the sample where the polish is lower (or
+    NaN).  Given part, the objective is f(x, part(x)), part being the costly
+    smooth factor (quadratures) and f the cheap, exact rest (kinks and all).
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(values)
     idx = grid_maxima(values, floor)
     a, b = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, n - 1)]
-    x, v = golden_max(f, a, b, xtol) if part is None else _polish_on_pieces(f, part, a, b, xtol)
-    end = ((idx == 0) | (idx == n - 1)) & (values[idx] > v)
-    x[end], v[end] = xs[idx[end]], values[idx[end]]
+    whole = f if part is None else (lambda x: f(x, part(x)))
+    start = np.clip((2.0 * xs[idx] - (b + a)) / (b - a), -1.0, 1.0)  # rounding may pass +-1
+    x, v = polish_brackets(whole, a, b, start, xtol)
+    low = ~(v >= values[idx])
+    x[low], v[low] = xs[idx[low]], values[idx[low]]
     return x, v

@@ -490,7 +490,7 @@ class SupNormReport:
             raise ValueError("norm must equal the largest local maximum")
 
 
-_PERIOD_GRID = 8  # coarse points per half-period before golden refinement
+_PERIOD_GRID = 8  # grid points inside each period [k pi, (k+1) pi] before the polish
 
 
 def beta_point(alpha: float) -> float:
@@ -509,9 +509,10 @@ def _certified_sup(name: str, alpha: float, outer, grid, x_cut: float, xtol: flo
 
     outer(x, j) takes arrays; grid(lo, hi) gives the scan points of (lo, hi].
     The grid maxima of (0, x_cut] are polished in one refine_grid_maxima
-    call with part = J, so on interpolants of J, every value returned being
-    outer of a quadrature at the polished x; then x_cut doubles, scanning
-    only the new part, until C(alpha)/x_cut < norm/2.
+    call with part = J, by Newton's method on each lobe's local series of
+    outer(x, J(x)), every value returned being outer of a quadrature at the
+    polished x; then x_cut doubles, scanning only the new part, until
+    C(alpha)/x_cut < norm/2.
     A value past the double range is a QuadratureOverflowError naming name
     and alpha.
     """

@@ -23,12 +23,12 @@ minimax from below (de la Vallee Poussin) and the sup polished on the
 interpolants bounds it from above; optimize_c solves in rounds, on the grid
 plus the last round's polished lobe maxima, until the two agree to 1e-12
 relative, and returns both.  The kernels are precomputed once per alpha
-(GridCache), so a round is a few vector operations plus a golden-section
-polish of every grid lobe within 5% of the top.  The cache holds A0 and H1
-only as piecewise Chebyshev interpolants, which give the scan grid (step
-pi/100 up to 40 pi) and every off-grid value the searches ask for without
-quadrature (Trefethen, Approximation Theory and Approximation Practice,
-SIAM 2013).  The pieces are pi wide above pi and graded by
+(GridCache), so a round is a few vector operations plus a Newton polish,
+on its local series, of every grid lobe within 5% of the top.  The cache
+holds A0 and H1 only as piecewise Chebyshev interpolants, which give the
+scan grid (step pi/100 up to 40 pi) and every off-grid value the searches
+ask for without quadrature (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013).  The pieces are pi wide above pi and graded by
 doubling from pi/100 below it, because H1 behaves like x^(alpha-1) at 0
 for alpha < 1; degree 24 on each piece matches the batched quadrature to
 about 1e-15, relative.  x = 0 is a closed-form limit, and the x the
@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import chebinterp, specfun
-from ._search import _DEGREE, bisect_root, cheb_points, golden_max, interpolate_pieces, refine_grid_maxima
+from ._search import _DEGREE, bisect_root, cheb_points, interpolate_pieces, polish_brackets, refine_grid_maxima
 from .entire import _prefactor
 from .kernels import D_const, KernelKind, _require_alpha, kernel_values
 
@@ -241,7 +241,7 @@ def _lobe_maxima(cache: GridCache, c1: float, c2: float, tail: float):
     (ends included), |E(0)| = |p c2| and the amplitude tail |c1| that the
     lobes of E tend to as x -> inf (tail = |p| D(alpha)); and x, |E(x)| of
     every grid lobe within 5% of it, ends included, polished on the
-    interpolants to 1e-9 by one refine_grid_maxima call."""
+    interpolants by one refine_grid_maxima call (xtol 1e-9 for a kink)."""
     a = np.abs(_error_on_grid(cache, c1, c2))
     top = max(a.max(), abs(_prefactor(cache.alpha) * c2), tail * abs(c1))
     x, v = refine_grid_maxima(
@@ -273,8 +273,9 @@ class ExchangeResult:
 
 def _weights(a: np.ndarray) -> np.ndarray:
     """Dual weights of the three rows a (3 x 2): the cross product of its
-    columns, so that weights @ a = 0."""
-    return np.cross(a[:, 0], a[:, 1])
+    columns (np.cross's bits, ten times faster), so that weights @ a = 0."""
+    (u0, v0), (u1, v1), (u2, v2) = a.tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
 def _level(weights: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -488,7 +489,7 @@ def alternation_points(
 ) -> list:
     """(y_j, signed error) for j = 0..j_max: y_0 = 0 plus the extremum of E
     between each pair of consecutive interpolation points, all pairs
-    polished in one golden section to 1e-8."""
+    polished in one polish_brackets call from each pair's middle."""
     _check_constants(c1, c2)
     if not isinstance(j_max, numbers.Integral) or not 0 <= j_max < MAX_ROOTS:
         raise ValueError(f"j_max must be an integer in [0, {MAX_ROOTS - 1}], got {j_max!r}")
@@ -498,7 +499,7 @@ def alternation_points(
     def err(x):
         return limit_error(alpha, c1, c2, x, cache=cache)
 
-    ys, _ = golden_max(lambda x: np.abs(err(x)), roots[:-1], roots[1:], xtol=1e-8)
+    ys, _ = polish_brackets(lambda x: np.abs(err(x)), roots[:-1], roots[1:], np.zeros(j_max), 1e-8)
     return [(0.0, -_prefactor(alpha) * c2)] + list(zip(ys.tolist(), err(ys).tolist()))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import _CHEB_MAP, _DEGREE, cheb_points, cos_series, grid_maxima
+from ._search import _DEGREE, cheb_points, cos_series, grid_maxima, newton_tops
 
 __all__ = [
     "ReferenceSet",
@@ -43,8 +43,6 @@ _EQUALIZE_RTOL = 1e-10
 _FINE_RTOL = 1e-5  # see the module docstring
 _TINY = float(np.finfo(float).tiny)  # the smallest positive normal double
 _MAX_EXCHANGES = 50
-_NEWTON_STEPS = 10
-_STEP_TOL = 4.0 * float(np.finfo(float).eps)  # a few ulps of t in [-1, 1]
 
 
 class RemezError(RuntimeError):
@@ -121,48 +119,24 @@ def _base_values(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cos_series(coeffs, len(u))[::-1]
 
 
-def _chebder(c: np.ndarray) -> np.ndarray:
-    """Each row's derivative (c_0 is not read): numpy.polynomial's chebder,
-    which the package does not import, as it adds about 3 ms at import."""
-    d = np.zeros((len(c), c.shape[1] + 1))
-    for k in range(c.shape[1] - 1, 0, -1):
-        d[:, k - 1] = d[:, k + 1] + 2.0 * k * c[:, k]
-    d[:, 0] *= 0.5
-    return d[:, :-2]
-
-
 def _tops(half, coeffs, scale, grid, values):
     """y at the top of each grid maximum of |e| = |y^half - p(y)|: Newton on
-    e'(t) = 0, t in [-1, 1] across its grid neighbours, p's derivatives from
-    its local Chebyshev series.  Steps start at the middle (y^(half - 1) is
-    infinite at 0), clamp to the bracket and stop at a few ulps of t or once
-    no smaller than the last.  End samples that are grid maxima follow."""
+    e'(t) = 0 across its grid neighbours from the middle (y^(half - 1) is
+    infinite at 0), f's derivatives in closed form.  End samples that are
+    grid maxima follow."""
     idx = grid_maxima(values)
     lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
     mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = _eval_cheb(coeffs, scale(cheb_points(lo, hi).ravel())).reshape(len(idx), _DEGREE + 1)
-    # offsets from the middle node round relative to p's change, not its size
-    nodes -= nodes[:, _DEGREE // 2, None]
-    d1 = _chebder(nodes @ _CHEB_MAP)
-    d2 = _chebder(d1)
-    t, last, live = np.zeros(len(idx)), np.full(len(idx), np.inf), np.arange(len(idx))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            tl, r = t[live], rad[live]
-            y = mid[live] + r * tl
-            cheb = np.cos(np.arccos(tl)[:, None] * np.arange(_DEGREE))  # T_k(t)
-            q = r / y  # so that no power of r or 1/y alone under- or overflows
-            f1 = half * q * y**half  # df/dt, and f1 (half - 1) q is d2f/dt2
-            de = f1 - np.einsum("ij,ij->i", cheb, d1[live])
-            dde = f1 * (half - 1.0) * q - np.einsum("ij,ij->i", cheb[:, :-1], d2[live])
-            step = np.clip(tl - de / dde, -1.0, 1.0) - tl
-            step[np.isnan(step)] = 0.0
-            t[live] = tl + step
-            moving = (np.abs(step) > _STEP_TOL) & (np.abs(step) < last[live])
-            last[live] = np.abs(step)
-            live = live[moving]
-            if not live.size:
-                break
+
+    def closed(t, live):  # df/dt and d2f/dt2
+        r = rad[live]
+        y = mid[live] + r * t
+        q = r / y  # so that no power of r or 1/y alone under- or overflows
+        f1 = half * q * y**half
+        return f1, f1 * (half - 1.0) * q
+
+    t = newton_tops(nodes, np.zeros(len(idx)), closed)
     return np.concatenate([np.clip(mid + rad * t, lo, hi), grid[idx[(idx == 0) | (idx == len(grid) - 1)]]])
 
 

@@ -887,6 +887,16 @@ def test_sup_norm_H1_is_the_top_of_J_to_a_few_ulps(h1_norm, alpha):
     assert abs(top - rep.norm) <= 4.0 * np.spacing(top)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.5, 10.0, 40.0, 80.0])
+def test_sup_norm_H_is_the_top_of_its_lobe_to_a_few_ulps(h_norm, alpha):
+    # Newton's method on the lobe's local series lands on its top; golden
+    # section closed at xtol = 1e-5, up to 5e-13 relative below it
+    rep = h_norm(alpha)
+    x = rep.argmax + np.linspace(-1e-6, 1e-6, 2001)
+    top = (np.abs(np.sin(x)) * kernel_values("H1", alpha, x)).max()
+    assert abs(top - rep.norm) <= 2.0 * np.spacing(top)
+
+
 @pytest.mark.parametrize("search", [sup_norm_H, sup_norm_H1])
 def test_sup_norms_make_no_scalar_quadrature_call(search, monkeypatch):
     # deterministic work gate: every lobe is polished on batched kernel values

@@ -403,6 +403,15 @@ def test_lower_bound_not_above_minimax_at_alpha_0_17():
     assert sol.lower_bound <= sol.minimax <= (1.0 + 1e-12) * sol.lower_bound
 
 
+def test_weights_have_the_bits_of_np_cross():
+    # three cofactors in np.cross's order of products, on rows spanning
+    # 1e-5 to 1e5 in size and of either sign
+    rng = np.random.default_rng(13)
+    for _ in range(10_000):
+        a = rng.choice([-1.0, 1.0], size=(3, 2)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(3, 2))
+        assert np.array_equal(nearbest._weights(a), np.cross(a[:, 0], a[:, 1]))
+
+
 def test_level_is_rounded_below_its_exact_value():
     # the rounded-down level against the exact level of the same weights, in
     # rational arithmetic: random rows, and rows whose terms share a sign,
