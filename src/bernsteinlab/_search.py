@@ -21,9 +21,8 @@ _BARY_WEIGHTS = (-1.0) ** np.arange(_DEGREE + 1) * np.sin(_CHEB_ANGLES)
 _BLOCK = 512  # points interpolated per block, bounding the temporaries
 # a piece's Chebyshev coefficients, c_0 doubled, are c_k = sum_j f_j
 # _CHEB_MAP[j, k] = 2/(_DEGREE + 1) sum_j f_j cos(k theta_j) for its node
-# values f_j; its last two are sum_j f_j _TAIL[j]
+# values f_j
 _CHEB_MAP = 2.0 / (_DEGREE + 1) * np.cos(_CHEB_ANGLES[:, None] * np.arange(_DEGREE + 1.0))
-_TAIL = _CHEB_MAP[:, -2:].copy()
 # a bracket whose tail exceeds this share of the largest |f| at any
 # bracket's nodes is polished by golden section on f
 _TAIL_RTOL = 2.0**-40
@@ -180,16 +179,23 @@ def _chebder(c: np.ndarray) -> np.ndarray:
     return d[:, :-2]
 
 
-def newton_tops(vals: np.ndarray, t, closed=None) -> np.ndarray:
-    """Each bracket's t in [-1, 1], its own coordinate, where g'(t) = 0, by
-    Newton's method from t: g is the series through vals[i], at bracket i's
-    cheb_points, or h minus it, closed(t, live) giving h', h'' at t for the
-    brackets live.  vals is overwritten by its offsets from the middle node,
-    so the coefficients round relative to its change, not its size.  Steps
-    are clamped to [-1, 1]; a bracket stops after _NEWTON_STEPS, at a step
-    of at most _STEP_TOL or no smaller than its last, or at a NaN step."""
+def centred_series(vals: np.ndarray) -> np.ndarray:
+    """The Chebyshev coefficients of each row of vals, a bracket's values at
+    its cheb_points, less its middle node (so c_0 is off by that value):
+    they round relative to the row's change, not its size.  vals is
+    overwritten by the offsets."""
     vals -= vals[:, _DEGREE // 2, None]
-    d1 = _chebder(vals @ _CHEB_MAP)
+    return vals @ _CHEB_MAP
+
+
+def newton_tops(c: np.ndarray, t, closed=None) -> np.ndarray:
+    """Each bracket's t in [-1, 1], its own coordinate, where g'(t) = 0, by
+    Newton's method from t: g is the series of coefficients c[i] (c_0 is
+    not read), as centred_series gives them, or h minus it, closed(t, live)
+    giving h', h'' at t for the brackets live.  Steps are clamped to
+    [-1, 1]; a bracket stops after _NEWTON_STEPS, at a step of at most
+    _STEP_TOL or no smaller than its last, or at a NaN step."""
+    d1 = _chebder(c)
     d2 = _chebder(d1)
     t = np.array(t, dtype=float)
     last, live = np.full(len(t), np.inf), np.arange(len(t))
@@ -211,53 +217,49 @@ def newton_tops(vals: np.ndarray, t, closed=None) -> np.ndarray:
     return t
 
 
-def polish_brackets(f, a, b, t, xtol: float):
+def polish_brackets(f, a, b, xtol: float):
     """x and f(x) at the top of f on every bracket [a[i], b[i]]: newton_tops
-    from t[i] on the series through f at the bracket's cheb_points.  f takes
-    and returns arrays, and is called at every bracket's points and at the
-    tops, so every value returned is f's own.  A bracket whose last two
-    Chebyshev coefficients sum above _TAIL_RTOL of the largest |f| at any
-    bracket's points (a kink, say) takes golden_max on f to xtol instead: f
-    may be tiny on one bracket while its rounding, the floor under any
-    tail, is set by its size elsewhere."""
+    on the series through f at the bracket's cheb_points, from the point
+    where f is largest.  f takes and returns arrays, and is called at every
+    bracket's points and at the tops, so every value returned is f's own.
+    A bracket whose last two Chebyshev coefficients sum above _TAIL_RTOL of
+    the largest |f| at any bracket's points (a kink, say) takes golden_max
+    on f to xtol instead: f may be tiny on one bracket while its rounding,
+    the floor under any tail, is set by its size elsewhere."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x, v = np.empty(len(a)), np.empty(len(a))
-    # (brackets, 25) arrays are dropped once used or reused, for the peak RSS
     vals = np.asarray(f(cheb_points(a, b).ravel()), dtype=float).reshape(len(a), _DEGREE + 1)
-    tail = np.abs((vals * _TAIL[:, 0]).sum(axis=1)) + np.abs((vals * _TAIL[:, 1]).sum(axis=1))
     scale = max(vals.max(initial=0.0), -vals.min(initial=0.0))
-    smooth = tail <= _TAIL_RTOL * scale  # NaN goes to golden section
+    t = _CHEB_NODES[np.argmax(vals, axis=1)]
+    c = centred_series(vals)
+    del vals  # (brackets, 25) arrays are dropped once used, for the peak RSS
+    smooth = np.abs(c[:, -2]) + np.abs(c[:, -1]) <= _TAIL_RTOL * scale  # NaN goes to golden section
     rough = ~smooth
     if rough.any():
         x[rough], v[rough] = golden_max(f, a[rough], b[rough], xtol)
     if smooth.any():
         lo, hi = a[smooth], b[smooth]
-        vals = vals[smooth]
-        t = newton_tops(vals, t[smooth])
+        t = newton_tops(c[smooth], t[smooth])
         x[smooth] = np.clip(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, lo, hi)
         v[smooth] = f(x[smooth])
     return x, v
 
 
-def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf, part=None):
+def refine_grid_maxima(f, xs, values, xtol: float, floor: float = -math.inf):
     """Polish every local maximum of sampled values to its top.
 
     xs must be increasing and f takes and returns arrays.  Every grid local
     maximum, ends included, whose sampled value is not below floor is
     bracketed by its grid neighbours, and all are polished by one
-    polish_brackets call from the sampled maximum.  Returns arrays x and
-    f(x), one entry per maximum, the sample where the polish is lower (or
-    NaN).  Given part, the objective is f(x, part(x)), part being the costly
-    smooth factor (quadratures) and f the cheap, exact rest (kinks and all).
+    polish_brackets call.  Returns arrays x and f(x), one entry per
+    maximum, the sample where the polish is lower (or NaN): an end of the
+    grid is no Chebyshev point of its bracket.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(values)
     idx = grid_maxima(values, floor)
-    a, b = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, n - 1)]
-    whole = f if part is None else (lambda x: f(x, part(x)))
-    start = np.clip((2.0 * xs[idx] - (b + a)) / (b - a), -1.0, 1.0)  # rounding may pass +-1
-    x, v = polish_brackets(whole, a, b, start, xtol)
+    x, v = polish_brackets(f, xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, n - 1)], xtol)
     low = ~(v >= values[idx])
     x[low], v[low] = xs[idx[low]], values[idx[low]]
     return x, v

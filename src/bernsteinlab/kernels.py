@@ -509,16 +509,16 @@ def _certified_sup(name: str, alpha: float, outer, grid, x_cut: float, xtol: flo
 
     outer(x, j) takes arrays; grid(lo, hi) gives the scan points of (lo, hi].
     The grid maxima of (0, x_cut] are polished in one refine_grid_maxima
-    call with part = J, by Newton's method on each lobe's local series of
-    outer(x, J(x)), every value returned being outer of a quadrature at the
-    polished x; then x_cut doubles, scanning only the new part, until
-    C(alpha)/x_cut < norm/2.
+    call, by Newton's method on each lobe's local series of outer(x, J(x)),
+    every value returned being outer of a quadrature at the polished x;
+    then x_cut doubles, scanning only the new part, until C(alpha)/x_cut <
+    norm/2.
     A value past the double range is a QuadratureOverflowError naming name
     and alpha.
     """
 
-    def part(x):
-        return _scaled(_SINH, alpha, x)
+    def whole(x):
+        return outer(x, _scaled(_SINH, alpha, x))
 
     maxima: list = []
     lo = 0.0
@@ -526,7 +526,7 @@ def _certified_sup(name: str, alpha: float, outer, grid, x_cut: float, xtol: flo
         c = C_const(alpha)
         for _ in range(40):
             xs = grid(lo, x_cut)
-            x, v = refine_grid_maxima(outer, xs, outer(xs, part(xs)), xtol, part=part)
+            x, v = refine_grid_maxima(whole, xs, whole(xs), xtol)
             maxima.extend(zip(x.tolist(), v.tolist()))
             argmax, norm = max(maxima, key=lambda p: p[1])
             if c / x_cut < 0.5 * norm:

@@ -489,7 +489,7 @@ def alternation_points(
 ) -> list:
     """(y_j, signed error) for j = 0..j_max: y_0 = 0 plus the extremum of E
     between each pair of consecutive interpolation points, all pairs
-    polished in one polish_brackets call from each pair's middle."""
+    polished in one polish_brackets call."""
     _check_constants(c1, c2)
     if not isinstance(j_max, numbers.Integral) or not 0 <= j_max < MAX_ROOTS:
         raise ValueError(f"j_max must be an integer in [0, {MAX_ROOTS - 1}], got {j_max!r}")
@@ -499,7 +499,7 @@ def alternation_points(
     def err(x):
         return limit_error(alpha, c1, c2, x, cache=cache)
 
-    ys, _ = polish_brackets(lambda x: np.abs(err(x)), roots[:-1], roots[1:], np.zeros(j_max), 1e-8)
+    ys, _ = polish_brackets(lambda x: np.abs(err(x)), roots[:-1], roots[1:], 1e-8)
     return [(0.0, -_prefactor(alpha) * c2)] + list(zip(ys.tolist(), err(ys).tolist()))
 
 

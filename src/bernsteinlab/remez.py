@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import _DEGREE, cheb_points, cos_series, grid_maxima, newton_tops
+from ._search import _DEGREE, centred_series, cheb_points, cos_series, grid_maxima, newton_tops
 
 __all__ = [
     "ReferenceSet",
@@ -136,7 +136,7 @@ def _tops(half, coeffs, scale, grid, values):
         f1 = half * q * y**half
         return f1, f1 * (half - 1.0) * q
 
-    t = newton_tops(nodes, np.zeros(len(idx)), closed)
+    t = newton_tops(centred_series(nodes), np.zeros(len(idx)), closed)
     return np.concatenate([np.clip(mid + rad * t, lo, hi), grid[idx[(idx == 0) | (idx == len(grid) - 1)]]])
 
 
